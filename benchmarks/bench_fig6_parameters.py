@@ -9,8 +9,8 @@ Expected shapes (Section 7.1):
 * vs L (6c/6d): all runtimes grow with L, Bottom-Up worst (quadratic);
   the value upper bound decreases with L.
 * vs D (6e/6f): Fixed-Order mostly flat; value highest at small D.
-* vs m (6g/6h): initialization time grows with m (cluster generation is
-  O(n * 2^m)); algorithm time stays in the interactive range.
+* vs m (6g/6h): initialization time grows with m (the pool holds up to
+  L * 2^m patterns); algorithm time stays in the interactive range.
 """
 
 from __future__ import annotations

@@ -78,13 +78,13 @@ def test_fig8b_delta_judgment(report, benchmark):
 
 
 def test_fig8_extension_lazy_mapping(report, benchmark):
-    """Extension beyond the paper: posting-list (lazy) coverage mapping.
+    """Extension beyond the paper: lazy coverage mapping.
 
-    Initialization is O(n*m) instead of O(n*2^m); coverage resolves on
-    first touch.  Useful when only a small fraction of the pool is ever
-    materialized (e.g. pure Fixed-Order runs)."""
+    Initialization packs only the per-attribute value masks; a pattern's
+    mask is derived on first touch.  Useful when only a small fraction of
+    the pool is ever materialized (e.g. pure Fixed-Order runs)."""
     answers = _answers()
-    report.add("Extension: lazy posting-list mapping vs eager (N=%d)"
+    report.add("Extension: lazy mapping vs eager (N=%d)"
                % answers.n)
     rows = []
     for L in (60, 120):

@@ -411,8 +411,8 @@ def _dense_scaling_leg(answers, kernel: str, L: int, k: int, D: int,
 
     Returns ``(solution, init_seconds, cold_seconds, warm_seconds)``.
     The *cold* run pays the lazy pool's on-demand coverage
-    materialization (posting intersections + mask packing); *warm* runs
-    hit the pool's cluster cache and are dominated by the coverage
+    materialization (value-mask ANDs); *warm* runs hit the pool's
+    cluster cache and are dominated by the coverage
     primitives — AND/ANDNOT/popcount/value-sum over large masks — which
     is exactly what the kernels differ in.  Both numbers are recorded;
     the floors compare the warm (steady-state serving) cost.

@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mask-only", action="store_true",
         help="build cluster pools in the low-memory mask-only mode "
-        "(bitmask coverage only, no frozensets; identical summaries)",
+        "(derived coverage frozensets are not cached; identical "
+        "summaries)",
     )
     parser.add_argument("--expand", action="store_true",
                         help="also print the covered elements (layer 2)")

@@ -208,9 +208,9 @@ class AnswerSet:
         the appended elements occupy in the new set, ascending: the
         constructor re-sorts by ``(-value, element)``, so an appended row
         can land anywhere in the ranking, and every existing element's rank
-        shifts up by the number of new rows inserted before it.  *delta* is
-        exactly what mask-splice maintenance needs
-        (:meth:`repro.core.semilattice.ClusterPool.extended`).
+        shifts up by the number of new rows inserted before it.  Pool
+        maintenance (:meth:`repro.core.semilattice.ClusterPool.extended`)
+        checks the growth against *delta*.
 
         Duplicate elements — within *rows* or against the existing set —
         are rejected like everywhere else (group-by outputs are distinct);

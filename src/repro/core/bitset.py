@@ -127,32 +127,30 @@ def bitset_of(indices: Iterable[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-def splice_mask(mask: int, positions: Sequence[int]) -> int:
-    """Insert cleared bits into *mask* at *positions* (ascending).
-
-    Each position is in the coordinates of the *final* universe — the rank
-    an appended element occupies after the
-    :meth:`~repro.core.answers.AnswerSet.extended` re-sort — so processing
-    them in ascending order keeps every later position valid as bits shift
-    up.  This is how incremental pool maintenance relocates an existing
-    coverage mask into the grown universe: splice zero bits where the new
-    elements landed, then OR in the new elements the pattern covers.
-
-    >>> bin(splice_mask(0b111, [1, 3]))
-    '0b10101'
-    """
-    for position in positions:
-        low = mask & ((1 << position) - 1)
-        mask = ((mask >> position) << (position + 1)) | low
-    return mask
-
-
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of set bits in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The indices of set bits, in ascending order.
+
+    Takes the two paths of :func:`mask_value_sum`: sparse masks peel the
+    lowest bit per step; denser ones walk the mask's bytes and skip zero
+    bytes, O(n/8) plus one step per set bit instead of one n-bit shift
+    per set bit.
+    """
+    if mask.bit_count() <= _SPARSE_LIMIT:
+        bits = []
+        while mask:
+            low = mask & -mask
+            bits.append(low.bit_length() - 1)
+            mask ^= low
+        return iter(bits)
+    byte_bits = _BYTE_BITS
+    return iter([
+        (position << 3) + offset
+        for position, byte in enumerate(
+            mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        )
+        if byte
+        for offset in byte_bits[byte]
+    ])
 
 
 def mask_value_sum(values: Sequence[float], mask: int) -> float:

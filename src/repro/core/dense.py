@@ -60,12 +60,7 @@ import os
 from array import array
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.bitset import (
-    bitset_of,
-    iter_bits,
-    mask_value_sum,
-    splice_mask,
-)
+from repro.core.bitset import bitset_of, iter_bits, mask_value_sum
 
 #: Environment variable that disables numpy even when it is importable —
 #: the switch behind the CI no-numpy matrix leg and the benchmark's
@@ -423,11 +418,20 @@ def blocks_of(indices: Iterable[int], nbits: int) -> BitBlocks:
     return BitBlocks._from_int(bitset_of(indices), nbits)
 
 
+def blocks_from_int(value: int, nbits: int) -> BitBlocks:
+    """The int mask *value* (below ``2**nbits``) as a :class:`BitBlocks`
+    mask over *nbits* elements."""
+    if numpy_enabled():
+        raw = value.to_bytes(((nbits + 63) >> 6) << 3, "little")
+        return BitBlocks._from_array(
+            _np.frombuffer(raw, dtype=_np.uint64).copy(), nbits
+        )
+    return BitBlocks._from_int(value, nbits)
+
+
 def first_n_blocks(count: int, nbits: int) -> BitBlocks:
     """The mask of elements ``0..count-1`` (the brute-force top-L mask)."""
-    if numpy_enabled():
-        return blocks_of(range(count), nbits)
-    return BitBlocks._from_int((1 << count) - 1, nbits)
+    return blocks_from_int((1 << count) - 1, nbits)
 
 
 def mask_indices(mask) -> Iterator[int]:
@@ -439,76 +443,6 @@ def mask_indices(mask) -> Iterator[int]:
     if isinstance(mask, int):
         return iter_bits(mask)
     return mask.indices()
-
-
-class MaskExtension:
-    """Relocates dense masks into a grown universe after an append.
-
-    Constructed once per append from the *delta* of
-    :meth:`repro.core.answers.AnswerSet.extended` — the final-coordinate
-    positions the appended elements occupy — it maps any mask over the old
-    ``old_nbits``-element universe to the new ``new_nbits`` one: existing
-    bits shift to their new ranks, the reserved positions start clear, and
-    the *added* bits a pattern newly covers are set.  The numpy path
-    scatters the unpacked old row through a precomputed index map (one
-    vectorized pass per mask); the fallback splices the packed int view
-    (:func:`repro.core.bitset.splice_mask`).  Both produce the exact bits
-    a from-scratch rebuild would.
-    """
-
-    __slots__ = ("positions", "old_nbits", "new_nbits", "_old_to_new")
-
-    def __init__(
-        self, positions: Sequence[int], old_nbits: int, new_nbits: int
-    ) -> None:
-        self.positions = sorted(positions)
-        if len(self.positions) != new_nbits - old_nbits:
-            raise ValueError(
-                "%d insert positions cannot grow %d bits to %d"
-                % (len(self.positions), old_nbits, new_nbits)
-            )
-        self.old_nbits = old_nbits
-        self.new_nbits = new_nbits
-        self._old_to_new = None
-
-    def _index_map(self):
-        """New index of each old element (numpy path; built once)."""
-        mapping = self._old_to_new
-        if mapping is None:
-            keep = _np.ones(self.new_nbits, dtype=bool)
-            keep[_np.array(self.positions, dtype=_np.int64)] = False
-            mapping = _np.flatnonzero(keep)
-            self._old_to_new = mapping
-        return mapping
-
-    def extend(
-        self, mask: BitBlocks, added: Sequence[int] = ()
-    ) -> BitBlocks:
-        """*mask* in the new universe, with the *added* bits also set."""
-        if mask.nbits != self.old_nbits:
-            raise ValueError(
-                "mask has %d bits, extension expects %d"
-                % (mask.nbits, self.old_nbits)
-            )
-        if mask._arr is not None and numpy_enabled():
-            old_bits = _np.unpackbits(
-                mask._arr.view(_np.uint8),
-                count=self.old_nbits,
-                bitorder="little",
-            )
-            nblocks = (self.new_nbits + 63) >> 6
-            new_bits = _np.zeros(nblocks << 6, dtype=_np.uint8)
-            new_bits[self._index_map()] = old_bits
-            if len(added):
-                new_bits[_np.array(added, dtype=_np.int64)] = 1
-            return BitBlocks._from_array(
-                _np.packbits(new_bits, bitorder="little").view(_np.uint64),
-                self.new_nbits,
-            )
-        value = splice_mask(mask._as_int(), self.positions)
-        for index in added:
-            value |= 1 << index
-        return BitBlocks._from_int(value, self.new_nbits)
 
 
 class _DenseMaskOps:

@@ -4,31 +4,34 @@ A naive implementation of the framework would instantiate every pattern in
 ``prod_i (D_i + {*})`` — astronomically many.  Section 6.3 of the paper
 instead (1) *generates* clusters from the top-L tuples (every generalization
 of a top-L tuple, and nothing else, can appear in a solution that covers the
-top-L), and (2) maps tuples to clusters by having each tuple of S generate
-its own matching patterns and look them up in the pool, rather than scanning
-S once per cluster.  The paper reports a 100x–1000x initialization speedup
-from this (Figure 8a).
+top-L), and (2) maps the tuples of S to the clusters that cover them without
+scanning S once per cluster.  The paper reports a 100x–1000x initialization
+speedup from this (Figure 8a).
 
-:class:`ClusterPool` implements three coverage-mapping strategies:
+:class:`ClusterPool` does the mapping column-wise.  One pass over each
+attribute's column of S packs a *value mask* for every code that occurs
+there among the top-L tuples: the set of rows holding that code in that
+attribute.  A pool
+pattern's mask is the AND of the value masks of its constants, derived in
+one AND from the mask of its *parent* — the pattern with its last constant
+starred, itself a pool pattern; the all-star root covers all of S.  Three
+mapping strategies share this:
 
 ``"eager"``
-    The paper's optimized scheme: one pass over S, each element enumerates
-    its ``2^m`` generalizations and appends itself to the pool entries it
-    hits.  Initialization cost O(n * 2^m) dict operations.
-
-``"naive"``
-    The unoptimized baseline used for the Figure 8a ablation: for every pool
-    pattern, scan all n elements and test coverage.  Cost O(|pool| * n * m).
+    Derives every pool pattern's mask at build time: the value-mask
+    passes, O(n * m), plus one AND per pattern.
 
 ``"lazy"``
-    An extension beyond the paper: per-attribute posting lists (inverted
-    index value -> element ids); a pattern's coverage is computed on first
-    request by intersecting the posting lists of its non-star values, then
-    cached.  Initialization is O(n * m); well suited to very large S where
-    only a small fraction of the pool is ever touched.
+    Packs only the value masks at build time and derives a pattern's mask
+    (with any ancestors not yet derived) on first request.  Suited to very
+    large pools of which a request touches a small fraction.
 
-All three produce identical :class:`~repro.core.cluster.Cluster` objects,
-which property tests verify.
+``"naive"``
+    The unoptimized baseline of the Figure 8a ablation: for every pool
+    pattern, scan all n elements and test coverage.  Cost O(|pool| * n * m).
+
+All three produce bit-identical masks, which property tests check against
+a direct coverage scan.
 
 Independently of the strategy, ``kernel=`` selects the pool's *mask
 representation*: int bitmasks (the default, shared by the bitset and
@@ -37,34 +40,29 @@ working representation of :mod:`repro.core.dense`, built vectorized when
 numpy is available.  A :class:`~repro.core.merge.MergeEngine` requires a
 pool whose representation matches its kernel.
 
-Also independently, ``mask_only=True`` switches the pool to its
-low-memory mode: per-pattern coverage is stored *only* as bitmasks
-(the mask kernels' working representation) and the per-pattern
-``frozenset`` index sets are never materialized at initialization —
-roughly halving init memory at large L, since most pool patterns are never
-touched again after mapping.  The ``coverage()``/``cluster()`` API is
-unchanged: frozensets are derived from the masks on demand (and cached on
-the materialized :class:`~repro.core.cluster.Cluster`), so both kernels
-and all callers see identical results in either mode (property-tested).
+No coverage ``frozenset`` is built at initialization: :meth:`coverage`
+derives one from the mask on first use.  ``mask_only=True`` only decides
+whether those derived frozensets are cached on the pool (the default) or
+left to the caller, who holds on to the materialized
+:class:`~repro.core.cluster.Cluster`; both modes answer identically
+(property-tested).
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Literal
 
 from repro.common.budget import checkpoint as _budget_checkpoint
 from repro.common.errors import InvalidParameterError
 from repro.common.interning import STAR
 from repro.core.answers import AnswerSet
-from repro.core.bitset import (
-    DENSE_KERNEL,
-    bitset_of,
-    resolve_kernel,
-    splice_mask,
-)
+from repro.core.bitset import DENSE_KERNEL, bitset_of, resolve_kernel
 from repro.core.cluster import Cluster, Pattern, covers, generalizations
-from repro.core.dense import MaskExtension, blocks_of, mask_indices
+from repro.core.dense import blocks_from_int, mask_indices
 
 MappingStrategy = Literal["eager", "naive", "lazy"]
 
@@ -108,7 +106,6 @@ class ClusterPool:
             raise InvalidParameterError(
                 "fallback_capacity must be >= 1, got %d" % fallback_capacity
             )
-        self.answers = answers
         self.L = L
         self.strategy = strategy
         self.fallback_capacity = fallback_capacity
@@ -118,236 +115,133 @@ class ClusterPool:
         # for the dense kernel.  A merge engine requires a pool whose
         # representation matches its kernel (MergeEngine validates).
         self.kernel = resolve_kernel(kernel, n=answers.n)
-        if self.kernel == DENSE_KERNEL:
-            n = answers.n
-            self._pack = lambda ids: blocks_of(ids, n)
-        else:
-            self._pack = bitset_of
+        self._build(answers)
+
+    # -- construction of the coverage maps -----------------------------------
+
+    def _build(self, answers: AnswerSet) -> None:
+        """Generate the pool over *answers* and map S to it.
+
+        Pool construction is the dominant cold-start cost at large n; every
+        loop polls the request budget at a coarse stride so a deadlined
+        request abandons the build within milliseconds of expiry instead
+        of finishing it.
+        """
+        self.answers = answers
         self._patterns: set[Pattern] = set()
-        # Pool construction is the dominant cold-start cost at large n
-        # (seconds at n=10^6); every loop below polls the request budget
-        # at a coarse stride so a deadlined request abandons the build
-        # within milliseconds of expiry instead of finishing it.
-        for count, index in enumerate(answers.top(L)):
+        for count, index in enumerate(answers.top(self.L)):
             if not count % 4096:
                 _budget_checkpoint()
             self._patterns.update(generalizations(answers.elements[index]))
         self._coverage: dict[Pattern, frozenset[int]] = {}
         self._masks: dict[Pattern, int] = {}
-        self._postings: list[dict[int, set[int]]] | None = None
-        if strategy == "eager":
-            self._map_eager()
-        elif strategy == "naive":
-            self._map_naive()
-        else:
-            self._build_postings()
+        self._value_masks: list[dict[int, int]] = []
         self._cluster_cache: dict[Pattern, Cluster] = {}
         # Out-of-pool patterns (probed by baselines and the hierarchy
         # extension) resolve by direct scan; their results live in this
         # small LRU instead of growing self._coverage without bound.
         self._fallback: OrderedDict[Pattern, Cluster] = OrderedDict()
+        if self.strategy == "naive":
+            self._map_naive()
+            return
+        self._masks[(STAR,) * answers.m] = self._pack((1 << answers.n) - 1)
+        self._pack_value_masks()
+        if self.strategy == "eager":
+            for count, pattern in enumerate(self._patterns):
+                if not count % 1024:
+                    _budget_checkpoint()
+                self._derive(pattern)
 
-    # -- construction of the coverage maps -----------------------------------
+    def _pack(self, bits: int):
+        """The int mask *bits* in the pool's representation."""
+        if self.kernel == DENSE_KERNEL:
+            return blocks_from_int(bits, self.answers.n)
+        return bits
 
-    def _map_eager(self) -> None:
-        """One pass over S; each element registers with the pool patterns it
-        generates (the Section 6.3 optimization).  Coverage is stored as an
-        int bitmask (the bitset kernel's working representation) and — in
-        the default mode — also as a frozenset (the stable API);
-        ``mask_only`` pools skip the frozensets entirely."""
-        buckets: dict[Pattern, set[int]] = {p: set() for p in self._patterns}
-        for index, element in enumerate(self.answers.elements):
-            if not index % 2048:
+    def _pack_value_masks(self) -> None:
+        """Per attribute, the value mask of every code that occurs there
+        among the top-L elements (pool patterns use no other constants).
+
+        The row loops run in C.  Each row's code becomes one byte, its
+        slot among up to 255 wanted codes (0 for any other code); a
+        code's mask is then that byte string translated to ``1``/``0``
+        digits and parsed as a base-2 int, reversed so row 0 is the low
+        bit.  The budget is polled before each pass over the rows.
+        """
+        elements = self.answers.elements
+        n = self.answers.n
+        for attr in range(self.answers.m):
+            code_of = itemgetter(attr)
+            wanted = list(dict.fromkeys(map(code_of, elements[:self.L])))
+            masks = {}
+            for start in range(0, len(wanted), 255):
+                group = wanted[start:start + 255]
+                slot_of = {code: slot for slot, code in enumerate(group, 1)}
                 _budget_checkpoint()
-            for pattern in generalizations(element):
-                bucket = buckets.get(pattern)
-                if bucket is not None:
-                    bucket.add(index)
-        coverage = self._coverage
-        masks = self._masks
-        mask_only = self.mask_only
-        pack = self._pack
-        for count, (pattern, ids) in enumerate(buckets.items()):
-            if not count % 1024:
-                _budget_checkpoint()
-            masks[pattern] = pack(ids)
-            if not mask_only:
-                coverage[pattern] = frozenset(ids)
+                slots = bytes(
+                    map(slot_of.get, map(code_of, elements), repeat(0, n))
+                )
+                for slot, code in enumerate(group, 1):
+                    _budget_checkpoint()
+                    digits = slots.translate(
+                        b"0" * slot + b"1" + b"0" * (255 - slot)
+                    )
+                    masks[code] = self._pack(int(digits[::-1], 2))
+            self._value_masks.append(masks)
+
+    def _derive(self, pattern: Pattern):
+        """The mask of pool *pattern*: its parent's mask (the pattern with
+        its last constant starred, derived first if need be) AND the value
+        mask of that constant."""
+        mask = self._masks.get(pattern)
+        if mask is None:
+            attr = len(pattern) - 1
+            while pattern[attr] == STAR:
+                attr -= 1
+            parent = pattern[:attr] + (STAR,) + pattern[attr + 1:]
+            mask = (
+                self._derive(parent)
+                & self._value_masks[attr][pattern[attr]]
+            )
+            self._masks[pattern] = mask
+        return mask
 
     def _map_naive(self) -> None:
-        """Per-cluster scan of all of S (the unoptimized ablation path)."""
+        """Per-cluster scan of all of S (the Figure 8a baseline)."""
         elements = self.answers.elements
         for pattern in self._patterns:
             _budget_checkpoint()
-            ids = [
+            self._masks[pattern] = self._pack(bitset_of(
                 index
                 for index, element in enumerate(elements)
                 if covers(pattern, element)
-            ]
-            self._masks[pattern] = self._pack(ids)
-            if not self.mask_only:
-                self._coverage[pattern] = frozenset(ids)
+            ))
 
-    def _build_postings(self) -> None:
-        """Inverted index: per attribute, value code -> element id set."""
-        m = self.answers.m
-        postings: list[dict[int, set[int]]] = [{} for _ in range(m)]
-        for index, element in enumerate(self.answers.elements):
-            if not index % 4096:
-                _budget_checkpoint()
-            for attr, code in enumerate(element):
-                postings[attr].setdefault(code, set()).add(index)
-        self._postings = postings
-
-    def _coverage_lazy(self, pattern: Pattern) -> frozenset[int]:
-        assert self._postings is not None
-        lists = []
-        for attr, code in enumerate(pattern):
-            if code == STAR:
-                continue
-            posting = self._postings[attr].get(code)
-            if not posting:
-                return frozenset()
-            lists.append(posting)
-        if not lists:
-            return frozenset(range(self.answers.n))
-        lists.sort(key=len)
-        return frozenset(lists[0].intersection(*lists[1:]))
-
-    # -- incremental maintenance ---------------------------------------------
+    # -- append maintenance --------------------------------------------------
 
     def extended(
         self, new_answers: AnswerSet, delta: Iterable[int]
     ) -> "ClusterPool":
-        """The pool for *new_answers* built from this one, not from scratch.
+        """The pool for *new_answers*, carried over from this one.
 
         *new_answers* and *delta* come from
         :meth:`repro.core.answers.AnswerSet.extended`: the grown answer set
         and the final-coordinate rank positions its appended elements
-        occupy.  The maintained pool is observably identical to
-        ``ClusterPool(new_answers, L, ...)`` with the same options —
-        same patterns, bit-identical masks, identical coverage sets and
-        value sums (property-tested across all three kernels) — but does
-        only incremental work:
-
-        * patterns retained from this pool keep their masks, *spliced*
-          into the new universe (zero bits inserted where new elements
-          landed) with the newly covered elements OR'd in;
-        * only the appended rows are re-mapped eagerly (each enumerates
-          its ``2^m`` generalizations, exactly like one ``_map_eager``
-          step restricted to the delta);
-        * only patterns that are genuinely new to the pool (a new element
-          entered the top-L) pay a full coverage scan — and if those
-          dominate, the method falls back to a plain rebuild, which is
-          then the cheaper path anyway.
-
-        Lazy pools rebuild their posting lists (that is their entire
-        initialization, O(n*m)) and splice whatever masks they had
-        already materialized.
+        occupy.  The grown pool keeps this pool's options and is derived
+        over *new_answers* exactly as a fresh build is (the value-mask
+        passes plus one AND per pattern), so it is bit-identical to
+        ``ClusterPool(new_answers, L, ...)`` with the same options
+        (property-tested across all three kernels).
         """
-        positions = sorted(delta)
-        if new_answers.n != self.answers.n + len(positions):
+        appended = len(list(delta))
+        if new_answers.n != self.answers.n + appended:
             raise InvalidParameterError(
                 "delta of %d positions cannot grow n=%d to n=%d"
-                % (len(positions), self.answers.n, new_answers.n)
+                % (appended, self.answers.n, new_answers.n)
             )
-        new_patterns: set[Pattern] = set()
-        for count, index in enumerate(new_answers.top(self.L)):
-            if not count % 4096:
-                _budget_checkpoint()
-            new_patterns.update(
-                generalizations(new_answers.elements[index])
-            )
-        fresh = new_patterns - self._patterns
-        if len(fresh) * 2 > len(new_patterns):
-            # The top-L churned so hard that most of the pool needs a
-            # from-scratch scan; a full rebuild is the faster maintenance.
-            return ClusterPool(
-                new_answers,
-                self.L,
-                strategy=self.strategy,
-                fallback_capacity=self.fallback_capacity,
-                mask_only=self.mask_only,
-                kernel=self.kernel,
-            )
-        clone = self._clone_for(new_answers, new_patterns)
-        retained = new_patterns & self._patterns
-        # One eager-mapping step restricted to the appended rows: each new
-        # element registers with the retained patterns it generates.
-        added: dict[Pattern, list[int]] = {}
-        for position in positions:
-            element = new_answers.elements[position]
-            for pattern in generalizations(element):
-                if pattern in retained:
-                    added.setdefault(pattern, []).append(position)
-        if self.kernel == DENSE_KERNEL:
-            extension = MaskExtension(
-                positions, self.answers.n, new_answers.n
-            )
-            relocate = extension.extend
-        else:
-            def relocate(mask, added_bits):
-                mask = splice_mask(mask, positions)
-                for index in added_bits:
-                    mask |= 1 << index
-                return mask
-        if self.strategy == "lazy":
-            clone._build_postings()
-            sources = {
-                pattern: self._masks[pattern]
-                for pattern in retained
-                if pattern in self._masks
-            }
-        else:
-            sources = {
-                pattern: self._masks[pattern] for pattern in retained
-            }
-        for count, (pattern, mask) in enumerate(sources.items()):
-            if not count % 1024:
-                _budget_checkpoint()
-            clone._masks[pattern] = relocate(
-                mask, added.get(pattern, ())
-            )
-        # Patterns new to the pool may cover *old* elements too, so they
-        # need the one full scan of the maintenance path.
-        for pattern in fresh:
-            _budget_checkpoint()
-            ids = [
-                index
-                for index, element in enumerate(new_answers.elements)
-                if covers(pattern, element)
-            ]
-            clone._masks[pattern] = clone._pack(ids)
-        return clone
-
-    def _clone_for(
-        self, new_answers: AnswerSet, new_patterns: set[Pattern]
-    ) -> "ClusterPool":
-        """An empty shell pool over *new_answers* with this pool's options.
-
-        Coverage frozensets, cluster objects, and the fallback LRU are
-        deliberately not carried: they re-derive on demand from the masks,
-        so dropping them never changes an observable answer.
-        """
-        clone = ClusterPool.__new__(ClusterPool)
-        clone.answers = new_answers
-        clone.L = self.L
-        clone.strategy = self.strategy
-        clone.fallback_capacity = self.fallback_capacity
-        clone.mask_only = self.mask_only
-        clone.kernel = self.kernel
-        if clone.kernel == DENSE_KERNEL:
-            n = new_answers.n
-            clone._pack = lambda ids: blocks_of(ids, n)
-        else:
-            clone._pack = bitset_of
-        clone._patterns = new_patterns
-        clone._coverage = {}
-        clone._masks = {}
-        clone._postings = None
-        clone._cluster_cache = {}
-        clone._fallback = OrderedDict()
-        return clone
+        grown = copy.copy(self)
+        grown._build(new_answers)
+        return grown
 
     # -- public API ---------------------------------------------------------
 
@@ -374,17 +268,9 @@ class ClusterPool:
             return cached
         if pattern not in self._patterns:
             return self._fallback_cluster(pattern).covered
-        mask = self._masks.get(pattern)
-        if mask is None:
-            # Only reachable under the lazy strategy: eager/naive prefill.
-            ids = frozenset(self._coverage_lazy(pattern))
-            self._masks[pattern] = self._pack(ids)
-            if not self.mask_only:
-                self._coverage[pattern] = ids
-            return ids
-        # Mask-only pools derive the frozenset view on demand; callers
-        # that need it repeatedly hold on to the materialized Cluster.
-        ids = frozenset(mask_indices(mask))
+        # Mask-only pools do not cache the derived view; callers that
+        # need it repeatedly hold on to the materialized Cluster.
+        ids = frozenset(mask_indices(self.mask(pattern)))
         if not self.mask_only:
             self._coverage[pattern] = ids
         return ids
@@ -396,8 +282,7 @@ class ClusterPool:
         if cached is not None:
             return cached
         if pattern in self._patterns:
-            self.coverage(pattern)  # fills self._masks as a side effect
-            return self._masks[pattern]
+            return self._derive(pattern)  # lazy pools only
         return self._fallback_cluster(pattern).mask
 
     def _scan_coverage(self, pattern: Pattern) -> frozenset[int]:
@@ -415,7 +300,7 @@ class ClusterPool:
             self._fallback.move_to_end(pattern)
             return cached
         covered = self._scan_coverage(pattern)
-        mask = self._pack(covered)
+        mask = self._pack(bitset_of(covered))
         built = Cluster(
             pattern=pattern,
             covered=covered,
@@ -435,7 +320,7 @@ class ClusterPool:
         if pattern not in self._patterns:
             return self._fallback_cluster(pattern)
         covered = self.coverage(pattern)
-        mask = self._masks[pattern]
+        mask = self.mask(pattern)
         built = Cluster(
             pattern=pattern,
             covered=covered,

@@ -15,7 +15,7 @@ Cache keys pin down everything that changes the cached object's content:
   mask_repr)`` — the answer set *at a content version* (bumped by
   replace and append, so stale state is unreachable by key), the top-L
   slice the pool generalizes, the coverage-mapping strategy, whether
-  frozenset coverage is materialized, and the mask representation
+  derived frozenset coverage is cached, and the mask representation
   (``"int"`` for the bitset/python kernels, ``"dense"`` for packed
   uint64-block pools);
 * stores are keyed by ``(dataset, version, L, mapping, mask_only,
@@ -24,12 +24,12 @@ Cache keys pin down everything that changes the cached object's content:
   substrate the sweep ran on.
 
 Appends (:meth:`Engine.append_rows`) do better than invalidation: each
-cached pool of the old version is *carried over* — incrementally extended
-via :meth:`~repro.core.semilattice.ClusterPool.extended` and re-inserted
-under the new version's key — so in-flight sessions stay warm across an
-update stream.  Stores are not carried (a precompute sweep's solutions
-can change arbitrarily when values enter the top-L) and simply rebuild
-on next use.
+cached pool of the old version is *carried over* — re-derived over the
+grown answer set by :meth:`~repro.core.semilattice.ClusterPool.extended`
+and re-inserted under the new version's key — so in-flight sessions stay
+warm across an update stream, and the old version's entries are dropped.
+Stores are not carried (a precompute sweep's solutions can change
+arbitrarily when values enter the top-L) and simply rebuild on next use.
 
 Two requests that agree on a key therefore share one build; anything that
 could change the bytes of the result is part of the key.  Both caches are
@@ -210,7 +210,7 @@ class _LRUCache(Generic[T]):
         """Insert *value* under *key* directly (no build function).
 
         Used by append maintenance to seed the next dataset version's
-        entries from incrementally-extended state; normal request traffic
+        entries from carried-over state; normal request traffic
         goes through :meth:`get_or_build`.
         """
         with self._lock:
@@ -219,6 +219,13 @@ class _LRUCache(Generic[T]):
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    def discard_where(self, predicate: Callable[[Hashable], bool]) -> None:
+        """Drop every entry whose key satisfies *predicate* (not counted
+        as evictions)."""
+        with self._lock:
+            for key in [key for key in self._entries if predicate(key)]:
+                del self._entries[key]
 
     def __len__(self) -> int:
         with self._lock:
@@ -296,8 +303,8 @@ class Engine:
 
         Re-registering with ``replace=True`` bumps the dataset's version,
         so every cached pool/store built against the old content is keyed
-        away from new requests (and ages out of the LRUs) instead of being
-        served stale.
+        away from new requests (and dropped from the caches) instead of
+        being served stale.
         """
         with self._datasets_lock:
             if name in self._datasets:
@@ -310,12 +317,24 @@ class Engine:
             else:
                 self._versions[name] = 0
             self._datasets[name] = answers
+            version = self._versions[name]
+        self._drop_superseded(name, version)
         if self.durability is not None:
             # Outside the lock: the snapshot write is disk I/O.  A racing
             # reader sees the dataset before its snapshot lands — same
             # window a crash-before-snapshot leaves, and registration is
             # what re-fills it.
             self.durability.record_register(name, answers)
+
+    def _drop_superseded(self, name: str, version: int) -> None:
+        """Free the cached pools and stores of *name* at older versions:
+        no key can reach them once *version* is published.  A build racing
+        the publish may still insert one; it ages out of the LRU."""
+        def superseded(key: Hashable) -> bool:
+            return key[0] == name and key[1] < version
+
+        self._pools.discard_where(superseded)
+        self._stores.discard_where(superseded)
 
     def dataset(self, name: str) -> AnswerSet:
         return self._dataset_state(name)[0]
@@ -354,7 +373,8 @@ class Engine:
         :meth:`~repro.core.semilattice.ClusterPool.extended` (bit-identical
         to a rebuild, property-tested), bumps the dataset version so
         stores and any pool this pass missed are unreachable by key, and
-        only then publishes the new answer set.  Requests racing the
+        only then publishes the new answer set and drops the old
+        version's cache entries.  Requests racing the
         append keep resolving the old ``(content, version)`` pair until
         the atomic publish, so they never see a half-updated dataset.
         """
@@ -382,6 +402,7 @@ class Engine:
             with self._datasets_lock:
                 self._datasets[name] = new_answers
                 self._versions[name] = version
+            self._drop_superseded(name, version)
             if self.durability is not None:
                 self.durability.maybe_compact(name, new_answers)
         return {

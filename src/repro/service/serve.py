@@ -15,8 +15,8 @@ drive a cold server end to end:
     register it as a dataset.
 ``{"kind": "append_rows", "dataset": ..., "rows": [[...], ...], "values": [...]}``
     Append rows to a live dataset -> ``{"kind": "rows_appended", ...}``;
-    cached pools are maintained incrementally and the dataset version is
-    bumped so stale cached state is unreachable.
+    cached pools are carried over and the dataset version is bumped so
+    stale cached state is unreachable.
 ``{"kind": "datasets"}`` / ``{"kind": "algorithms"}`` / ``{"kind": "stats"}``
     Introspection: registered datasets, the algorithm registry with
     metadata, engine cache counters (plus transport counters and — on the
@@ -477,8 +477,8 @@ class Dispatcher:
             }, None
         if kind == "append_rows":
             # Live update stream: append rows to a registered dataset.
-            # The engine maintains cached pools incrementally (mask
-            # splice, bit-identical to a rebuild) and bumps the dataset
+            # The engine carries cached pools over (bit-identical to a
+            # rebuild) and bumps the dataset
             # version so stale stores are unreachable; the response
             # reports both.  Auth-gated like every non-ping kind when the
             # server is token-secured.

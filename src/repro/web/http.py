@@ -500,6 +500,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     timeout = 60  # a stalled client cannot pin its handler thread forever
+    # Headers and body go out as two writes; with Nagle on, the body
+    # would wait for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def web(self) -> WebServer:

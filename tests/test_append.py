@@ -2,7 +2,7 @@
 
 The append scenario's core guarantee: after any sequence of row appends,
 the incrementally maintained state — :meth:`AnswerSet.extended`'s grown
-set plus :meth:`ClusterPool.extended`'s spliced pool — is *bit-identical*
+set plus :meth:`ClusterPool.extended`'s carried-over pool — is *bit-identical*
 to rebuilding from scratch over the concatenated rows, across all three
 kernels (python/bitset share int masks; dense on both the numpy and the
 stdlib-array backend), all three mapping strategies, and both coverage
@@ -19,71 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.answers import AnswerSet
-from repro.core.bitset import bitset_of, splice_mask
 from repro.core.bottom_up import bottom_up
-from repro.core.dense import MaskExtension, blocks_of, numpy_disabled
+from repro.core.dense import numpy_disabled
 from repro.core.semilattice import ClusterPool
 from repro.service import Engine
 from repro.service.serve import Dispatcher
 
 pytestmark = pytest.mark.tier1
-
-
-# -- mask splicing primitives -------------------------------------------------
-
-
-class TestSpliceMask:
-    def test_insert_into_middle_relocates_higher_bits(self):
-        # universe [a, b, c] -> [a, NEW, b, NEW, c]
-        assert splice_mask(0b111, [1, 3]) == 0b10101
-
-    def test_positions_are_final_coordinates(self):
-        # one element at old rank 0; two new rows land at ranks 0 and 1.
-        assert splice_mask(0b1, [0, 1]) == 0b100
-
-    def test_empty_positions_is_identity(self):
-        assert splice_mask(0b1011, []) == 0b1011
-
-    def test_matches_recomputation_exhaustively(self):
-        # Every 6-bit mask, every insertion pair: splice == recompute.
-        for positions in ([2], [0, 4], [3, 4], [0, 7]):
-            for old_mask in range(64):
-                old_ids = [i for i in range(6) if (old_mask >> i) & 1]
-                new_of_old = _relocation(6, positions)
-                expected = bitset_of([new_of_old[i] for i in old_ids])
-                assert splice_mask(old_mask, positions) == expected
-
-
-def _relocation(old_n: int, positions: list[int]) -> list[int]:
-    """new index of each old element after inserting at *positions*."""
-    new_n = old_n + len(positions)
-    reserved = set(positions)
-    return [i for i in range(new_n) if i not in reserved]
-
-
-class TestMaskExtension:
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_extends_like_int_splice(self, use_numpy):
-        positions, old_n = [1, 5, 8], 7
-        new_n = old_n + len(positions)
-        for old_mask in (0, 0b1, 0b1010110, 0b1111111):
-            old_ids = [i for i in range(old_n) if (old_mask >> i) & 1]
-            if use_numpy:
-                blocks = blocks_of(old_ids, old_n)
-            else:
-                with numpy_disabled():
-                    blocks = blocks_of(old_ids, old_n)
-            extension = MaskExtension(positions, old_n, new_n)
-            extended = extension.extend(blocks, added=[5])
-            expected = splice_mask(old_mask, positions) | (1 << 5)
-            assert extended._as_int() == expected
-            assert extended.nbits == new_n
-
-    def test_rejects_inconsistent_geometry(self):
-        with pytest.raises(ValueError):
-            MaskExtension([1], 5, 8)
-        with pytest.raises(ValueError):
-            MaskExtension([1], 5, 6).extend(blocks_of([0], 4))
 
 
 # -- AnswerSet.extended -------------------------------------------------------
@@ -268,7 +210,7 @@ def test_solutions_identical_on_maintained_pools(run, k, D):
 
 
 def test_full_rebuild_fallback_when_top_l_churns():
-    """An append dominated by new top-L rows trips the rebuild heuristic;
+    """An append dominated by new top-L rows replaces most of the pool;
     the result must still equal a from-scratch pool."""
     answers = AnswerSet.from_rows(
         [("a", "x"), ("b", "y"), ("c", "z")], [3.0, 2.0, 1.0]
@@ -347,6 +289,40 @@ class TestEngineAppend:
         for key in ("objective", "clusters", "covered_count",
                     "solution_size"):
             assert maintained[key] == reference[key], key
+
+    def test_appends_drop_superseded_cache_entries(self):
+        engine, _ = _paper_engine()
+        dispatcher = Dispatcher(engine)
+        explore = {
+            "schema_version": 2, "kind": "explore", "dataset": "toy",
+            "k": 2, "L": 3, "D": 1, "k_range": [1, 3], "d_values": [0, 1],
+        }
+        for L in (2, 3):
+            dispatcher.dispatch_payload(dict(SUMMARY, L=L))
+        dispatcher.dispatch_payload(dict(explore))
+        appended = [(("c", "y"), 8.0), (("d", "x"), 2.0), (("d", "y"), 6.0)]
+        for row, value in appended:
+            engine.append_rows("toy", [row], [value])
+        version = engine.dataset_version("toy")
+        live = [key for key, _ in engine._pools.snapshot_items()
+                if key[1] == version]
+        assert len(live) == 2
+        assert engine.stats().pools.size == len(live)
+        assert engine.stats().stores.size == 0
+        fresh = Engine()
+        fresh.register_dataset("toy", AnswerSet.from_rows(
+            [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "x")]
+            + [row for row, _ in appended],
+            [9.0, 7.0, 5.0, 3.0, 1.0] + [value for _, value in appended],
+        ))
+        for payload in (dict(SUMMARY), dict(SUMMARY, L=2), dict(explore)):
+            maintained = dispatcher.dispatch_payload(dict(payload)).response
+            reference = Dispatcher(fresh).dispatch_payload(payload).response
+            for key in ("objective", "clusters", "covered_count"):
+                assert maintained[key] == reference[key], key
+        engine.register_dataset("toy", fresh.dataset("toy"), replace=True)
+        assert engine.stats().pools.size == 0
+        assert engine.stats().stores.size == 0
 
     def test_stores_of_old_version_are_unreachable(self):
         engine, _ = _paper_engine()

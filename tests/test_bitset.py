@@ -4,11 +4,15 @@ Cluster mask, and the ClusterPool mask table + bounded fallback cache."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import InvalidParameterError
+from repro.core import dense
 from repro.core.answers import AnswerSet
 from repro.core.bitset import (
     BITSET_KERNEL,
@@ -19,7 +23,7 @@ from repro.core.bitset import (
     mask_value_sum,
     resolve_kernel,
 )
-from repro.core.cluster import Cluster, lca, lca_and_distance, distance
+from repro.core.cluster import Cluster, covers, lca, lca_and_distance, distance
 from repro.core.semilattice import ClusterPool
 from tests.conftest import random_answer_set
 
@@ -57,6 +61,24 @@ class TestBitsetPrimitives:
         assert resolve_kernel("python") == PYTHON_KERNEL
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
             resolve_kernel("numpy")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.sets(st.integers(0, 5000), max_size=40),
+        st.sets(st.integers(0, 2000), min_size=150, max_size=300),
+        st.sets(st.integers(0, 3000), min_size=96, max_size=97),
+    ))
+    def test_iter_bits_matches_low_bit_loop(self, indices):
+        """Both paths of iter_bits (sparse, and the byte walk above
+        popcount 96) list the bits the plain low-bit loop does."""
+        mask = bitset_of(indices)
+        expected = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            expected.append(low.bit_length() - 1)
+            rest ^= low
+        assert list(iter_bits(mask)) == expected
 
     def test_lca_and_distance_agrees_with_separate_functions(self):
         rng = random.Random(3)
@@ -116,10 +138,47 @@ class TestClusterMask:
 class TestPoolMasksAndFallback:
     @pytest.mark.parametrize("strategy", ["eager", "naive", "lazy"])
     def test_pool_masks_match_coverage(self, strategy):
-        answers = random_answer_set(n=40, m=4, domain=3, seed=6)
-        pool = ClusterPool(answers, L=6, strategy=strategy)
-        for pattern in pool.patterns():
-            assert pool.mask(pattern) == bitset_of(pool.coverage(pattern))
+        """Every pattern's mask equals a direct covers() scan, on int and
+        dense pools (both dense backends), before and after extended()."""
+        full = random_answer_set(n=56, m=4, domain=3, seed=6)
+        rows = [full.decode(element) for element in full.elements]
+        # Interleaved halves: the append lands rows inside the top-6.
+        answers = AnswerSet.from_rows(rows[0::2], full.values[0::2])
+        grown, delta = answers.extended(rows[1::2], full.values[1::2])
+        setups = [(None, contextlib.nullcontext)]
+        if dense.HAVE_NUMPY:
+            setups.append(("dense", contextlib.nullcontext))
+        setups.append(("dense", dense.numpy_disabled))
+        for kernel, backend in setups:
+            with backend():
+                pool = ClusterPool(answers, L=6, strategy=strategy,
+                                   kernel=kernel)
+                carried = pool.extended(grown, delta)
+                for built in (pool, carried):
+                    elements = built.answers.elements
+                    for pattern in built.patterns():
+                        expected = bitset_of(
+                            index for index, element in enumerate(elements)
+                            if covers(pattern, element)
+                        )
+                        mask = built.mask(pattern)
+                        if kernel == "dense":
+                            assert mask.nbits == len(elements)
+                            mask = mask._as_int()
+                        assert mask == expected, (kernel, pattern)
+
+    def test_value_masks_past_255_codes(self):
+        """An attribute with more than 255 distinct codes among the top-L
+        packs its value masks in more than one slot group."""
+        rows = [("r%d" % i, "c%d" % (i % 3)) for i in range(400)]
+        answers = AnswerSet.from_rows(rows, [400.0 - i for i in range(400)])
+        for strategy in ("eager", "lazy"):
+            pool = ClusterPool(answers, L=300, strategy=strategy)
+            for pattern in pool.patterns():
+                assert pool.mask(pattern) == bitset_of(
+                    index for index, element in enumerate(answers.elements)
+                    if covers(pattern, element)
+                ), (strategy, pattern)
 
     def test_pool_cluster_carries_mask(self):
         answers = random_answer_set(n=30, m=4, domain=3, seed=6)

@@ -1,10 +1,10 @@
 """Property tests for mask-only cluster pools.
 
-``mask_only=True`` skips the per-pattern frozenset materialization in all
-three coverage-mapping strategies and answers the frozenset API from the
-bitmasks on demand.  These tests pin the contract: pools in either mode
-are observationally identical — same coverage, same masks, same clusters,
-same summaries under both kernels and both argmax modes.
+Pools build no per-pattern frozensets at initialization and answer the
+frozenset API from the bitmasks on demand; ``mask_only=True`` also leaves
+the derived frozensets uncached.  These tests pin the contract: pools in
+either mode are observationally identical — same coverage, same masks,
+same clusters, same summaries under both kernels and both argmax modes.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def test_mask_only_skips_frozenset_materialization():
     # held after init, while the mask table is fully populated.
     assert len(masked._coverage) == 0
     assert len(masked._masks) == len(masked)
-    assert len(default._coverage) == len(default)
+    assert len(default._coverage) == 0
     assert masked.mask_only and not default.mask_only
     assert "mask_only" in repr(masked)
 

@@ -3,9 +3,12 @@ durable sessions, metrics, and graceful drain."""
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import socket
+import statistics
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -160,6 +163,27 @@ class TestRoutes:
         status, payload = http_call(handle, "POST", "/v2/admin/stats")
         assert payload["kind"] == "stats"
         assert payload["server"]["transport"] == "http"
+
+    def test_keep_alive_round_trips_skip_delayed_ack(self, web_server):
+        """Sequential requests on one keep-alive connection: with Nagle
+        on, each response body waited ~40 ms for the client's delayed ACK
+        of its headers."""
+        handle = web_server()
+        connection = http.client.HTTPConnection(
+            handle.host, handle.port, timeout=30
+        )
+        try:
+            rounds = []
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("POST", "/v2/admin/ping", body=b"{}")
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                rounds.append(time.perf_counter() - start)
+                assert payload["kind"] == "pong"
+        finally:
+            connection.close()
+        assert statistics.median(rounds) < 0.020, rounds
 
     def test_admin_route_refuses_analytic_kinds(self, web_server):
         handle = web_server()
