@@ -19,6 +19,7 @@ from typing import Any, Iterable, Sequence
 from repro.common.errors import InvalidParameterError, SchemaError
 from repro.common.interning import AttributeCodec
 from repro.core.bitset import mask_value_sum
+from repro.core.dense import ValueTable, int_mask_value_sum, numpy_enabled
 
 
 class AnswerSet:
@@ -169,8 +170,6 @@ class AnswerSet:
         """
         table = self._value_table
         if table is None:
-            from repro.core.dense import ValueTable
-
             table = ValueTable(self.values)
             self._value_table = table
         return table
@@ -181,8 +180,13 @@ class AnswerSet:
         *mask* is either an int bitmask (:mod:`repro.core.bitset`) or a
         packed :class:`~repro.core.dense.BitBlocks` mask (the dense
         kernel); both sum identically (same floats) for the same bits.
+        With numpy enabled, int masks of more than a few set bits share
+        the dense kernel's vectorized reduction
+        (:func:`repro.core.dense.int_mask_value_sum`).
         """
         if isinstance(mask, int):
+            if numpy_enabled():
+                return int_mask_value_sum(self.value_table, mask)
             return mask_value_sum(self.values, mask)
         return mask.value_sum(self.value_table)
 

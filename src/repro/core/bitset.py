@@ -17,6 +17,11 @@ all of which run at C speed on machine words.  Value *sums* over a mask
 cannot be answered by popcount; :func:`mask_value_sum` iterates only the
 set bits (sparse masks) or only the non-zero bytes (dense masks), which in
 practice is 1-2 orders of magnitude faster than iterating a Python set.
+With numpy available, :meth:`repro.core.answers.AnswerSet.mask_value_sum`
+sends int masks of more than 8 set bits through the dense kernel's
+vectorized sequential reduction instead (same floats; see
+:func:`repro.core.dense.int_mask_value_sum`); this module stays the
+stdlib path.
 
 Kernels are named: ``"bitset"`` (this module, the default), ``"python"``
 (the original set-based code, kept as the ablation baseline for the

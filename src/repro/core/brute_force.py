@@ -89,9 +89,7 @@ class _DenseSearchOps:
 def lower_bound(pool: ClusterPool) -> Solution:
     """The trivial feasible solution: one all-star cluster covering S."""
     root = pool.root()
-    return Solution(
-        (root,), root.covered, root.value_sum
-    )
+    return Solution((root,), root.mask, root.value_sum)
 
 
 class _Search:

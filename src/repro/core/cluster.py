@@ -16,16 +16,21 @@ what lets the greedy merges of Section 5 never re-violate the distance
 constraint.
 
 All functions here operate on plain ``tuple[int, ...]`` patterns for speed;
-:class:`Cluster` is the value-carrying wrapper used in solutions.
+:class:`Cluster` is the value-carrying wrapper used in solutions.  It
+carries its covered set as a mask with a popcount and a value sum; the
+element-index frozenset is built on demand, only when a caller asks for
+elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Any, Iterable, Sequence
 
 from repro.common.interning import STAR
 from repro.core.bitset import bitset_of
+from repro.core.dense import mask_indices
 
 Pattern = tuple[int, ...]
 
@@ -177,45 +182,56 @@ def format_pattern(pattern: Pattern, values: Sequence[object] | None = None) -> 
     return "(%s)" % ", ".join(rendered)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Cluster:
     """A cluster together with the elements of S it covers.
 
     Ordering is by pattern (lexicographic), giving all greedy algorithms a
-    deterministic tie-break.  ``covered`` holds element indices into the
-    owning :class:`~repro.core.answers.AnswerSet`; ``value_sum`` caches the
-    sum of their values so ``avg`` is O(1).
+    deterministic tie-break.  ``mask`` is the covered set as a bitmask
+    over the element ranks of the owning
+    :class:`~repro.core.answers.AnswerSet` — an int, or packed uint64
+    blocks (:class:`~repro.core.dense.BitBlocks`) in a dense pool;
+    ``value_sum`` caches the sum of the covered values, and ``size``
+    their popcount, so ``avg`` is O(1).
+
+    Pools build clusters from masks alone; the ``covered`` frozenset of
+    element indices is derived from the mask on first access only (the
+    served path never asks for it).  ``Cluster(pattern, covered=...,
+    value_sum=...)`` builds the mask from an index set instead.
     """
 
     pattern: Pattern
-    covered: frozenset[int] = field(compare=False)
+    mask: Any = field(compare=False, repr=False)
     value_sum: float = field(compare=False)
 
-    @property
-    def mask(self) -> int:
-        """``covered`` as an int bitmask (bit i set iff element i covered).
+    def __init__(
+        self,
+        pattern: Pattern,
+        mask: Any = None,
+        value_sum: float = 0.0,
+        covered: Iterable[int] | None = None,
+    ) -> None:
+        if mask is None:
+            covered = frozenset(covered or ())
+            mask = bitset_of(covered)
+            self.__dict__["covered"] = covered
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "value_sum", value_sum)
+        object.__setattr__(self, "size", mask.bit_count())
 
-        Computed on first access and cached on the instance;
-        :meth:`~repro.core.semilattice.ClusterPool.cluster` pre-seeds it
-        from the pool's mask table so the bitset kernel never recomputes.
-        """
-        cached = self.__dict__.get("_mask")
-        if cached is None:
-            cached = bitset_of(self.covered)
-            object.__setattr__(self, "_mask", cached)
-        return cached
-
-    @property
-    def size(self) -> int:
-        """Number of covered elements, |cov(C)|."""
-        return len(self.covered)
+    @cached_property
+    def covered(self) -> frozenset[int]:
+        """The covered element indices, derived from the mask on first
+        access (idempotent, so threads racing here agree)."""
+        return frozenset(mask_indices(self.mask))
 
     @property
     def avg(self) -> float:
         """Average value of covered elements, avg(C) (Section 4.1)."""
-        if not self.covered:
+        if not self.size:
             raise ValueError("avg of a cluster covering no elements")
-        return self.value_sum / len(self.covered)
+        return self.value_sum / self.size
 
     @property
     def level(self) -> int:

@@ -54,28 +54,9 @@ def _process_incoming(engine: MergeEngine, incoming: Cluster, k: int, D: int) ->
             for member in current
             if distance(incoming.pattern, member.pattern) < D
         ]
-        target = _best_merge_target(engine, incoming, near)
-        engine.merge_into(target, incoming)
+        engine.merge_into(engine.best_merge_target(incoming, near), incoming)
         return
-    target = _best_merge_target(engine, incoming, current)
-    engine.merge_into(target, incoming)
-
-
-def _best_merge_target(
-    engine: MergeEngine, incoming: Cluster, candidates: Sequence[Cluster]
-) -> Cluster:
-    """The UpdateSolution argmax over pairs (member, incoming)."""
-    best = None
-    best_key = None
-    for member in candidates:
-        new_avg, merged = engine.evaluate_pair(member, incoming)
-        key = (-new_avg, merged.pattern, member.pattern)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = member
-    if best is None:
-        raise ValueError("no merge candidates available")
-    return best
+    engine.merge_into(engine.best_merge_target(incoming, current), incoming)
 
 
 def fixed_order(

@@ -20,10 +20,17 @@ Evaluation is the hot path, and two layers of optimization live here:
   precision ints (:mod:`repro.core.bitset`) or packed uint64 blocks with
   numpy-vectorized primitives (:mod:`repro.core.dense`, built for
   n >= 10^5) — so marginal counts are one ``bit_count()`` and marginal
-  sums run over set bits only; and the engine maintains a persistent
+  sums run over set bits only; and the engine keeps a persistent
   *pair table* — for every unordered pair of solution clusters, its
   distance and its LCA cluster — updated in O(|O|) per merge instead of
-  being re-derived for all O(|O|^2) pairs in every greedy round.  Both
+  being re-derived for all O(|O|^2) pairs in every greedy round.  The
+  table exists only once something reads it: the first pair argmax or
+  pair enumeration (Bottom-Up, Hybrid's second phase, the precompute
+  forks, which share one build through :meth:`MergeEngine.clone`) builds
+  it in one pass.  Fixed-Order never reads it, so its adds and merges
+  skip the bookkeeping, and its argmax
+  (:meth:`MergeEngine.best_merge_target`) evaluates each distinct LCA of
+  the incoming element once.  Both
   mask kernels share this entire code path (the mask objects expose the
   same operators); a dense engine requires a pool built with
   ``kernel="dense"`` so the cluster masks match its representation.
@@ -100,6 +107,7 @@ from repro.core.bitset import (
     DENSE_KERNEL,
     INT_MASK_OPS,
     PYTHON_KERNEL,
+    bitset_of,
     resolve_kernel,
 )
 from repro.core.cluster import (
@@ -312,6 +320,10 @@ class MergeEngine:
         self.rounds: int = 0
         self._delta_cache: dict[Pattern, _DeltaState] = {}
         self._covered_sum: float = 0.0
+        #: The pair table (mask kernels only): empty and not live until
+        #: the first read builds it over the current solution in one pass
+        #: (see _pair_table); from then on add/merge maintain it.
+        self._pairs_live = False
         if self._masked:
             self._pairs: dict[tuple[Pattern, Pattern], _PairRow] | None = {}
             self._by_lca: dict[Pattern, _LcaGroup] | None = {}
@@ -321,7 +333,6 @@ class MergeEngine:
             for cluster in clusters:
                 if cluster.pattern in self._solution:
                     continue
-                self._register_pairs(cluster)
                 self._solution[cluster.pattern] = cluster
                 fresh = cluster.mask & ~self._covered_mask
                 if fresh:
@@ -393,10 +404,12 @@ class MergeEngine:
         Fixed-Order phase once and then forks one engine per D value; this
         is the fork.  The delta cache is not carried over (its states are
         mutated in place and must not be shared); it rebuilds lazily.  The
-        pair table *is* carried over (rows are immutable), copied shallowly.
-        The argmax heaps are likewise not shared (their bound dicts are
-        mutated in place); each clone rebuilds them on first argmax.
+        pair table *is* carried over (rows are immutable), copied shallowly
+        — built first if need be, so all forks share one build.  The
+        argmax heaps are not shared (their bound dicts are mutated in
+        place); each clone rebuilds them on first argmax.
         """
+        self._pair_table()
         twin = MergeEngine.__new__(MergeEngine)
         twin.pool = self.pool
         twin.answers = self.answers
@@ -417,6 +430,7 @@ class MergeEngine:
         twin._cover_log = dict(self._cover_log)
         twin._diff_since_cache = {}
         twin._delta_cache = {}
+        twin._pairs_live = self._pairs_live
         twin._pairs = dict(self._pairs) if self._pairs is not None else None
         twin._by_lca = (
             {
@@ -460,12 +474,10 @@ class MergeEngine:
             if stats["argmax_rounds"]
             else 0.0
         )
-        return Solution(
-            tuple(ordered),
-            self.covered_indices(),
-            self._covered_sum,
-            stats=stats,
+        mask = (
+            self._covered_mask if self._masked else bitset_of(self._covered)
         )
+        return Solution(tuple(ordered), mask, self._covered_sum, stats=stats)
 
     # -- candidate evaluation --------------------------------------------------
 
@@ -564,9 +576,44 @@ class MergeEngine:
         merged = self._merged_cluster(c1, c2)
         return self.evaluate_candidate(merged), merged
 
+    def best_merge_target(
+        self, incoming: Cluster, candidates: Sequence[Cluster]
+    ) -> Cluster:
+        """Fixed-Order's UpdateSolution argmax over pairs (member,
+        *incoming*): the member whose LCA with *incoming* maximizes the
+        merged objective, ties broken by the smallest (LCA pattern, member
+        pattern).
+
+        Members sharing an LCA share its post-merge objective, so each
+        distinct LCA is evaluated once, against the covered sum and count
+        read once per call; the floats are those of :meth:`evaluate_pair`.
+        """
+        covered_sum = self._covered_sum
+        covered_cnt = self.covered_count
+        marginal = self._marginal
+        pool_cluster = self.pool.cluster
+        pattern = incoming.pattern
+        objective: dict[Pattern, float] = {}
+        best = None
+        best_key = None
+        for member in candidates:
+            joined = lca(member.pattern, pattern)
+            new_avg = objective.get(joined)
+            if new_avg is None:
+                delta_sum, delta_cnt = marginal(pool_cluster(joined))
+                new_avg = (covered_sum + delta_sum) / (covered_cnt + delta_cnt)
+                objective[joined] = new_avg
+            key = (-new_avg, joined, member.pattern)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = member
+        if best is None:
+            raise ValueError("no merge candidates available")
+        return best
+
     def _merged_cluster(self, c1: Cluster, c2: Cluster) -> Cluster:
         """The LCA cluster of a pair, via the pair table when possible."""
-        if self._pairs is not None:
+        if self._pairs_live:
             key = (
                 (c1.pattern, c2.pattern)
                 if c1.pattern < c2.pattern
@@ -590,11 +637,12 @@ class MergeEngine:
 
     def violating_pairs(self, D: int) -> list[tuple[Cluster, Cluster]]:
         """Pairs at distance < D (the phase-1 candidates of Algorithm 1)."""
-        if self._pairs is not None:
+        pairs = self._pair_table()
+        if pairs is not None:
             return [
                 (row[0], row[1])
-                for key in sorted(self._pairs)
-                for row in (self._pairs[key],)
+                for key in sorted(pairs)
+                for row in (pairs[key],)
                 if row[2] < D
             ]
         return [
@@ -613,8 +661,9 @@ class MergeEngine:
         and re-deriving LCAs per round; with the bitset kernel everything
         comes straight from the pair table.
         """
-        if self._pairs is not None:
-            for row in self._pairs.values():
+        pairs = self._pair_table()
+        if pairs is not None:
+            for row in pairs.values():
                 if max_distance is None or row[2] < max_distance:
                     yield row[0], row[1], row[3]
             return
@@ -661,7 +710,7 @@ class MergeEngine:
         :meth:`best_pair`.
         """
         _budget_checkpoint()
-        if self._pairs is not None:
+        if self._pair_table() is not None:
             return self._best_group(D)
         pairs = self.violating_pairs(D)
         if not pairs:
@@ -671,7 +720,7 @@ class MergeEngine:
     def best_any_pair(self) -> tuple[Cluster, Cluster] | None:
         """The best pair over all pairs, or None when |O| < 2."""
         _budget_checkpoint()
-        if self._pairs is not None:
+        if self._pair_table() is not None:
             return self._best_group(None)
         pairs = self.all_pairs()
         if not pairs:
@@ -933,8 +982,26 @@ class MergeEngine:
 
     # -- pair table maintenance ------------------------------------------------
 
-    def _register_pairs(self, cluster: Cluster) -> None:
-        """Add table rows pairing *cluster* with every current member."""
+    def _pair_table(self) -> dict[tuple[Pattern, Pattern], _PairRow] | None:
+        """The pair table (None on the python kernel), built on first use.
+
+        Fixed-Order never reads the table, so engines build it only when
+        a pair argmax or pair enumeration first asks: one pass pairing
+        every current member with those before it.  From then on
+        :meth:`add` and the merges maintain it in O(|O|) per step.
+        """
+        if self._pairs is not None and not self._pairs_live:
+            self._pairs_live = True
+            members = list(self._solution.values())
+            for count, cluster in enumerate(members):
+                _budget_checkpoint()
+                self._register_pairs(cluster, members[:count])
+        return self._pairs
+
+    def _register_pairs(
+        self, cluster: Cluster, others: Iterable[Cluster]
+    ) -> None:
+        """Add table rows pairing *cluster* with each of *others*."""
         pairs = self._pairs
         by_lca = self._by_lca
         assert pairs is not None and by_lca is not None
@@ -943,7 +1010,7 @@ class MergeEngine:
         heaps = self._heaps
         covered_cnt = self._covered_mask.bit_count() if heaps else 0
         covered_sum = self._covered_sum
-        for other in self._solution.values():
+        for other in others:
             if other.pattern < pattern:
                 first, second = other, cluster
             else:
@@ -986,9 +1053,9 @@ class MergeEngine:
         for pattern in removed:
             del solution[pattern]
         pairs = self._pairs
-        if pairs is not None:
+        if self._pairs_live:
             by_lca = self._by_lca
-            assert by_lca is not None
+            assert pairs is not None and by_lca is not None
 
             def drop(key: tuple[Pattern, Pattern]) -> None:
                 row = pairs.pop(key, None)
@@ -1020,8 +1087,8 @@ class MergeEngine:
                         else (other, pattern)
                     )
         if merged.pattern not in solution:
-            if pairs is not None:
-                self._register_pairs(merged)
+            if self._pairs_live:
+                self._register_pairs(merged, solution.values())
             solution[merged.pattern] = merged
 
     def _advance_round(self) -> None:
@@ -1099,8 +1166,8 @@ class MergeEngine:
         if cluster.pattern in self._solution:
             return
         self._absorb_coverage(cluster)
-        if self._pairs is not None:
-            self._register_pairs(cluster)
+        if self._pairs_live:
+            self._register_pairs(cluster, self._solution.values())
         self._solution[cluster.pattern] = cluster
         self._advance_round()
 
@@ -1133,8 +1200,9 @@ class MergeEngine:
         """Minimum pairwise distance in O (m+1 when |O| < 2)."""
         if len(self._solution) < 2:
             return self.answers.m + 1
-        if self._pairs is not None:
-            return min(row[2] for row in self._pairs.values())
+        pairs = self._pair_table()
+        if pairs is not None:
+            return min(row[2] for row in pairs.values())
         return min(
             distance(c1.pattern, c2.pattern)
             for c1, c2 in self.all_pairs()

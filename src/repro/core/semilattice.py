@@ -40,12 +40,13 @@ working representation of :mod:`repro.core.dense`, built vectorized when
 numpy is available.  A :class:`~repro.core.merge.MergeEngine` requires a
 pool whose representation matches its kernel.
 
-No coverage ``frozenset`` is built at initialization: :meth:`coverage`
-derives one from the mask on first use.  ``mask_only=True`` only decides
-whether those derived frozensets are cached on the pool (the default) or
-left to the caller, who holds on to the materialized
-:class:`~repro.core.cluster.Cluster`; both modes answer identically
-(property-tested).
+No coverage ``frozenset`` is built at initialization, and
+:meth:`~ClusterPool.cluster` builds none either: a cluster is its mask
+and value sum, and derives its own element set on first access.
+:meth:`~ClusterPool.coverage` derives one from the mask on demand;
+``mask_only=True`` only decides whether those frozensets are cached on
+the pool (the default) or left to the caller; both modes answer
+identically (property-tested).
 """
 
 from __future__ import annotations
@@ -285,48 +286,35 @@ class ClusterPool:
             return self._derive(pattern)  # lazy pools only
         return self._fallback_cluster(pattern).mask
 
-    def _scan_coverage(self, pattern: Pattern) -> frozenset[int]:
-        """Direct O(n*m) coverage scan (out-of-pool fallback)."""
-        return frozenset(
-            index
-            for index, element in enumerate(self.answers.elements)
-            if covers(pattern, element)
-        )
-
     def _fallback_cluster(self, pattern: Pattern) -> Cluster:
-        """Materialize (and LRU-cache) a cluster for an out-of-pool pattern."""
+        """Materialize (and LRU-cache) a cluster for an out-of-pool pattern
+        by a direct O(n*m) coverage scan."""
         cached = self._fallback.get(pattern)
         if cached is not None:
             self._fallback.move_to_end(pattern)
             return cached
-        covered = self._scan_coverage(pattern)
-        mask = self._pack(bitset_of(covered))
-        built = Cluster(
-            pattern=pattern,
-            covered=covered,
-            value_sum=self.answers.mask_value_sum(mask),
-        )
-        object.__setattr__(built, "_mask", mask)
+        mask = self._pack(bitset_of(
+            index
+            for index, element in enumerate(self.answers.elements)
+            if covers(pattern, element)
+        ))
+        built = Cluster(pattern, mask, self.answers.mask_value_sum(mask))
         self._fallback[pattern] = built
         while len(self._fallback) > self.fallback_capacity:
             self._fallback.popitem(last=False)
         return built
 
     def cluster(self, pattern: Pattern) -> Cluster:
-        """Materialize the :class:`Cluster` for *pattern* (cached)."""
+        """Materialize the :class:`Cluster` for *pattern* (cached): its
+        mask and value sum.  No coverage frozenset is derived here; the
+        cluster derives its own on first access to ``covered``."""
         cached = self._cluster_cache.get(pattern)
         if cached is not None:
             return cached
         if pattern not in self._patterns:
             return self._fallback_cluster(pattern)
-        covered = self.coverage(pattern)
         mask = self.mask(pattern)
-        built = Cluster(
-            pattern=pattern,
-            covered=covered,
-            value_sum=self.answers.mask_value_sum(mask),
-        )
-        object.__setattr__(built, "_mask", mask)
+        built = Cluster(pattern, mask, self.answers.mask_value_sum(mask))
         self._cluster_cache[pattern] = built
         return built
 

@@ -6,15 +6,21 @@ two clusters of O are at distance >= D; (4) no cluster of O covers another
 (antichain / incomparability).  The objective **Max-Avg** is the average
 value of the union of elements covered by O — each element counts once, so
 overlapping clusters gain nothing by double-covering high values.
+
+A :class:`Solution` carries the covered union as a mask (popcount and
+value sum are all the objective needs); like a cluster's, its element
+set is built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.answers import AnswerSet
 from repro.core.cluster import Cluster, distance, strictly_covers
+from repro.core.dense import mask_indices
 
 
 @dataclass(frozen=True)
@@ -22,23 +28,37 @@ class Solution:
     """An (immutable) output of the summarization algorithms.
 
     ``clusters`` are sorted by descending average value (display order used
-    throughout the paper's figures); ``covered`` is the union of the
-    clusters' covered element indices; ``value_sum`` is the sum of values of
-    ``covered`` so that ``avg`` — the Max-Avg objective — is O(1).
+    throughout the paper's figures); ``mask`` is the union of the clusters'
+    masks (the covered element set, in their representation) and
+    ``value_sum`` the sum of its values, so that ``avg`` — the Max-Avg
+    objective — is O(1).  The ``covered`` frozenset of element indices is
+    derived from the mask on first access only.
 
     ``stats`` optionally carries run counters from the producing
     :class:`~repro.core.merge.MergeEngine` (e.g. how many LCA groups the
     greedy argmax evaluated vs. how many a full scan would have); it is
     excluded from equality so solutions from different argmax modes still
-    compare equal when their clusters agree.
+    compare equal when their clusters agree.  ``mask`` is excluded too:
+    the clusters determine the covered union, and kernels differ in mask
+    representation.
     """
 
     clusters: tuple[Cluster, ...]
-    covered: frozenset[int]
+    mask: Any = field(compare=False, repr=False)
     value_sum: float
     stats: Mapping[str, float] | None = field(
         default=None, compare=False, repr=False
     )
+
+    @cached_property
+    def covered(self) -> frozenset[int]:
+        """The covered element indices (derived from ``mask``)."""
+        return frozenset(mask_indices(self.mask))
+
+    @property
+    def covered_count(self) -> int:
+        """Number of covered elements: the mask's popcount."""
+        return self.mask.bit_count()
 
     @property
     def size(self) -> int:
@@ -48,9 +68,10 @@ class Solution:
     @property
     def avg(self) -> float:
         """The Max-Avg objective value, avg(O)."""
-        if not self.covered:
+        count = self.covered_count
+        if not count:
             raise ValueError("avg of a solution covering no elements")
-        return self.value_sum / len(self.covered)
+        return self.value_sum / count
 
     @property
     def redundant_count(self) -> int:
@@ -58,20 +79,20 @@ class Solution:
 
         Exposed for the Min-Size alternative objective discussed in
         footnote 5 of the paper (minimizing redundant elements)."""
-        return len(self.covered)
+        return self.covered_count
 
     def patterns(self) -> list[tuple[int, ...]]:
         return [c.pattern for c in self.clusters]
 
     @staticmethod
     def from_clusters(clusters: Iterable[Cluster], answers: AnswerSet) -> "Solution":
-        """Assemble a Solution, recomputing the covered union and its sum."""
+        """Assemble a Solution: the clusters' masks OR-ed into the covered
+        union, whose values are summed in ascending index order."""
         ordered = sorted(clusters, key=lambda c: (-c.avg, c.pattern))
-        covered: set[int] = set()
-        for cluster in ordered:
-            covered.update(cluster.covered)
-        value_sum = sum(answers.values[i] for i in covered)
-        return Solution(tuple(ordered), frozenset(covered), value_sum)
+        union = ordered[0].mask if ordered else 0
+        for cluster in ordered[1:]:
+            union = union | cluster.mask
+        return Solution(tuple(ordered), union, answers.mask_value_sum(union))
 
     def describe(self, answers: AnswerSet) -> str:
         """Two-layer rendering in the style of Figure 1b/1c."""
@@ -100,13 +121,11 @@ def floor_at_root(solution: Solution, pool) -> Solution:
     covering a low-valued slice instead of generalizing all the way up.
     """
     root = pool.root()
-    if not root.covered or not solution.covered:
+    if not root.size or not solution.covered_count:
         return solution
     if solution.avg >= root.avg:
         return solution
-    return Solution(
-        (root,), root.covered, root.value_sum, stats=solution.stats
-    )
+    return Solution((root,), root.mask, root.value_sum, stats=solution.stats)
 
 
 def redundant_elements(solution: Solution, answers: AnswerSet, L: int) -> set[int]:

@@ -32,6 +32,7 @@ from typing import Any, Sequence
 from repro.common.errors import InvalidParameterError
 from repro.core.answers import AnswerSet
 from repro.core.cluster import Cluster
+from repro.core.dense import mask_indices
 from repro.core.problem import ProblemInstance
 from repro.core.registry import validate_algorithm_kwargs
 from repro.core.semilattice import ClusterPool, MappingStrategy
@@ -218,7 +219,7 @@ class ExplorationSession:
         attribute values when the answer set has a codec.
         """
         rows = []
-        for index in sorted(cluster.covered):
+        for index in mask_indices(cluster.mask):
             element = self.answers.elements[index]
             decoded = (
                 self.answers.decode(element)

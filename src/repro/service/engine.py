@@ -65,6 +65,7 @@ from repro.common.faults import fault_point
 from repro.common.interning import STAR
 from repro.core.answers import AnswerSet
 from repro.core.bitset import DENSE_KERNEL, resolve_kernel
+from repro.core.dense import mask_indices
 from repro.core.problem import ProblemInstance
 from repro.core.registry import validate_algorithm_kwargs
 from repro.core.semilattice import ClusterPool
@@ -545,14 +546,18 @@ class Engine:
             if "kernel" in info.kwargs
             else "none"
         )
-        instance = ProblemInstance(
-            answers,
-            k=request.k,
-            L=request.L,
-            D=request.D,
-            mapping=request.mapping,
-            mask_only=self.mask_only,
-        )
+
+        def instance_over(answers: AnswerSet) -> ProblemInstance:
+            return ProblemInstance(
+                answers,
+                k=request.k,
+                L=request.L,
+                D=request.D,
+                mapping=request.mapping,
+                mask_only=self.mask_only,
+            )
+
+        instance = instance_over(answers)
         pool, init_seconds, cache_hit = self.checkout_pool(
             request.dataset,
             instance.L,
@@ -560,6 +565,12 @@ class Engine:
             kernel=None if kernel == "none" else kernel,
         )
         record_span("engine.pool_build", init_seconds, cache_hit=cache_hit)
+        if pool.answers is not answers:
+            # An append or replace published between the two reads: solve
+            # and answer over the content the pool was built from, never
+            # over a mix of two versions.
+            answers = pool.answers
+            instance = instance_over(answers)
         instance.adopt_pool(pool)
         start = time.perf_counter()
         solution = instance.solve(request.algorithm, **request.options)
@@ -601,7 +612,6 @@ class Engine:
         )
 
     def _submit_explore(self, request: ExploreRequest) -> SummaryResponse:
-        answers = self.dataset(request.dataset)
         store, init_seconds, cache_hit = self.checkout_store(
             request.dataset,
             request.L,
@@ -617,7 +627,9 @@ class Engine:
         record_span("engine.retrieve", algo_seconds)
         return self._summary_response(
             request.dataset,
-            answers,
+            # The store's own answers: an append landing mid-request must
+            # not pair its patterns with another version's elements.
+            store.pool.answers,
             solution,
             k=request.k,
             L=request.L,
@@ -707,7 +719,7 @@ class Engine:
             algorithm=algorithm,
             objective=solution.avg,
             solution_size=solution.size,
-            covered_count=len(solution.covered),
+            covered_count=solution.covered_count,
             clusters=clusters,
             cache_hit=cache_hit,
             init_seconds=init_seconds,
@@ -736,7 +748,7 @@ class Engine:
                     ),
                     value=answers.values[index],
                 )
-                for index in sorted(cluster.covered)
+                for index in mask_indices(cluster.mask)
             )
         return ClusterDTO(
             pattern=tuple(pattern),

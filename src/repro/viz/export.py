@@ -55,7 +55,7 @@ def solution_payload(
             else ["A%d" % (i + 1) for i in range(answers.m)]
         ),
         "objective": solution.avg,
-        "covered": len(solution.covered),
+        "covered": solution.covered_count,
         "clusters": clusters,
     }
 

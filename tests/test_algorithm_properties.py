@@ -290,6 +290,9 @@ def test_pair_cache_matches_full_rescan(instance, rng):
     engine = MergeEngine(pool, (pool.singleton(i) for i in range(L)))
     while engine.size > 1:
         rescan = _rescan_pairs(engine)
+        # The table-driven argmax must equal the naive scan's argmax (it
+        # also builds the table on the first round).
+        fast = engine.best_any_pair()
         table = {
             key: (row[2], row[3].pattern)
             for key, row in engine._pairs.items()
@@ -298,8 +301,6 @@ def test_pair_cache_matches_full_rescan(instance, rng):
         assert engine.min_pairwise_distance() == min(
             (d for d, _ in rescan.values()), default=answers.m + 1
         )
-        # The table-driven argmax must equal the naive scan's argmax.
-        fast = engine.best_any_pair()
         naive = engine.best_pair(engine.all_pairs())
         assert (fast[0].pattern, fast[1].pattern) == (
             naive[0].pattern, naive[1].pattern,

@@ -324,6 +324,42 @@ class TestEngineAppend:
         assert engine.stats().pools.size == 0
         assert engine.stats().stores.size == 0
 
+    @pytest.mark.parametrize("kind, checkout", [
+        ("summary", "checkout_pool"), ("explore", "checkout_store"),
+    ])
+    def test_read_racing_an_append_answers_one_version(self, kind, checkout):
+        """An append published between a read's dataset lookup and its
+        pool/store checkout: the response (elements included) equals a
+        fresh engine's over the appended content, never a mix of two
+        versions."""
+        engine, _ = _paper_engine()
+        checkout_once = getattr(engine, checkout)
+
+        def racing(*args, **kwargs):
+            setattr(engine, checkout, checkout_once)
+            engine.append_rows("toy", [("d", "w")], [9.0])
+            return checkout_once(*args, **kwargs)
+
+        setattr(engine, checkout, racing)
+        payload = {
+            "schema_version": 2, "kind": kind, "dataset": "toy",
+            "k": 2, "L": 3, "D": 1, "include_elements": True,
+        }
+        if kind == "explore":
+            payload.update(k_range=[1, 3], d_values=[0, 1])
+        raced = Dispatcher(engine).dispatch_payload(dict(payload)).response
+        assert engine.dataset_version("toy") == 1
+        fresh = Engine()
+        fresh.register_dataset("toy", AnswerSet.from_rows(
+            [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "x"),
+             ("d", "w")],
+            [9.0, 7.0, 5.0, 3.0, 1.0, 9.0],
+        ))
+        reference = Dispatcher(fresh).dispatch_payload(payload).response
+        for key in ("objective", "clusters", "covered_count",
+                    "solution_size"):
+            assert raced[key] == reference[key], key
+
     def test_stores_of_old_version_are_unreachable(self):
         engine, _ = _paper_engine()
         explore = {

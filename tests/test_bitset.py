@@ -125,14 +125,62 @@ class TestAnswerSetKernelSupport:
         )
 
 
+@st.composite
+def _values_and_mask(draw):
+    """Arbitrary non-negative values over n in 1..300 and a mask over them
+    with popcount 0-20 (either side of the numpy crossover) or dense.
+
+    Values stay below 1e6 so that sums round: unbounded draws mostly
+    overflow to inf, where every summation order agrees."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    values = draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e6), min_size=n, max_size=n
+    ))
+    if draw(st.booleans()):
+        indices = draw(st.sets(
+            st.integers(min_value=0, max_value=n - 1),
+            max_size=min(n, 20),
+        ))
+    else:
+        indices = [
+            i for i, keep in enumerate(draw(st.lists(
+                st.booleans(), min_size=n, max_size=n
+            ))) if keep
+        ]
+    return values, bitset_of(indices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_values_and_mask())
+def test_value_sums_agree_bit_for_bit(case):
+    """AnswerSet.mask_value_sum on an int mask, the stdlib
+    bitset.mask_value_sum, and the BitBlocks sum of the same bits return
+    the same float, with numpy on and with the stdlib fallback."""
+    values, mask = case
+    answers = AnswerSet([(i,) for i in range(len(values))], values)
+    # AnswerSet sorts by value; sum the same rank-ordered values.
+    ranked = answers.values
+    nbits = len(ranked)
+    backends = [dense.numpy_disabled]
+    if dense.HAVE_NUMPY:
+        backends.append(contextlib.nullcontext)
+    for backend in backends:
+        with backend():
+            expected = mask_value_sum(ranked, mask)
+            blocks = dense.blocks_from_int(mask, nbits)
+            assert answers.mask_value_sum(mask) == expected
+            assert blocks.value_sum(answers.value_table) == expected
+            assert answers.mask_value_sum(blocks) == expected
+
+
 class TestClusterMask:
     def test_mask_matches_covered(self):
         cluster = Cluster(
             pattern=(1, -1), covered=frozenset({0, 3, 70}), value_sum=3.0
         )
         assert cluster.mask == bitset_of([0, 3, 70])
-        # Cached: same object identity on repeat access.
-        assert cluster.__dict__["_mask"] == cluster.mask
+        # A cluster built from the mask derives the same covered set.
+        assert Cluster((1, -1), cluster.mask, 3.0).covered == cluster.covered
 
 
 class TestPoolMasksAndFallback:
@@ -166,6 +214,11 @@ class TestPoolMasksAndFallback:
                             assert mask.nbits == len(elements)
                             mask = mask._as_int()
                         assert mask == expected, (kernel, pattern)
+                        # The cluster derives its element set from the
+                        # mask on first access: the same scan's indices.
+                        assert built.cluster(pattern).covered == frozenset(
+                            iter_bits(expected)
+                        ), (kernel, pattern)
 
     def test_value_masks_past_255_codes(self):
         """An attribute with more than 255 distinct codes among the top-L

@@ -108,3 +108,44 @@ def test_problem_instance_threads_mask_only():
     solution = instance.solve("bottom-up")
     baseline = ProblemInstance(answers, k=3, L=6, D=1).solve("bottom-up")
     assert solution.patterns() == baseline.patterns()
+
+
+def test_served_requests_derive_no_element_sets(monkeypatch):
+    """The served path runs on masks, popcounts and value sums alone:
+    after a summary without include_elements and an explore, no cached
+    cluster and no returned solution has derived its frozenset."""
+    from repro.core.problem import ProblemInstance
+    from repro.interactive.precompute import SolutionStore
+    from repro.service import Engine, ExploreRequest, SummaryRequest
+
+    solutions = []
+
+    def spy(method):
+        def wrapper(*args, **kwargs):
+            solution = method(*args, **kwargs)
+            solutions.append(solution)
+            return solution
+
+        return wrapper
+
+    monkeypatch.setattr(ProblemInstance, "solve", spy(ProblemInstance.solve))
+    monkeypatch.setattr(
+        SolutionStore, "retrieve", spy(SolutionStore.retrieve)
+    )
+    engine = Engine()
+    engine.register_dataset("d", random_answer_set(n=60, m=4, domain=4,
+                                                   seed=3))
+    engine.submit(SummaryRequest(dataset="d", k=4, L=10, D=1))
+    engine.submit(ExploreRequest(dataset="d", k=3, L=10, D=1,
+                                 k_range=(2, 5), d_values=(0, 1)))
+    assert len(solutions) == 2
+    pools = [pool for _, pool in engine._pools.snapshot_items()]
+    assert pools
+    for pool in pools:
+        assert not pool._coverage
+        for cluster in pool._cluster_cache.values():
+            assert "covered" not in vars(cluster), cluster
+    for solution in solutions:
+        assert "covered" not in vars(solution)
+        for cluster in solution.clusters:
+            assert "covered" not in vars(cluster), cluster
