@@ -18,6 +18,7 @@ from repro.core.semilattice import ClusterPool
 from repro.datasets.loader import synthetic_answer_set
 
 from conftest import measure
+from run_bench import fully_mapped_pool
 
 
 def _answers():
@@ -31,7 +32,7 @@ def test_fig8a_initialization_optimization(report, benchmark):
     rows = []
     for L in (30, 60, 120):
         optimized, fast_seconds = measure(
-            lambda: ClusterPool(answers, L=L, strategy="eager")
+            lambda: fully_mapped_pool(answers, L)
         )
         naive, slow_seconds = measure(
             lambda: ClusterPool(answers, L=L, strategy="naive")
@@ -47,7 +48,7 @@ def test_fig8a_initialization_optimization(report, benchmark):
             "%.1fx" % (slow_seconds / fast_seconds),
         ])
     report.table(["L", "with opt (s)", "without opt (s)", "speedup"], rows)
-    benchmark(lambda: ClusterPool(answers, L=30, strategy="eager"))
+    benchmark(lambda: fully_mapped_pool(answers, 30))
 
 
 def test_fig8b_delta_judgment(report, benchmark):
@@ -76,36 +77,3 @@ def test_fig8b_delta_judgment(report, benchmark):
     pool = ClusterPool(answers, L=40)
     benchmark(lambda: bottom_up(pool, 20, 2, use_delta=True))
 
-
-def test_fig8_extension_lazy_mapping(report, benchmark):
-    """Extension beyond the paper: lazy coverage mapping.
-
-    Initialization packs only the per-attribute value masks; a pattern's
-    mask is derived on first touch.  Useful when only a small fraction of
-    the pool is ever materialized (e.g. pure Fixed-Order runs)."""
-    answers = _answers()
-    report.add("Extension: lazy mapping vs eager (N=%d)"
-               % answers.n)
-    rows = []
-    for L in (60, 120):
-        eager_pool, eager_seconds = measure(
-            lambda: ClusterPool(answers, L=L, strategy="eager")
-        )
-        lazy_pool, lazy_seconds = measure(
-            lambda: ClusterPool(answers, L=L, strategy="lazy")
-        )
-        _, eager_run = measure(lambda: bottom_up(eager_pool, 10, 2))
-        _, lazy_run = measure(lambda: bottom_up(lazy_pool, 10, 2))
-        rows.append([
-            L,
-            "%.3f" % eager_seconds,
-            "%.3f" % lazy_seconds,
-            "%.3f" % eager_run,
-            "%.3f" % lazy_run,
-        ])
-    report.table(
-        ["L", "eager init (s)", "lazy init (s)", "eager algo (s)",
-         "lazy algo (s)"],
-        rows,
-    )
-    benchmark(lambda: ClusterPool(answers, L=60, strategy="lazy"))

@@ -14,24 +14,25 @@ there among the top-L tuples: the set of rows holding that code in that
 attribute.  A pool
 pattern's mask is the AND of the value masks of its constants, derived in
 one AND from the mask of its *parent* — the pattern with its last constant
-starred, itself a pool pattern; the all-star root covers all of S.  Three
-mapping strategies share this:
+starred, itself a pool pattern; the all-star root covers all of S.  Two
+mappings share the pool:
 
-``"eager"``
-    Derives every pool pattern's mask at build time: the value-mask
-    passes, O(n * m), plus one AND per pattern.
-
-``"lazy"``
-    Packs only the value masks at build time and derives a pattern's mask
-    (with any ancestors not yet derived) on first request.  Suited to very
-    large pools of which a request touches a small fraction.
+``"eager"`` / ``"lazy"``
+    One mapping under two accepted names.  The build packs the value
+    masks, O(n * m), and the root mask; a pattern's mask (with any
+    ancestors not yet derived) is derived on first read.  A served pool
+    therefore holds only the masks its requests touched; a caller that
+    reads every pattern pays one AND per pattern, the same work an
+    up-front pass would do.
 
 ``"naive"``
     The unoptimized baseline of the Figure 8a ablation: for every pool
     pattern, scan all n elements and test coverage.  Cost O(|pool| * n * m).
 
-All three produce bit-identical masks, which property tests check against
-a direct coverage scan.
+Both produce bit-identical masks, which property tests check against a
+direct coverage scan.  Two threads that first read the same pattern at
+once both derive the same mask; the dict write is atomic, so either
+result may stay.
 
 Independently of the strategy, ``kernel=`` selects the pool's *mask
 representation*: int bitmasks (the default, shared by the bitset and
@@ -121,7 +122,9 @@ class ClusterPool:
     # -- construction of the coverage maps -----------------------------------
 
     def _build(self, answers: AnswerSet) -> None:
-        """Generate the pool over *answers* and map S to it.
+        """Generate the pool over *answers* and pack the value masks its
+        pattern masks derive from (``naive``: scan S for every pattern).
+        No pattern mask but the root's is derived before it is read.
 
         Pool construction is the dominant cold-start cost at large n; every
         loop polls the request budget at a coarse stride so a deadlined
@@ -147,11 +150,6 @@ class ClusterPool:
             return
         self._masks[(STAR,) * answers.m] = self._pack((1 << answers.n) - 1)
         self._pack_value_masks()
-        if self.strategy == "eager":
-            for count, pattern in enumerate(self._patterns):
-                if not count % 1024:
-                    _budget_checkpoint()
-                self._derive(pattern)
 
     def _pack(self, bits: int):
         """The int mask *bits* in the pool's representation."""
@@ -191,20 +189,18 @@ class ClusterPool:
             self._value_masks.append(masks)
 
     def _derive(self, pattern: Pattern):
-        """The mask of pool *pattern*: its parent's mask (the pattern with
-        its last constant starred, derived first if need be) AND the value
-        mask of that constant."""
-        mask = self._masks.get(pattern)
-        if mask is None:
-            attr = len(pattern) - 1
-            while pattern[attr] == STAR:
-                attr -= 1
-            parent = pattern[:attr] + (STAR,) + pattern[attr + 1:]
-            mask = (
-                self._derive(parent)
-                & self._value_masks[attr][pattern[attr]]
-            )
-            self._masks[pattern] = mask
+        """Derive and store the mask of pool *pattern*, which has none yet:
+        its parent's mask (the pattern with its last constant starred,
+        derived first if need be) AND the value mask of that constant."""
+        attr = len(pattern) - 1
+        while pattern[attr] == STAR:
+            attr -= 1
+        parent = pattern[:attr] + (STAR,) + pattern[attr + 1:]
+        parent_mask = self._masks.get(parent)
+        if parent_mask is None:
+            parent_mask = self._derive(parent)
+        mask = parent_mask & self._value_masks[attr][pattern[attr]]
+        self._masks[pattern] = mask
         return mask
 
     def _map_naive(self) -> None:
@@ -228,9 +224,10 @@ class ClusterPool:
         *new_answers* and *delta* come from
         :meth:`repro.core.answers.AnswerSet.extended`: the grown answer set
         and the final-coordinate rank positions its appended elements
-        occupy.  The grown pool keeps this pool's options and is derived
-        over *new_answers* exactly as a fresh build is (the value-mask
-        passes plus one AND per pattern), so it is bit-identical to
+        occupy.  The grown pool keeps this pool's options and is built
+        over *new_answers* exactly as a fresh build is: the value masks
+        are repacked and no pattern mask is carried or derived until read
+        (``naive`` pools rescan S), so it is bit-identical to
         ``ClusterPool(new_answers, L, ...)`` with the same options
         (property-tested across all three kernels).
         """
@@ -283,7 +280,7 @@ class ClusterPool:
         if cached is not None:
             return cached
         if pattern in self._patterns:
-            return self._derive(pattern)  # lazy pools only
+            return self._derive(pattern)
         return self._fallback_cluster(pattern).mask
 
     def _fallback_cluster(self, pattern: Pattern) -> Cluster:

@@ -24,7 +24,7 @@ Cache keys pin down everything that changes the cached object's content:
   substrate the sweep ran on.
 
 Appends (:meth:`Engine.append_rows`) do better than invalidation: each
-cached pool of the old version is *carried over* — re-derived over the
+cached pool of the old version is *carried over* — rebuilt over the
 grown answer set by :meth:`~repro.core.semilattice.ClusterPool.extended`
 and re-inserted under the new version's key — so in-flight sessions stay
 warm across an update stream, and the old version's entries are dropped.
@@ -286,9 +286,11 @@ class Engine:
         self._datasets: dict[str, AnswerSet] = {}
         self._versions: dict[str, int] = {}
         self._datasets_lock = threading.Lock()
-        # Appends are serialized per engine: each one builds the next
-        # dataset version and carries cached pools over to it, which must
-        # not interleave with another append's carry-over.
+        # The writer lock: appends and registrations are serialized per
+        # engine.  An append builds the next dataset version from a
+        # snapshot and carries cached pools over to it, which must not
+        # interleave with another append or a replace.  Taken before
+        # _datasets_lock and before the durability manager's lock.
         self._append_lock = threading.Lock()
         self._pools: _LRUCache[ClusterPool] = _LRUCache(max_pools)
         self._stores: _LRUCache[SolutionStore] = _LRUCache(max_stores)
@@ -306,26 +308,31 @@ class Engine:
         so every cached pool/store built against the old content is keyed
         away from new requests (and dropped from the caches) instead of
         being served stale.
+
+        Registration holds the writer lock that :meth:`append_rows` holds,
+        so a replace and an append are serialized: each publishes its own
+        version, and the snapshot and the log record them in that order.
         """
-        with self._datasets_lock:
-            if name in self._datasets:
-                if not replace:
-                    raise InvalidParameterError(
-                        "dataset %r is already registered; pass "
-                        "replace=True to overwrite" % name
-                    )
-                self._versions[name] += 1
-            else:
-                self._versions[name] = 0
-            self._datasets[name] = answers
-            version = self._versions[name]
-        self._drop_superseded(name, version)
-        if self.durability is not None:
-            # Outside the lock: the snapshot write is disk I/O.  A racing
-            # reader sees the dataset before its snapshot lands — same
-            # window a crash-before-snapshot leaves, and registration is
-            # what re-fills it.
-            self.durability.record_register(name, answers)
+        with self._append_lock:
+            with self._datasets_lock:
+                if name in self._datasets:
+                    if not replace:
+                        raise InvalidParameterError(
+                            "dataset %r is already registered; pass "
+                            "replace=True to overwrite" % name
+                        )
+                    self._versions[name] += 1
+                else:
+                    self._versions[name] = 0
+                self._datasets[name] = answers
+                version = self._versions[name]
+            self._drop_superseded(name, version)
+            if self.durability is not None:
+                # Outside the datasets lock: the snapshot write is disk
+                # I/O.  A racing reader sees the dataset before its
+                # snapshot lands — same window a crash-before-snapshot
+                # leaves, and registration is what re-fills it.
+                self.durability.record_register(name, answers)
 
     def _drop_superseded(self, name: str, version: int) -> None:
         """Free the cached pools and stores of *name* at older versions:

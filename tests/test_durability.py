@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import urllib.error
 import urllib.request
 
@@ -34,6 +35,7 @@ from repro.common.errors import (
     SchemaError,
     ShuttingDown,
 )
+from repro.core.answers import AnswerSet
 from repro.durability import DurabilityManager, WriteAheadLog, scan
 from repro.durability.snapshot import (
     load_snapshot,
@@ -369,6 +371,60 @@ class TestRecovery:
         fresh.recover(recovered)
         assert recovered.dataset_names() == [name]
         assert recovered.dataset(name).n == 9
+
+    def test_replace_racing_an_append_is_serialized(
+        self, tmp_path, monkeypatch
+    ):
+        """A replace that arrives while an append builds the next version
+        waits for the append and then publishes its own version: memory,
+        the version counter and a recovered engine all hold the
+        replacement, and no version names two contents."""
+        manager = DurabilityManager(str(tmp_path / "data"))
+        engine = Engine(durability=manager)
+        engine.register_dataset("toy", AnswerSet.from_rows(
+            [("a", "x"), ("a", "y"), ("b", "x")], [3.0, 2.0, 1.0]
+        ))
+        replacement = AnswerSet.from_rows(
+            [("c", "z"), ("d", "z")], [5.0, 4.0]
+        )
+        errors = []
+
+        def replace():
+            try:
+                engine.register_dataset("toy", replacement, replace=True)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        replacer = threading.Thread(target=replace)
+        extended = AnswerSet.extended
+
+        def racing(answers, rows, values):
+            monkeypatch.setattr(AnswerSet, "extended", extended)
+            replacer.start()
+            # Serialized, the replace blocks until the append publishes:
+            # join briefly so that case cannot deadlock.
+            replacer.join(0.5)
+            return extended(answers, rows, values)
+
+        monkeypatch.setattr(AnswerSet, "extended", racing)
+        result = engine.append_rows("toy", [("b", "y")], [0.5])
+        replacer.join(10)
+        assert not replacer.is_alive()
+        assert errors == []
+        assert result["version"] == 1
+        assert engine.dataset_version("toy") == 2
+        expected_doc = snapshot_document("toy", replacement, 0)
+        assert snapshot_document(
+            "toy", engine.dataset("toy"), 0
+        ) == expected_doc
+        manager.seal()
+        fresh = DurabilityManager(str(tmp_path / "data"))
+        recovered = Engine(durability=fresh)
+        fresh.recover(recovered)
+        fresh.seal()
+        assert snapshot_document(
+            "toy", recovered.dataset("toy"), 0
+        ) == expected_doc
 
 
 # -- the ack contract under injected write failures ---------------------------

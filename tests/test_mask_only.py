@@ -75,8 +75,12 @@ def test_mask_only_skips_frozenset_materialization():
     masked = ClusterPool(answers, L=12, mask_only=True)
     default = ClusterPool(answers, L=12)
     # The memory claim in observable terms: no per-pattern frozensets are
-    # held after init, while the mask table is fully populated.
+    # held after init, and the mask table holds only the root until
+    # patterns are read.
     assert len(masked._coverage) == 0
+    assert list(masked._masks) == [masked.root().pattern]
+    for pattern in masked.patterns():
+        masked.mask(pattern)
     assert len(masked._masks) == len(masked)
     assert len(default._coverage) == 0
     assert masked.mask_only and not default.mask_only
@@ -149,3 +153,42 @@ def test_served_requests_derive_no_element_sets(monkeypatch):
         assert "covered" not in vars(solution)
         for cluster in solution.clusters:
             assert "covered" not in vars(cluster), cluster
+
+
+def test_served_requests_derive_only_the_masks_they_read():
+    """A summary and an explore leave every cached pool holding fewer
+    derived masks than patterns, and answer exactly as an engine whose
+    pools had every mask derived before the requests."""
+    from repro.service import Engine
+    from repro.service.serve import Dispatcher
+    from tests.conftest import zero_timings
+
+    answers = random_answer_set(n=60, m=4, domain=4, seed=3)
+    payloads = [
+        {"schema_version": 2, "kind": "summary", "dataset": "d",
+         "k": 4, "L": 10, "D": 1},
+        {"schema_version": 2, "kind": "explore", "dataset": "d",
+         "k": 3, "L": 10, "D": 1, "k_range": [2, 5], "d_values": [0, 1]},
+    ]
+    on_demand, derived = Engine(), Engine()
+    for engine in (on_demand, derived):
+        engine.register_dataset("d", answers)
+    pool, _, _ = derived.checkout_pool("d", 10)
+    for pattern in pool.patterns():
+        pool.mask(pattern)
+    responses = []
+    for engine in (on_demand, derived):
+        dispatcher = Dispatcher(engine)
+        served = []
+        for payload in payloads:
+            response = zero_timings(
+                dispatcher.dispatch_payload(dict(payload)).response
+            )
+            response.pop("cache_hit")
+            served.append(response)
+        responses.append(served)
+    assert responses[0] == responses[1]
+    pools = [pool for _, pool in on_demand._pools.snapshot_items()]
+    assert pools
+    for pool in pools:
+        assert 1 <= len(pool._masks) < len(pool), (len(pool._masks), pool)

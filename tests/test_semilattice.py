@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.common.errors import InvalidParameterError
 from repro.common.interning import STAR
+from repro.core import dense
+from repro.core.bitset import bitset_of
 from repro.core.cluster import covers, generalizations, lca
 from repro.core.semilattice import ClusterPool
 from tests.conftest import random_answer_set
@@ -64,6 +70,53 @@ class TestCoverageMapping:
         for pattern in eager.patterns():
             assert eager.coverage(pattern) == naive.coverage(pattern)
             assert eager.coverage(pattern) == lazy.coverage(pattern)
+
+    @pytest.mark.parametrize("kernel", [None, "dense"])
+    def test_racing_first_reads_derive_correct_masks(self, kernel):
+        """Four threads read a fresh pool, each in its own pattern order,
+        released together by a barrier: every mask and cluster mask equals
+        a direct covers() scan, and every pattern ends up derived."""
+        if kernel == "dense" and not dense.HAVE_NUMPY:
+            pytest.skip("dense pools build vectorized only with numpy")
+        answers = random_answer_set(n=120, m=4, domain=4, seed=21)
+        pool = ClusterPool(answers, L=16, kernel=kernel)
+        expected = {
+            pattern: bitset_of(
+                index for index, element in enumerate(answers.elements)
+                if covers(pattern, element)
+            )
+            for pattern in pool.patterns()
+        }
+        as_int = (lambda mask: mask._as_int()) if kernel else (lambda m: m)
+        barrier = threading.Barrier(4)
+        mismatches = []
+
+        def reader(seed):
+            order = list(expected)
+            random.Random(seed).shuffle(order)
+            barrier.wait(10)
+            for pattern in order:
+                if as_int(pool.mask(pattern)) != expected[pattern]:
+                    mismatches.append(("mask", pattern))
+                if as_int(pool.cluster(pattern).mask) != expected[pattern]:
+                    mismatches.append(("cluster", pattern))
+
+        threads = [
+            threading.Thread(target=reader, args=(seed,))
+            for seed in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert len(pool._masks) == len(pool)
 
     def test_root_covers_all(self, small_answers):
         pool = ClusterPool(small_answers, L=3)
