@@ -20,7 +20,7 @@ from repro.baselines.disc import disc_greedy
 from repro.baselines.diversified_topk import diversified_topk_exact
 from repro.baselines.mmr import mmr_select
 from repro.baselines.smart_drilldown import smart_drilldown
-from repro.core.problem import summarize
+from repro.core.problem import ProblemInstance
 from repro.datasets.loader import example_query_answers
 
 from conftest import measure
@@ -38,7 +38,7 @@ def test_a5_baseline_comparison(report, benchmark):
                "(n=%d, k=%d, D=%d, L=%d)" % (answers.n, K, D, L))
 
     ours, our_seconds = measure(
-        lambda: summarize(answers, k=K, L=L, D=D, algorithm="hybrid")
+        lambda: ProblemInstance(answers, k=K, L=L, D=D).solve("hybrid")
     )
     report.add("\n== our framework ==  (%.1f ms)" % (our_seconds * 1e3))
     report.table(
@@ -93,4 +93,4 @@ def test_a5_baseline_comparison(report, benchmark):
     lam0 = [p.rank for p in mmr_select(answers, k=K, lam=0.0, L=L)]
     assert lam0 == [0, 1, 2, 3], "lambda=0 must be the plain top-k"
 
-    benchmark(lambda: summarize(answers, k=K, L=L, D=D, algorithm="hybrid"))
+    benchmark(lambda: ProblemInstance(answers, k=K, L=L, D=D).solve("hybrid"))

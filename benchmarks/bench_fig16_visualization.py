@@ -11,7 +11,7 @@ here, 5040 permutations, to stay in laptop budget).
 
 from __future__ import annotations
 
-from repro.core.problem import summarize
+from repro.core.problem import ProblemInstance
 from repro.datasets.loader import synthetic_answer_set
 from repro.viz.comparison import build_comparison, overlap_matrix
 from repro.viz.placement import (
@@ -39,8 +39,8 @@ def test_fig16_placement_quality(report, benchmark):
     crossing_rows = []
     view = None
     for k, (l_old, l_new) in SETTINGS:
-        old = summarize(answers, k=k, L=l_old, D=D)
-        new = summarize(answers, k=k, L=l_new, D=D)
+        old = ProblemInstance(answers, k=k, L=l_old, D=D).solve()
+        new = ProblemInstance(answers, k=k, L=l_new, D=D).solve()
         view = build_comparison(old, new, answers, L=l_new)
         distance_rows.append(
             [k, view.matched_distance, view.default_distance]
@@ -65,8 +65,8 @@ def test_a73_matching_vs_brute_force_timing(report, benchmark):
     answers = _answers()
     report.add("Appendix A.7.3: bipartite matching vs brute-force "
                "placement (k=7, L=15 -> 20, D=%d)" % D)
-    old = summarize(answers, k=7, L=15, D=D)
-    new = summarize(answers, k=7, L=20, D=D)
+    old = ProblemInstance(answers, k=7, L=15, D=D).solve()
+    new = ProblemInstance(answers, k=7, L=20, D=D).solve()
     overlap = overlap_matrix(old, new)
     pa = default_ordering(len(old.clusters))
     matched, match_seconds = measure(lambda: optimal_ordering(overlap, pa))

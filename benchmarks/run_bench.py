@@ -327,8 +327,7 @@ def bench_rounds_vs_groups(smoke: bool) -> dict:
 
     Larger L means more clusters in play and more LCA groups per greedy
     round; the scan evaluates every group every round while the lazy heap
-    evaluates only the near-optimal frontier.  Pools run in ``mask_only``
-    mode (the low-memory init path this PR adds).  Both modes must return
+    evaluates only the near-optimal frontier.  Both modes must return
     bit-identical solutions; in full mode, at L >= 100 the heap must
     evaluate at most 1/:data:`HEAP_EVAL_RATIO_FLOOR` of the scan's
     marginals and must not be slower on argmax wall clock
@@ -341,7 +340,7 @@ def bench_rounds_vs_groups(smoke: bool) -> dict:
     entries = []
     speedups = {}
     for L in l_values:
-        pool = ClusterPool(answers, L=L, mask_only=True)
+        pool = ClusterPool(answers, L=L)
         results = {}
         for mode in ("heap", "scan"):
             best_argmax = float("inf")
@@ -406,7 +405,7 @@ def bench_rounds_vs_groups(smoke: bool) -> dict:
     return {
         "name": "rounds_vs_groups",
         "params": {"n": n, "m": 6, "L_values": list(l_values), "k": k,
-                   "D": D, "mask_only": True},
+                   "D": D},
         "entries": entries,
         "argmax_speedups": {
             str(L): {"argmax": spd, "eval_ratio": ratio}
@@ -418,20 +417,18 @@ def bench_rounds_vs_groups(smoke: bool) -> dict:
 
 def _dense_scaling_leg(answers, kernel: str, L: int, k: int, D: int,
                        repeats: int):
-    """One kernel leg of the scaling workload on a lazy mask-only pool.
+    """One kernel leg of the scaling workload.
 
     Returns ``(solution, init_seconds, cold_seconds, warm_seconds)``.
-    The *cold* run pays the lazy pool's on-demand coverage
-    materialization (value-mask ANDs); *warm* runs hit the pool's
-    cluster cache and are dominated by the coverage
-    primitives — AND/ANDNOT/popcount/value-sum over large masks — which
-    is exactly what the kernels differ in.  Both numbers are recorded;
-    the floors compare the warm (steady-state serving) cost.
+    The *cold* run pays the pool's on-demand mask derivation (value-mask
+    ANDs); *warm* runs hit the pool's cluster cache and are dominated by
+    the coverage primitives — AND/ANDNOT/popcount/value-sum over large
+    masks — which is exactly what the kernels differ in.  Both numbers
+    are recorded; the floors compare the warm (steady-state serving)
+    cost.
     """
     start = time.perf_counter()
-    pool = ClusterPool(
-        answers, L=L, strategy="lazy", mask_only=True, kernel=kernel
-    )
+    pool = ClusterPool(answers, L=L, kernel=kernel)
     init_seconds = time.perf_counter() - start
     start = time.perf_counter()
     solution = bottom_up(pool, k, D, kernel=kernel)
@@ -447,7 +444,7 @@ def _dense_scaling_leg(answers, kernel: str, L: int, k: int, D: int,
 def bench_dense_scaling(smoke: bool) -> dict:
     """Large-n scaling workload: dense kernel vs bitset at n up to 10^6.
 
-    Bottom-Up on lazy mask-only pools (m=6, L=100, k=20, D=2) for
+    Bottom-Up (m=6, L=100, k=20, D=2) for
     n in {10^4, 10^5, 10^6}; three legs per n — bitset, dense with the
     numpy backend, and dense with the pure-stdlib array fallback (forced
     via :class:`repro.core.dense.numpy_disabled`) — each on a pool in its
@@ -517,7 +514,7 @@ def bench_dense_scaling(smoke: bool) -> dict:
     document = {
         "name": "dense_scaling",
         "params": {"m": 6, "L": L, "k": k, "D": D, "domain_size": 32,
-                   "mapping": "lazy", "mask_only": True,
+                   "mapping": "eager",
                    "sizes": list(sizes), "numpy": have_numpy},
         "entries": entries,
         "dense_speedups": {

@@ -16,7 +16,7 @@ from repro.baselines.disc import disc_greedy
 from repro.baselines.diversified_topk import diversified_topk_exact
 from repro.baselines.mmr import mmr_select
 from repro.baselines.smart_drilldown import smart_drilldown
-from repro.core.problem import summarize
+from repro.core.problem import ProblemInstance
 from repro.datasets.loader import example_query_answers
 
 
@@ -24,7 +24,7 @@ def main() -> None:
     answers = example_query_answers()
     print("Example 1.1 query: n=%d answers\n" % answers.n)
 
-    ours = summarize(answers, k=4, L=10, D=2, algorithm="hybrid")
+    ours = ProblemInstance(answers, k=4, L=10, D=2).solve("hybrid")
     print("== our framework (k=4, L=10, D=2) ==")
     for cluster in ours.clusters:
         print("  %s  avg=%.3f  covers=%d" % (

@@ -11,7 +11,7 @@ Run:  python examples/movielens_exploration.py
 
 from __future__ import annotations
 
-from repro.core.problem import summarize
+from repro.core.problem import ProblemInstance
 from repro.datasets.loader import example_query_answers
 from repro.interactive import ExplorationSession
 from repro.viz.comparison import build_comparison
@@ -44,7 +44,7 @@ def main() -> None:
     print("\nexpanded second layer (Figure 1c):")
     print(session.describe(timed.solution, expand_all=True))
 
-    smaller = summarize(answers, k=3, L=8, D=2, algorithm="hybrid")
+    smaller = ProblemInstance(answers, k=3, L=8, D=2).solve("hybrid")
     print("\nchanging k=4 -> k=3 redistributes the clusters (Figure 13):")
     view = build_comparison(timed.solution, smaller, answers, L=8)
     print(view.render_ascii())

@@ -21,8 +21,9 @@ The engine caches initialization per (dataset, L), so resubmitting with
 tweaked parameters is answered at interactive speed — the paper's Section 6
 serving model.  Every request/response round-trips through JSON
 (``to_dict``/``from_dict``), which is also what ``repro-summarize --json``
-and ``repro-serve`` emit.  The older one-call :func:`repro.summarize` still
-works but is deprecated in favour of the engine.
+and ``repro-serve`` emit.  For a single uncached run,
+``ProblemInstance(answers, k=4, L=8, D=2).solve("hybrid")`` returns the
+:class:`Solution` directly.
 
 Subpackages
 -----------
@@ -54,7 +55,6 @@ Subpackages
 """
 
 from repro.core import (
-    ALGORITHMS,
     AlgorithmInfo,
     AnswerSet,
     Cluster,
@@ -67,7 +67,6 @@ from repro.core import (
     get_algorithm,
     is_feasible,
     register_algorithm,
-    summarize,
 )
 from repro.service import (
     Engine,
@@ -77,10 +76,9 @@ from repro.service import (
     SummaryResponse,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "ALGORITHMS",
     "AlgorithmInfo",
     "AnswerSet",
     "Cluster",
@@ -98,6 +96,5 @@ __all__ = [
     "get_algorithm",
     "is_feasible",
     "register_algorithm",
-    "summarize",
     "__version__",
 ]

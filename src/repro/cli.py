@@ -101,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "whenever sound), 'heap', or 'scan' (exhaustive LCA-group scan, "
         "the ablation baseline)",
     )
-    parser.add_argument(
-        "--mask-only", action="store_true",
-        help="build cluster pools in the low-memory mask-only mode "
-        "(derived coverage frozensets are not cached; identical "
-        "summaries)",
-    )
     parser.add_argument("--expand", action="store_true",
                         help="also print the covered elements (layer 2)")
     parser.add_argument(
@@ -179,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: %s" % error, file=sys.stderr)
         return EXIT_PARAM_ERROR
     try:
-        engine = Engine(mask_only=args.mask_only)
+        engine = Engine()
         engine.register_dataset(dataset, answers)
         L = min(args.L, answers.n)
         supported = get_algorithm(args.algorithm).kwargs
@@ -265,10 +259,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "csv", nargs="*", type=Path,
         help="CSV files to preload as datasets (named by file stem; last "
         "column is the value)",
-    )
-    parser.add_argument(
-        "--mask-only", action="store_true",
-        help="build cluster pools in the low-memory mask-only mode",
     )
     parser.add_argument(
         "--tcp", metavar="HOST:PORT",
@@ -460,7 +450,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             durability = DurabilityManager(
                 str(args.data_dir), fsync=args.fsync
             )
-        engine = Engine(mask_only=args.mask_only, durability=durability)
+        engine = Engine(durability=durability)
         recovered: set[str] = set()
         if durability is not None:
             # Boot-time recovery: snapshot + WAL replay through the

@@ -27,7 +27,7 @@ from repro.core.registry import (
 )
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution, check_feasibility, is_feasible
-from repro.core.problem import ProblemInstance, summarize, ALGORITHMS
+from repro.core.problem import ProblemInstance
 from repro.core.bottom_up import (
     bottom_up,
     bottom_up_level_start,
@@ -51,7 +51,6 @@ __all__ = [
     "Solution",
     "ProblemInstance",
     "MergeEngine",
-    "ALGORITHMS",
     "AlgorithmInfo",
     "algorithm_infos",
     "algorithm_names",
@@ -68,7 +67,6 @@ __all__ = [
     "format_pattern",
     "check_feasibility",
     "is_feasible",
-    "summarize",
     "bottom_up",
     "bottom_up_level_start",
     "bottom_up_pairwise_avg",

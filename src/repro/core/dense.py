@@ -468,7 +468,8 @@ def mask_indices(mask) -> Iterator[int]:
     """Ascending set-bit indices of either mask representation.
 
     Accepts an int (bitset kernel) or a :class:`BitBlocks` (dense kernel);
-    the pool's mask-only mode derives frozenset coverage through this.
+    pools, clusters and solutions derive their element sets through this,
+    and the engine lists a cluster's elements with it.
     """
     if isinstance(mask, int):
         return iter_bits(mask)

@@ -1,32 +1,32 @@
-"""Problem instances and the top-level ``summarize`` entry point.
+"""Problem instances: one (S, k, L, D) instance and its solve entry point.
 
 :class:`ProblemInstance` bundles an :class:`~repro.core.answers.AnswerSet`
 with the three user parameters of Definition 4.1 — size k, coverage L,
 distance D — validates them, and lazily materializes the cluster pool.
+``ProblemInstance(answers, k=..., L=..., D=...).solve(algorithm)`` is the
+one-call way to summarize; callers that want pools cached and shared
+across requests submit them through :class:`repro.service.Engine`.
+
+>>> from repro.core.answers import AnswerSet
+>>> answers = AnswerSet.from_rows(
+...     [("a", "x"), ("a", "y"), ("b", "x")], [3.0, 2.0, 1.0])
+>>> ProblemInstance(answers, k=1, L=2, D=0).solve("hybrid").size
+1
 
 The paper's nine algorithms register themselves here with
-:func:`~repro.core.registry.register_algorithm`; new front ends should
-resolve algorithms through :mod:`repro.core.registry` (or, one level up,
-submit requests through :class:`repro.service.Engine`).  The module-level
-``ALGORITHMS`` mapping and the one-call :func:`summarize` helper remain as
-deprecated shims for pre-service-layer code.
+:func:`~repro.core.registry.register_algorithm`; front ends resolve them
+through :mod:`repro.core.registry`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Literal
 
 from repro.common.errors import InvalidParameterError
 from repro.core.answers import AnswerSet
 from repro.core.bitset import DENSE_KERNEL, PYTHON_KERNEL, resolve_kernel
-from repro.core.registry import (
-    AlgorithmsView,
-    get_algorithm,
-    register_algorithm,
-    validate_algorithm_kwargs,
-)
+from repro.core.registry import register_algorithm, validate_algorithm_kwargs
 from repro.core.semilattice import ClusterPool, MappingStrategy
 from repro.core.solution import Solution
 
@@ -62,7 +62,6 @@ class ProblemInstance:
     L: int | None = None
     D: int = 0
     mapping: MappingStrategy = "eager"
-    mask_only: bool = False
     _pool: ClusterPool | None = field(default=None, repr=False)
     _dense_pool: ClusterPool | None = field(default=None, repr=False)
 
@@ -119,7 +118,6 @@ class ProblemInstance:
             self.answers,
             self.L,
             strategy=self.mapping,
-            mask_only=self.mask_only,
             kernel=DENSE_KERNEL if want_dense else None,
         )
         if want_dense:
@@ -305,50 +303,3 @@ def _run_lower_bound(instance: ProblemInstance, **kwargs) -> Solution:
     from repro.core.brute_force import lower_bound
 
     return lower_bound(instance.pool, **kwargs)
-
-
-#: Deprecated name -> runner mapping; a live read-only view of the registry.
-#: Use :mod:`repro.core.registry` (or :class:`repro.service.Engine`) instead.
-ALGORITHMS = AlgorithmsView()
-
-
-def summarize(
-    answers: AnswerSet,
-    k: int | None = None,
-    L: int | None = None,
-    D: int = 0,
-    algorithm: AlgorithmName = "hybrid",
-    mapping: MappingStrategy = "eager",
-    **kwargs,
-) -> Solution:
-    """Summarize an answer set with at most k clusters covering the top-L,
-    pairwise distance >= D — the paper's core operation in one call.
-
-    .. deprecated:: 1.1
-        ``summarize`` runs with no shared state: every call rebuilds the
-        cluster pool.  Go through :meth:`repro.service.Engine.submit` (or
-        :class:`~repro.interactive.session.ExplorationSession`) to share
-        initialization across requests.
-
-    >>> import warnings
-    >>> from repro.core.answers import AnswerSet
-    >>> answers = AnswerSet.from_rows(
-    ...     [("a", "x"), ("a", "y"), ("b", "x")], [3.0, 2.0, 1.0])
-    >>> with warnings.catch_warnings():
-    ...     warnings.simplefilter("ignore", DeprecationWarning)
-    ...     solution = summarize(answers, k=1, L=2, D=0)
-    >>> solution.size
-    1
-    """
-    warnings.warn(
-        "repro.summarize(answers, ...) is deprecated; replace it with\n"
-        "    engine = repro.Engine(); engine.register_dataset('ds', answers)\n"
-        "    engine.submit(repro.SummaryRequest(dataset='ds', k=..., L=..., "
-        "D=...))\n"
-        "so pool initialization is cached and shared across requests; see "
-        "docs/ARCHITECTURE.md#service-layer and docs/WIRE_PROTOCOL.md",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    instance = ProblemInstance(answers, k=k, L=L, D=D, mapping=mapping)
-    return instance.solve(algorithm, **kwargs)

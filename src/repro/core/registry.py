@@ -1,13 +1,12 @@
 """Pluggable algorithm registry with per-algorithm metadata.
 
-The hard-coded ``ALGORITHMS`` dict the library started with could only map a
-name to a runner.  The service layer (:mod:`repro.service`) needs more: it
-validates request kwargs before running anything, reports exactness and
-complexity in the guidance view, and lets extensions (hierarchy variants,
-baseline adapters, experimental kernels) plug in without editing core
-modules.  This module provides that: a process-wide registry populated by
-the :func:`register_algorithm` decorator, carrying an
-:class:`AlgorithmInfo` record per algorithm.
+A name -> runner map is not enough for the service layer
+(:mod:`repro.service`): it validates request kwargs before running
+anything, reports exactness and complexity in the guidance view, and lets
+extensions (hierarchy variants, baseline adapters, experimental kernels)
+plug in without editing core modules.  This module provides that: a
+process-wide registry populated by the :func:`register_algorithm`
+decorator, carrying an :class:`AlgorithmInfo` record per algorithm.
 
 Registering is declarative::
 
@@ -18,15 +17,16 @@ Registering is declarative::
     def _run_my_greedy(instance, **kwargs):
         ...
 
-``repro.core.problem`` registers the paper's nine algorithms on import; the
-legacy ``ALGORITHMS`` mapping is kept there as a deprecated read-only view
-of this registry.
+``repro.core.problem`` registers the paper's nine algorithms on import;
+``get_algorithm(name).runner(instance, ...)`` runs one directly, and
+:meth:`~repro.core.problem.ProblemInstance.solve` does the same after
+validating the options.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.common.errors import InvalidParameterError
 
@@ -155,44 +155,3 @@ def validate_algorithm_kwargs(name: str, options: Mapping[str, object]) -> Algor
             % (name, unknown, sorted(info.kwargs) or "none")
         )
     return info
-
-
-class AlgorithmsView(Mapping):
-    """Read-only mapping view of the registry: name -> runner.
-
-    Backs the deprecated module-level ``ALGORITHMS`` in
-    :mod:`repro.core.problem`.  Iteration/lookup emit a
-    ``DeprecationWarning`` pointing at the registry API.
-    """
-
-    def _warn(self) -> None:
-        import warnings
-
-        warnings.warn(
-            "repro.core.problem.ALGORITHMS is deprecated; replace "
-            "ALGORITHMS[name](instance, ...) with "
-            "repro.core.registry.get_algorithm(name).runner(instance, ...) "
-            "(list names via algorithm_names(), register new ones with "
-            "@register_algorithm); see docs/ARCHITECTURE.md"
-            "#algorithm-registry",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, name: str) -> Callable[..., "Solution"]:
-        self._warn()
-        return get_algorithm(name).runner
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        return iter(algorithm_names())
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __contains__(self, name: object) -> bool:
-        self._warn()
-        return name in _REGISTRY
-
-    def __repr__(self) -> str:
-        return "AlgorithmsView(%s)" % algorithm_names()

@@ -17,13 +17,14 @@ one AND from the mask of its *parent* — the pattern with its last constant
 starred, itself a pool pattern; the all-star root covers all of S.  Two
 mappings share the pool:
 
-``"eager"`` / ``"lazy"``
-    One mapping under two accepted names.  The build packs the value
-    masks, O(n * m), and the root mask; a pattern's mask (with any
-    ancestors not yet derived) is derived on first read.  A served pool
-    therefore holds only the masks its requests touched; a caller that
-    reads every pattern pays one AND per pattern, the same work an
-    up-front pass would do.
+``"eager"`` (also accepted as ``"lazy"``)
+    The build packs the value masks, O(n * m), and the root mask; a
+    pattern's mask (with any ancestors not yet derived) is derived on
+    first read.  A served pool therefore holds only the masks its
+    requests touched; a caller that reads every pattern pays one AND per
+    pattern, the same work an up-front pass would do.
+    :func:`normalize_mapping` turns ``"lazy"`` into ``"eager"`` before a
+    pool or a cache key sees it, so both names share one pool.
 
 ``"naive"``
     The unoptimized baseline of the Figure 8a ablation: for every pool
@@ -44,10 +45,9 @@ pool whose representation matches its kernel.
 No coverage ``frozenset`` is built at initialization, and
 :meth:`~ClusterPool.cluster` builds none either: a cluster is its mask
 and value sum, and derives its own element set on first access.
-:meth:`~ClusterPool.coverage` derives one from the mask on demand;
-``mask_only=True`` only decides whether those frozensets are cached on
-the pool (the default) or left to the caller; both modes answer
-identically (property-tested).
+:meth:`~ClusterPool.coverage` derives one from the mask on its first
+call for a pattern and caches it on the pool; the served path never
+calls it, the baselines that probe coverage repeatedly do.
 """
 
 from __future__ import annotations
@@ -77,6 +77,18 @@ _VALID_STRATEGIES = ("eager", "naive", "lazy")
 FALLBACK_CACHE_SIZE = 256
 
 
+def normalize_mapping(strategy: str) -> str:
+    """The canonical name of mapping *strategy*: ``"lazy"`` reads
+    ``"eager"`` (one mapping), so pools and cache keys never tell the two
+    names apart.  Unknown names raise :class:`InvalidParameterError`."""
+    if strategy not in _VALID_STRATEGIES:
+        raise InvalidParameterError(
+            "unknown mapping strategy %r; expected one of %r"
+            % (strategy, _VALID_STRATEGIES)
+        )
+    return "eager" if strategy == "lazy" else strategy
+
+
 class ClusterPool:
     """The clusters relevant to a (S, L) instance, with coverage maps.
 
@@ -91,27 +103,14 @@ class ClusterPool:
         answers: AnswerSet,
         L: int,
         strategy: MappingStrategy = "eager",
-        fallback_capacity: int = FALLBACK_CACHE_SIZE,
-        mask_only: bool = False,
         kernel: str | None = None,
     ) -> None:
-        if strategy not in _VALID_STRATEGIES:
-            raise InvalidParameterError(
-                "unknown mapping strategy %r; expected one of %r"
-                % (strategy, _VALID_STRATEGIES)
-            )
+        self.strategy = normalize_mapping(strategy)
         if not 1 <= L <= answers.n:
             raise InvalidParameterError(
                 "L=%d out of range [1, %d]" % (L, answers.n)
             )
-        if fallback_capacity < 1:
-            raise InvalidParameterError(
-                "fallback_capacity must be >= 1, got %d" % fallback_capacity
-            )
         self.L = L
-        self.strategy = strategy
-        self.fallback_capacity = fallback_capacity
-        self.mask_only = bool(mask_only)
         # The mask *representation* the pool builds: int bitmasks for the
         # bitset/python kernels (they share storage), packed uint64 blocks
         # for the dense kernel.  A merge engine requires a pool whose
@@ -266,11 +265,8 @@ class ClusterPool:
             return cached
         if pattern not in self._patterns:
             return self._fallback_cluster(pattern).covered
-        # Mask-only pools do not cache the derived view; callers that
-        # need it repeatedly hold on to the materialized Cluster.
         ids = frozenset(mask_indices(self.mask(pattern)))
-        if not self.mask_only:
-            self._coverage[pattern] = ids
+        self._coverage[pattern] = ids
         return ids
 
     def mask(self, pattern: Pattern):
@@ -297,7 +293,7 @@ class ClusterPool:
         ))
         built = Cluster(pattern, mask, self.answers.mask_value_sum(mask))
         self._fallback[pattern] = built
-        while len(self._fallback) > self.fallback_capacity:
+        while len(self._fallback) > FALLBACK_CACHE_SIZE:
             self._fallback.popitem(last=False)
         return built
 
@@ -324,10 +320,9 @@ class ClusterPool:
         return self.cluster(tuple([STAR] * self.answers.m))
 
     def __repr__(self) -> str:
-        return "ClusterPool(L=%d, strategy=%s, patterns=%d%s%s)" % (
+        return "ClusterPool(L=%d, strategy=%s, patterns=%d%s)" % (
             self.L,
             self.strategy,
             len(self._patterns),
-            ", mask_only" if self.mask_only else "",
             ", kernel=dense" if self.kernel == DENSE_KERNEL else "",
         )

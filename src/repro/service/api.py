@@ -274,10 +274,10 @@ class SummaryResponse(_WireMessage):
     """Solution plus the paper's timing split and engine cache metadata.
 
     ``kernel`` names the evaluation substrate that produced the solution
-    (``"bitset"`` or ``"python"``; ``"none"`` for algorithms with no
-    kernelized path, e.g. lower-bound); ``phase_seconds`` is an *open*
-    float map: a finer-grained breakdown of where *this request's* wall
-    clock went (e.g. ``pool_build`` vs ``merge_loop`` vs ``serialize``;
+    (``"bitset"``, ``"python"`` or ``"dense"``; ``"none"`` for algorithms
+    with no kernelized path, e.g. lower-bound); ``phase_seconds`` is an
+    *open* float map: a finer-grained breakdown of where *this request's*
+    wall clock went (e.g. ``pool_build`` vs ``merge_loop`` vs ``serialize``;
     cached phases report 0.0) plus the merge engine's ``argmax_*``
     counters (counts, not seconds: rounds, candidate groups, marginal
     evaluations, refined-bound skips, and the heap-mode 0/1 flag) — so

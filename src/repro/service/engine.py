@@ -11,17 +11,18 @@ rebuilding them.
 
 Cache keys pin down everything that changes the cached object's content:
 
-* pools are keyed by ``(dataset, version, L, mapping, mask_only,
-  mask_repr)`` — the answer set *at a content version* (bumped by
-  replace and append, so stale state is unreachable by key), the top-L
-  slice the pool generalizes, the coverage-mapping strategy, whether
-  derived frozenset coverage is cached, and the mask representation
-  (``"int"`` for the bitset/python kernels, ``"dense"`` for packed
-  uint64-block pools);
-* stores are keyed by ``(dataset, version, L, mapping, mask_only,
-  k_range, d_values, kernel, argmax)`` — everything the pool key pins
-  plus the precompute sweep's parameter grid and the merge-engine
-  substrate the sweep ran on.
+* pools are keyed by ``(dataset, version, L, mapping, mask_repr)`` —
+  the answer set *at a content version* (bumped by replace and append,
+  so stale state is unreachable by key), the top-L slice the pool
+  generalizes, the coverage-mapping strategy after
+  :func:`~repro.core.semilattice.normalize_mapping` (``"lazy"`` and
+  ``"eager"`` name one mapping, so they share one key), and the mask
+  representation (``"int"`` for the bitset/python kernels, ``"dense"``
+  for packed uint64-block pools);
+* stores are keyed by ``(dataset, version, L, mapping, k_range,
+  d_values, kernel, argmax)`` — everything the pool key pins (the
+  kernel fixes the mask representation) plus the precompute sweep's
+  parameter grid and the merge-engine substrate the sweep ran on.
 
 Appends (:meth:`Engine.append_rows`) do better than invalidation: each
 cached pool of the old version is *carried over* — rebuilt over the
@@ -43,7 +44,7 @@ Usage::
     >>> from repro.service import Engine, SummaryRequest
     >>> answers = AnswerSet.from_rows(
     ...     [("a", "x"), ("a", "y"), ("b", "x")], [4.0, 3.0, 1.0])
-    >>> engine = Engine(mask_only=True)
+    >>> engine = Engine()
     >>> engine.register_dataset("toy", answers)
     >>> cold = engine.submit(SummaryRequest(dataset="toy", k=1, L=2, D=0))
     >>> warm = engine.submit(SummaryRequest(dataset="toy", k=1, L=2, D=0))
@@ -68,7 +69,7 @@ from repro.core.bitset import DENSE_KERNEL, resolve_kernel
 from repro.core.dense import mask_indices
 from repro.core.problem import ProblemInstance
 from repro.core.registry import validate_algorithm_kwargs
-from repro.core.semilattice import ClusterPool
+from repro.core.semilattice import ClusterPool, normalize_mapping
 from repro.obs.tracing import record_span, span, trace_scope
 from repro.core.solution import Solution
 from repro.interactive.precompute import SolutionStore
@@ -255,16 +256,11 @@ class Engine:
     ----------
     max_pools:
         LRU bound on cached :class:`ClusterPool`s, keyed by
-        ``(dataset, version, L, mapping, mask_only, mask_repr)``.
+        ``(dataset, version, L, mapping, mask_repr)``.
     max_stores:
         LRU bound on cached :class:`SolutionStore`s, keyed by
-        ``(dataset, version, L, mapping, mask_only, k_range, d_values,
-        kernel, argmax)``.
-    mask_only:
-        Build every pool in the low-memory mask-only mode (see
-        :class:`~repro.core.semilattice.ClusterPool`); summaries are
-        identical either way, so this is a deployment knob, not a wire
-        parameter.
+        ``(dataset, version, L, mapping, k_range, d_values, kernel,
+        argmax)``.
     durability:
         Optional :class:`~repro.durability.manager.DurabilityManager`.
         When set, ``register_dataset`` snapshots the dataset and
@@ -278,10 +274,8 @@ class Engine:
         self,
         max_pools: int = 64,
         max_stores: int = 16,
-        mask_only: bool = False,
         durability=None,
     ) -> None:
-        self.mask_only = bool(mask_only)
         self.durability = durability
         self._datasets: dict[str, AnswerSet] = {}
         self._versions: dict[str, int] = {}
@@ -427,28 +421,27 @@ class Engine:
         dataset: str,
         L: int,
         mapping: str = "eager",
-        mask_only: bool | None = None,
         kernel: str | None = None,
     ) -> tuple[ClusterPool, float, bool]:
         """The cluster pool for (dataset, L) — ``(pool, init_seconds, hit)``.
 
-        *mask_only* defaults to the engine-wide setting; passing an
-        explicit value checks out (and caches) a pool in that mode.
-        *kernel* selects the pool's mask representation: the bitset and
-        python kernels share int-bitmask pools, while ``"dense"`` (or
-        ``"auto"`` resolving to it at this dataset's size) checks out a
-        packed-block pool.  The representation is part of the cache key,
-        so kernels never alias each other's pools.
+        *mapping* is normalized before it joins the key, so ``"lazy"``
+        checks out the ``"eager"`` pool; an unknown name raises before
+        either cache is touched.  *kernel* selects the pool's mask
+        representation: the bitset and python kernels share int-bitmask
+        pools, while ``"dense"`` (or ``"auto"`` resolving to it at this
+        dataset's size) checks out a packed-block pool.  The
+        representation is part of the cache key, so kernels never alias
+        each other's pools.
         """
         answers, version = self._dataset_state(dataset)
-        masked = self.mask_only if mask_only is None else bool(mask_only)
+        mapping = normalize_mapping(mapping)
         resolved = resolve_kernel(kernel, n=answers.n)
         dense = resolved == DENSE_KERNEL
         return self._pools.get_or_build(
-            (dataset, version, L, mapping, masked,
-             "dense" if dense else "int"),
+            (dataset, version, L, mapping, "dense" if dense else "int"),
             lambda: ClusterPool(
-                answers, L, strategy=mapping, mask_only=masked,
+                answers, L, strategy=mapping,
                 kernel=DENSE_KERNEL if dense else None,
             ),
         )
@@ -474,14 +467,14 @@ class Engine:
         k_range = tuple(k_range)
         d_key = tuple(sorted(set(d_values)))
         answers, version = self._dataset_state(dataset)
+        mapping = normalize_mapping(mapping)
         kernel = resolve_kernel(kernel, n=answers.n)
         argmax_key = "auto" if argmax is None else argmax
-        masked = self.mask_only
         pool, pool_seconds, _pool_hit = self.checkout_pool(
             dataset, L, mapping, kernel=kernel
         )
         store, store_seconds, store_hit = self._stores.get_or_build(
-            (dataset, version, L, mapping, masked, k_range, d_key, kernel,
+            (dataset, version, L, mapping, k_range, d_key, kernel,
              argmax_key),
             lambda: SolutionStore(
                 pool, k_range, d_key, kernel=kernel, argmax=argmax
@@ -561,7 +554,6 @@ class Engine:
                 L=request.L,
                 D=request.D,
                 mapping=request.mapping,
-                mask_only=self.mask_only,
             )
 
         instance = instance_over(answers)

@@ -613,6 +613,12 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except Exception as error:  # belt and suspenders: never a traceback
             status, payload, content_type = 500, _error_payload(error), None
+        # Counted before the write: a client that holds its response and
+        # scrapes /metrics must find it there.  A write that then fails
+        # stays counted.
+        web.metrics.observe(kind_label, time.perf_counter() - started)
+        web.metrics.incr("responses")
+        web.metrics.incr("http_%d" % (status // 100 * 100))
         try:
             if close_connection:
                 self.close_connection = True
@@ -622,9 +628,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._write_text(status, payload, content_type)
         except (BrokenPipeError, ConnectionResetError):
             return
-        web.metrics.observe(kind_label, time.perf_counter() - started)
-        web.metrics.incr("responses")
-        web.metrics.incr("http_%d" % (status // 100 * 100))
         # Ack-then-stop ordering: a server-scope shutdown begins only
         # after its acknowledgement is on the wire, so the requesting
         # client always sees the response before the listener dies.

@@ -184,12 +184,10 @@ def test_solution_clusters_come_from_pool(instance):
 ALL_KERNELS = ("bitset", "python", "dense")
 
 
-def _pools_per_kernel(answers, L, mask_only=False):
+def _pools_per_kernel(answers, L):
     """One pool per mask representation (python shares the int pool)."""
-    int_pool = ClusterPool(answers, L=L, mask_only=mask_only)
-    dense_pool = ClusterPool(
-        answers, L=L, mask_only=mask_only, kernel="dense"
-    )
+    int_pool = ClusterPool(answers, L=L)
+    dense_pool = ClusterPool(answers, L=L, kernel="dense")
     return {"bitset": int_pool, "python": int_pool, "dense": dense_pool}
 
 
@@ -217,20 +215,6 @@ def test_kernels_produce_identical_solutions(instance):
             assert other.patterns() == reference.patterns(), kernel
             assert other.covered == reference.covered, kernel
             assert other.value_sum == reference.value_sum, kernel
-
-
-@settings(max_examples=25, deadline=None)
-@given(dyadic_instances())
-def test_kernels_agree_on_mask_only_pools(instance):
-    """Mask-only pools (no frozenset materialization) keep all three
-    kernels bit-identical to the default-pool reference."""
-    answers, k, L, D = instance
-    reference = bottom_up(ClusterPool(answers, L=L), k, D)
-    pools = _pools_per_kernel(answers, L, mask_only=True)
-    for kernel in ALL_KERNELS:
-        solution = bottom_up(pools[kernel], k, D, kernel=kernel)
-        assert solution.patterns() == reference.patterns(), kernel
-        assert solution.value_sum == reference.value_sum, kernel
 
 
 @settings(max_examples=15, deadline=None)

@@ -23,7 +23,8 @@ from repro.core.fixed_order import (
     random_fixed_order,
 )
 from repro.core.hybrid import hybrid
-from repro.core.problem import ALGORITHMS, ProblemInstance, summarize
+from repro.core.problem import ProblemInstance
+from repro.core.registry import algorithm_names
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import check_feasibility
 from tests.conftest import random_answer_set
@@ -145,10 +146,11 @@ class TestFixedOrderVariants:
 
 class TestSummarizeApi:
     def test_all_registered_algorithms_run(self, small_answers):
-        for name in ALGORITHMS:
+        for name in algorithm_names():
             if name == "brute-force":
                 continue  # covered separately on smaller instances
-            solution = summarize(small_answers, k=3, L=6, D=2, algorithm=name)
+            instance = ProblemInstance(small_answers, k=3, L=6, D=2)
+            solution = instance.solve(name)
             if name == "lower-bound":
                 assert solution.size == 1
             else:
@@ -156,7 +158,7 @@ class TestSummarizeApi:
 
     def test_unknown_algorithm_rejected(self, small_answers):
         with pytest.raises(InvalidParameterError):
-            summarize(small_answers, k=3, L=6, D=2, algorithm="nope")
+            ProblemInstance(small_answers, k=3, L=6, D=2).solve("nope")
 
     def test_parameter_validation(self, small_answers):
         with pytest.raises(InvalidParameterError):
@@ -181,9 +183,9 @@ class TestSummarizeApi:
 def test_example_figure1_solution_shape(paper_example_answers):
     """On the Figure 1a-like data, k=4/L=8/D=2 yields 4 diverse clusters
     covering the top 8, with avg above the top-4-singletons trap."""
-    solution = summarize(
-        paper_example_answers, k=4, L=8, D=2, algorithm="bottom-up"
-    )
+    solution = ProblemInstance(
+        paper_example_answers, k=4, L=8, D=2
+    ).solve("bottom-up")
     assert not check_feasibility(solution, paper_example_answers, 4, 8, 2)
     assert solution.size <= 4
     # The misleading (20s, M) pattern covering both high and low values

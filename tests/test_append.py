@@ -107,9 +107,7 @@ def append_runs(draw):
         cursor += size
     L = draw(st.integers(min_value=1, max_value=min(base_n, 6)))
     strategy = draw(st.sampled_from(["eager", "naive", "lazy"]))
-    mask_only = draw(st.booleans())
-    return (universe[:base_n], values[:base_n], batches, L, strategy,
-            mask_only)
+    return universe[:base_n], values[:base_n], batches, L, strategy
 
 
 def _assert_pools_identical(maintained, rebuilt, dense):
@@ -132,52 +130,41 @@ def _assert_pools_identical(maintained, rebuilt, dense):
 @given(append_runs())
 def test_pool_after_appends_equals_rebuild_int_masks(run):
     """python/bitset kernels (shared int-mask pools): maintenance ≡ rebuild."""
-    elements, values, batches, L, strategy, mask_only = run
+    elements, values, batches, L, strategy = run
     answers = AnswerSet(elements, values)
-    pool = ClusterPool(answers, L, strategy=strategy, mask_only=mask_only)
+    pool = ClusterPool(answers, L, strategy=strategy)
     for rows, row_values in batches:
         answers, delta = answers.extended(rows, row_values)
         pool = pool.extended(answers, delta)
-        rebuilt = ClusterPool(
-            answers, L, strategy=strategy, mask_only=mask_only
-        )
+        rebuilt = ClusterPool(answers, L, strategy=strategy)
         _assert_pools_identical(pool, rebuilt, dense=False)
 
 
 @settings(max_examples=40, deadline=None)
 @given(append_runs())
 def test_pool_after_appends_equals_rebuild_dense_numpy(run):
-    elements, values, batches, L, strategy, mask_only = run
+    elements, values, batches, L, strategy = run
     answers = AnswerSet(elements, values)
-    pool = ClusterPool(
-        answers, L, strategy=strategy, mask_only=mask_only, kernel="dense"
-    )
+    pool = ClusterPool(answers, L, strategy=strategy, kernel="dense")
     for rows, row_values in batches:
         answers, delta = answers.extended(rows, row_values)
         pool = pool.extended(answers, delta)
-        rebuilt = ClusterPool(
-            answers, L, strategy=strategy, mask_only=mask_only,
-            kernel="dense",
-        )
+        rebuilt = ClusterPool(answers, L, strategy=strategy, kernel="dense")
         _assert_pools_identical(pool, rebuilt, dense=True)
 
 
 @settings(max_examples=25, deadline=None)
 @given(append_runs())
 def test_pool_after_appends_equals_rebuild_dense_fallback(run):
-    elements, values, batches, L, strategy, mask_only = run
+    elements, values, batches, L, strategy = run
     with numpy_disabled():
         answers = AnswerSet(elements, values)
-        pool = ClusterPool(
-            answers, L, strategy=strategy, mask_only=mask_only,
-            kernel="dense",
-        )
+        pool = ClusterPool(answers, L, strategy=strategy, kernel="dense")
         for rows, row_values in batches:
             answers, delta = answers.extended(rows, row_values)
             pool = pool.extended(answers, delta)
             rebuilt = ClusterPool(
-                answers, L, strategy=strategy, mask_only=mask_only,
-                kernel="dense",
+                answers, L, strategy=strategy, kernel="dense"
             )
             _assert_pools_identical(pool, rebuilt, dense=True)
 
@@ -188,17 +175,15 @@ def test_pool_after_appends_equals_rebuild_dense_fallback(run):
 def test_solutions_identical_on_maintained_pools(run, k, D):
     """Solve-level equivalence: bottom-up on the maintained pool returns
     the same clusters/objective as on a rebuilt pool, int and dense."""
-    elements, values, batches, L, strategy, mask_only = run
+    elements, values, batches, L, strategy = run
     answers = AnswerSet(elements, values)
-    int_pool = ClusterPool(answers, L, strategy=strategy, mask_only=mask_only)
-    dense_pool = ClusterPool(
-        answers, L, strategy=strategy, mask_only=mask_only, kernel="dense"
-    )
+    int_pool = ClusterPool(answers, L, strategy=strategy)
+    dense_pool = ClusterPool(answers, L, strategy=strategy, kernel="dense")
     for rows, row_values in batches:
         answers, delta = answers.extended(rows, row_values)
         int_pool = int_pool.extended(answers, delta)
         dense_pool = dense_pool.extended(answers, delta)
-    rebuilt = ClusterPool(answers, L, strategy=strategy, mask_only=mask_only)
+    rebuilt = ClusterPool(answers, L, strategy=strategy)
     expected = bottom_up(rebuilt, k, D)
     for pool, kernel in ((int_pool, "bitset"), (int_pool, "python"),
                          (dense_pool, "dense")):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import InvalidParameterError
-from repro.core import dense
+from repro.core import dense, semilattice
 from repro.core.answers import AnswerSet
 from repro.core.bitset import (
     BITSET_KERNEL,
@@ -240,9 +240,10 @@ class TestPoolMasksAndFallback:
             cluster = pool.cluster(pattern)
             assert cluster.mask == pool.mask(pattern)
 
-    def test_out_of_pool_fallback_is_bounded(self):
+    def test_out_of_pool_fallback_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(semilattice, "FALLBACK_CACHE_SIZE", 8)
         answers = random_answer_set(n=30, m=4, domain=4, seed=8)
-        pool = ClusterPool(answers, L=4, fallback_capacity=8)
+        pool = ClusterPool(answers, L=4)
         probed = []
         # Probe many patterns that are not generalizations of the top-4.
         for code_a in range(4):
@@ -267,9 +268,10 @@ class TestPoolMasksAndFallback:
             assert pattern not in pool._coverage
             assert pattern not in pool._cluster_cache
 
-    def test_fallback_results_stay_correct_after_eviction(self):
+    def test_fallback_results_stay_correct_after_eviction(self, monkeypatch):
+        monkeypatch.setattr(semilattice, "FALLBACK_CACHE_SIZE", 2)
         answers = random_answer_set(n=25, m=3, domain=3, seed=5)
-        pool = ClusterPool(answers, L=3, fallback_capacity=2)
+        pool = ClusterPool(answers, L=3)
         pattern = next(
             p
             for a in range(3)
@@ -282,11 +284,6 @@ class TestPoolMasksAndFallback:
         pool.coverage((1, -1, -1))
         pool.coverage((2, -1, -1))
         assert pool.coverage(pattern) == first
-
-    def test_fallback_capacity_validated(self):
-        answers = random_answer_set(n=10, m=3, domain=3, seed=1)
-        with pytest.raises(InvalidParameterError):
-            ClusterPool(answers, L=3, fallback_capacity=0)
 
 
 class TestKernelWiring:

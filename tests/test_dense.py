@@ -226,17 +226,6 @@ class TestDensePools:
                     sum(answers.values[i] for i in cluster.covered)
                 )
 
-    def test_mask_only_dense_pool(self, backend, strategy):
-        answers = random_answer_set(n=30, m=3, domain=4, seed=8)
-        reference = ClusterPool(answers, L=5, strategy=strategy)
-        with _backend(backend):
-            pool = ClusterPool(
-                answers, L=5, strategy=strategy, mask_only=True,
-                kernel="dense",
-            )
-            for pattern in pool.patterns():
-                assert pool.coverage(pattern) == reference.coverage(pattern)
-
 
 class TestEnginePoolMatching:
     def test_dense_engine_rejects_int_pool(self, tiny_answers):

@@ -9,7 +9,7 @@ from repro.core.bottom_up import bottom_up, bottom_up_level_start
 from repro.core.brute_force import brute_force
 from repro.core.fixed_order import fixed_order
 from repro.core.hybrid import hybrid
-from repro.core.problem import summarize
+from repro.core.problem import ProblemInstance
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import check_feasibility
 from repro.common.errors import InvalidParameterError
@@ -20,13 +20,13 @@ from tests.conftest import random_answer_set
 class TestDegenerateAnswerSets:
     def test_single_element(self):
         answers = AnswerSet.from_rows([("a", "b")], [1.0])
-        solution = summarize(answers, k=1, L=1, D=0)
+        solution = ProblemInstance(answers, k=1, L=1, D=0).solve()
         assert solution.size == 1
         assert solution.avg == pytest.approx(1.0)
 
     def test_two_identical_values(self):
         answers = AnswerSet.from_rows([("a",), ("b",)], [2.0, 2.0])
-        solution = summarize(answers, k=2, L=2, D=0)
+        solution = ProblemInstance(answers, k=2, L=2, D=0).solve()
         assert not check_feasibility(solution, answers, 2, 2, 0)
 
     def test_all_equal_values_deterministic(self):
@@ -42,7 +42,7 @@ class TestDegenerateAnswerSets:
             [("a", "x"), ("b", "x"), ("c", "y"), ("d", "y")],
             [-1.0, -2.0, -3.0, -4.0],
         )
-        solution = summarize(answers, k=2, L=2, D=1)
+        solution = ProblemInstance(answers, k=2, L=2, D=1).solve()
         assert not check_feasibility(solution, answers, 2, 2, 1)
         assert solution.avg <= -1.0
 
@@ -50,7 +50,7 @@ class TestDegenerateAnswerSets:
         answers = AnswerSet.from_rows(
             [("a",), ("b",), ("c",), ("d",)], [4.0, 3.0, 2.0, 1.0]
         )
-        solution = summarize(answers, k=2, L=2, D=1)
+        solution = ProblemInstance(answers, k=2, L=2, D=1).solve()
         assert not check_feasibility(solution, answers, 2, 2, 1)
 
 
@@ -60,7 +60,7 @@ class TestExtremeParameters:
         return random_answer_set(n=30, m=4, domain=3, seed=41)
 
     def test_k_equals_n(self, answers):
-        solution = summarize(answers, k=answers.n, L=5, D=0)
+        solution = ProblemInstance(answers, k=answers.n, L=5, D=0).solve()
         assert not check_feasibility(solution, answers, answers.n, 5, 0)
 
     def test_L_equals_n(self, answers):
@@ -130,8 +130,8 @@ class TestTieBreaking:
         values = [3.0, 2.9, 2.0, 1.9, 1.0]
         forward = AnswerSet.from_rows(rows, values)
         backward = AnswerSet.from_rows(rows[::-1], values[::-1])
-        solution_f = summarize(forward, k=2, L=3, D=1)
-        solution_b = summarize(backward, k=2, L=3, D=1)
+        solution_f = ProblemInstance(forward, k=2, L=3, D=1).solve()
+        solution_b = ProblemInstance(backward, k=2, L=3, D=1).solve()
         assert solution_f.avg == pytest.approx(solution_b.avg)
         decoded_f = sorted(
             forward.decode(c.pattern) for c in solution_f.clusters

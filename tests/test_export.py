@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.problem import summarize
+from repro.core.problem import ProblemInstance
 from repro.core.semilattice import ClusterPool
 from repro.interactive.guidance import build_guidance_view
 from repro.interactive.precompute import SolutionStore
@@ -23,7 +23,7 @@ from tests.conftest import random_answer_set
 @pytest.fixture(scope="module")
 def setup():
     answers = random_answer_set(n=50, m=4, domain=4, seed=51)
-    solution = summarize(answers, k=4, L=8, D=2)
+    solution = ProblemInstance(answers, k=4, L=8, D=2).solve()
     return answers, solution
 
 
@@ -78,8 +78,8 @@ class TestGuidancePayload:
 class TestComparisonPayload:
     def test_bands_and_metrics(self):
         answers = random_answer_set(n=60, m=4, domain=4, seed=53)
-        old = summarize(answers, k=5, L=8, D=1)
-        new = summarize(answers, k=3, L=10, D=1)
+        old = ProblemInstance(answers, k=5, L=8, D=1).solve()
+        new = ProblemInstance(answers, k=3, L=10, D=1).solve()
         view = build_comparison(old, new, answers, L=10)
         payload = comparison_payload(view)
         assert len(payload["old"]) == old.size

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.problem import summarize
+from repro.core.problem import ProblemInstance
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import check_feasibility
 from repro.datasets.movielens import EXAMPLE_QUERY, MovieLensConfig, build_database
@@ -35,7 +35,7 @@ class TestMovieLensPipeline:
         answers = result.to_answer_set()
         assert answers.n >= 10
         L = min(8, answers.n)
-        solution = summarize(answers, k=4, L=L, D=2)
+        solution = ProblemInstance(answers, k=4, L=L, D=2).solve()
         assert not check_feasibility(solution, answers, 4, L, 2)
         # Decoded clusters speak the raw vocabulary.
         decoded = answers.decode(solution.clusters[0].pattern)
@@ -86,7 +86,7 @@ class TestTpcdsPipeline:
         )
         answers = run_aggregate(relation, query).to_answer_set()
         assert answers.n > 100
-        solution = summarize(answers, k=10, L=50, D=1)
+        solution = ProblemInstance(answers, k=10, L=50, D=1).solve()
         assert not check_feasibility(solution, answers, 10, 50, 1)
         assert solution.avg >= answers.avg_all()
 

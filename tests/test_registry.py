@@ -1,13 +1,11 @@
-"""Tests for the pluggable algorithm registry and its deprecation shims."""
+"""Tests for the pluggable algorithm registry."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro.common.errors import InvalidParameterError
-from repro.core.problem import ALGORITHMS, ProblemInstance, summarize
+from repro.core.problem import ProblemInstance
 from repro.core.registry import (
     AlgorithmInfo,
     algorithm_infos,
@@ -142,26 +140,6 @@ class TestKwargsValidation:
             instance = ProblemInstance(answers, k=3, L=6, D=1)
             solution = instance.solve(name, **options)
             assert solution.size >= 1
-
-
-class TestDeprecationShims:
-    def test_algorithms_mapping_warns(self):
-        with pytest.warns(DeprecationWarning, match="ALGORITHMS"):
-            runner = ALGORITHMS["hybrid"]
-        assert callable(runner)
-
-    def test_algorithms_iterates_registry(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert set(ALGORITHMS) == set(algorithm_names())
-            assert "hybrid" in ALGORITHMS
-            assert len(ALGORITHMS) == len(algorithm_names())
-
-    def test_summarize_warns_but_works(self):
-        answers = random_answer_set(n=20, m=3, domain=3, seed=5)
-        with pytest.warns(DeprecationWarning, match="summarize"):
-            solution = summarize(answers, k=2, L=4, D=1)
-        assert solution.size <= 2
 
 
 class TestProblemInstanceDefaults:

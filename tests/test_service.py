@@ -25,7 +25,11 @@ from repro.service import (
     serve,
 )
 from repro.service.serve import serve_line
-from tests.conftest import paper_like_answers, random_answer_set
+from tests.conftest import (
+    paper_like_answers,
+    random_answer_set,
+    zero_timings,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -220,6 +224,30 @@ class TestEngineCaching:
         second, _, _ = engine.checkout_store("paper", 4, (2, 4), [1, 2, 2])
         assert first is second
 
+    def test_eager_and_lazy_share_cached_state(self, engine):
+        """``lazy`` names the ``eager`` mapping: the second name hits the
+        pool and store the first built, an append carries one pool, and
+        the answers match once timings are zeroed."""
+        summary = {"schema_version": 2, "kind": "summary",
+                   "dataset": "paper", "k": 2, "L": 4, "D": 1}
+        explore = {"schema_version": 2, "kind": "explore",
+                   "dataset": "paper", "k": 3, "L": 4, "D": 1,
+                   "k_range": [2, 4], "d_values": [1, 2]}
+        for payload in (summary, explore):
+            eager = engine.submit_dict(dict(payload, mapping="eager"))
+            lazy = engine.submit_dict(dict(payload, mapping="lazy"))
+            assert (eager.pop("cache_hit"), lazy.pop("cache_hit")) == (
+                False, True
+            )
+            assert zero_timings(lazy) == zero_timings(eager)
+        stats = engine.stats()
+        assert (stats.pools.size, stats.pools.misses) == (1, 1)
+        assert (stats.stores.size, stats.stores.misses) == (1, 1)
+        pool, _, hit = engine.checkout_pool("paper", 4, "lazy")
+        assert hit and pool.strategy == "eager"
+        appended = engine.append_rows("paper", [("2000s", "poet")], [1.0])
+        assert appended["pools_maintained"] == 1
+
     def test_lru_eviction_bounds_pool_cache(self):
         eng = Engine(max_pools=2)
         eng.register_dataset("r", random_answer_set(n=30, m=4, domain=3,
@@ -275,6 +303,25 @@ class TestEngineValidation:
         assert response["kind"] == "error"
         assert response["error_type"] == "InvalidParameterError"
         assert "nope" in response["message"]
+
+    def test_unknown_mapping_rejected_before_caching(self, engine):
+        for payload in (
+            {"kind": "summary", "k": 2, "L": 4, "D": 1},
+            {"kind": "explore", "k": 3, "L": 4, "D": 1, "k_range": [2, 4],
+             "d_values": [1]},
+            {"kind": "guidance", "L": 4, "k_range": [2, 4],
+             "d_values": [1]},
+        ):
+            response = engine.submit_dict(dict(
+                payload, schema_version=2, dataset="paper", mapping="bogus"
+            ))
+            assert response["error_type"] == "InvalidParameterError"
+            assert response["message"] == (
+                "unknown mapping strategy 'bogus'; expected one of "
+                "('eager', 'naive', 'lazy')"
+            )
+        stats = engine.stats()
+        assert (stats.pools.size, stats.stores.size) == (0, 0)
 
     def test_bad_option_over_the_wire(self, engine):
         response = engine.submit_dict({

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import InvalidParameterError
-from repro.core.problem import summarize
+from repro.core.problem import ProblemInstance
 from repro.datasets.loader import synthetic_answer_set
 from repro.userstudy.metrics import (
     HIGH,
@@ -67,7 +67,7 @@ class TestMetrics:
 class TestTaskGroup:
     @pytest.fixture(scope="class")
     def arm(self, study_answers):
-        solution = summarize(study_answers, k=8, L=30, D=1)
+        solution = ProblemInstance(study_answers, k=8, L=30, D=1).solve()
         return StudyArm(
             name="ours",
             patterns=tuple(from_solution(solution, study_answers, 30)),

@@ -545,6 +545,42 @@ class TestMetricsRoute:
         assert "repro_http_200_total" in text
         assert "repro_http_400_total" in text
 
+    def test_status_counted_before_the_response_is_written(
+        self, web_server, monkeypatch
+    ):
+        """A client holding its 400 finds it counted: the handler is held
+        right after writing the response while the test scrapes /metrics
+        on a new connection."""
+        import threading
+
+        from repro.web.http import _Handler
+
+        written, release = threading.Event(), threading.Event()
+        write_json = _Handler._write_json
+
+        def write_then_hold(handler, status, payload):
+            write_json(handler, status, payload)
+            if status == 400:
+                written.set()
+                release.wait(timeout=30)
+
+        monkeypatch.setattr(_Handler, "_write_json", write_then_hold)
+        handle = web_server()
+        client = threading.Thread(
+            target=http_call,
+            args=(handle, "POST", "/v2/summary",
+                  dict(SUMMARY, dataset="nope")),
+        )
+        client.start()
+        try:
+            assert written.wait(timeout=30)
+            _, text = http_call(handle, "GET", "/metrics")
+        finally:
+            release.set()
+            client.join(timeout=30)
+        assert not client.is_alive()
+        assert "repro_http_400_total" in text
+
 
 # -- shutdown & drain ---------------------------------------------------------
 
