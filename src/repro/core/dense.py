@@ -181,7 +181,8 @@ class BitBlocks:
     """An immutable element-set mask packed into fixed-width uint64 blocks.
 
     Supports the operator surface the merge engine's mask-kernel branch
-    uses on int masks — ``&``, ``|``, ``~``, truthiness, ``bit_count()`` —
+    uses on int masks — ``&``, ``|``, ``~``, truthiness, ``bit_count()``,
+    ``bit_length()`` —
     so the same greedy code runs unchanged on either representation.
     Instances are immutable: operators return new objects, which is what
     keeps the engine's covered-union history log safe to share.
@@ -351,6 +352,17 @@ class BitBlocks:
         if not self._int:
             return -1
         return (self._int & -self._int).bit_length() - 1
+
+    def bit_length(self) -> int:
+        """Index of the highest set bit + 1 (0 when empty), as
+        ``int.bit_length()`` of the packed integer view."""
+        if self._arr is not None:
+            nonzero = _np.flatnonzero(self._arr)
+            if nonzero.size == 0:
+                return 0
+            block_index = int(nonzero[-1])
+            return (block_index << 6) + int(self._arr[block_index]).bit_length()
+        return self._int.bit_length()
 
     def value_sum(self, table: ValueTable) -> float:
         """Sum ``table[i]`` over set bits, in ascending index order.

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.common.errors import InvalidParameterError
 from repro.core.cluster import Cluster, Pattern, distance, lca_many
-from repro.core.merge import MergeEngine
+from repro.core.merge import TARGET_COUNTERS, MergeEngine
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution, floor_at_root
 
@@ -37,26 +37,43 @@ def _validate(pool: ClusterPool, k: int, D: int) -> None:
 
 
 def _process_incoming(engine: MergeEngine, incoming: Cluster, k: int, D: int) -> None:
-    """One iteration of Algorithm 3's loop body for an incoming cluster."""
+    """One iteration of Algorithm 3's loop body for an incoming cluster.
+
+    Members are read unsorted: whether any lies within distance D, and
+    which one is the merge target (an argmax with a total tie-break key),
+    do not depend on their order.
+    """
     if engine.is_fully_covered(incoming):
         return
-    current = engine.clusters()
+    members = engine.members()
     if engine.size < k:
-        clear = all(
-            distance(incoming.pattern, member.pattern) >= D
-            for member in current
-        )
-        if clear:
-            engine.add(incoming)
-            return
+        pattern = incoming.pattern
         near = [
             member
-            for member in current
-            if distance(incoming.pattern, member.pattern) < D
+            for member in members
+            if distance(pattern, member.pattern) < D
         ]
-        engine.merge_into(engine.best_merge_target(incoming, near), incoming)
-        return
-    engine.merge_into(engine.best_merge_target(incoming, current), incoming)
+        if not near:
+            engine.add(incoming)
+            return
+        members = near
+    engine.merge_into(engine.best_merge_target(incoming, members), incoming)
+
+
+def _engine(
+    pool: ClusterPool,
+    use_delta: bool = True,
+    kernel: str | None = None,
+    argmax: str | None = None,
+) -> MergeEngine:
+    """An empty engine for one Fixed-Order stream, its merge-target
+    counters (:data:`~repro.core.merge.TARGET_COUNTERS`) seeded at zero so
+    the run reports them even when nothing merges."""
+    engine = MergeEngine(
+        pool, (), use_delta=use_delta, kernel=kernel, argmax=argmax
+    )
+    engine.stats.update(dict.fromkeys(TARGET_COUNTERS, 0.0))
+    return engine
 
 
 def fixed_order(
@@ -77,11 +94,9 @@ def fixed_order(
     budget = k if size_budget is None else size_budget
     if budget < 1:
         raise InvalidParameterError("size budget must be >= 1")
-    engine = MergeEngine(
-        pool, (), use_delta=use_delta, kernel=kernel, argmax=argmax
+    engine = fixed_order_engine(
+        pool, budget, D, use_delta=use_delta, kernel=kernel, argmax=argmax
     )
-    for index in pool.answers.top(pool.L):
-        _process_incoming(engine, pool.singleton(index), budget, D)
     return floor_at_root(engine.snapshot(), pool)
 
 
@@ -96,14 +111,13 @@ def fixed_order_engine(
     """Like :func:`fixed_order` but return the live engine (Hybrid and the
     precomputation pipeline continue merging from this state).
 
-    ``argmax`` matters here even though Fixed-Order itself never runs the
-    group argmax: the returned engine's Bottom-Up continuation (Hybrid
-    phase 2, the precompute sweeps) inherits it.
+    ``argmax`` picks the merge-target evaluation order here (bound order
+    under ``"heap"``, every LCA under ``"scan"``), and the returned
+    engine's Bottom-Up continuation (Hybrid phase 2, the precompute
+    sweeps) inherits it.
     """
     _validate(pool, max(budget, 1), D)
-    engine = MergeEngine(
-        pool, (), use_delta=use_delta, kernel=kernel, argmax=argmax
-    )
+    engine = _engine(pool, use_delta=use_delta, kernel=kernel, argmax=argmax)
     for index in pool.answers.top(pool.L):
         _process_incoming(engine, pool.singleton(index), budget, D)
     return engine
@@ -122,7 +136,7 @@ def random_fixed_order(
     rng = _random.Random(seed)
     top = pool.answers.top(pool.L)
     chosen = rng.sample(top, min(k, len(top)))
-    engine = MergeEngine(pool, (), kernel=kernel)
+    engine = _engine(pool, kernel=kernel)
     for index in chosen:
         _process_incoming(engine, pool.singleton(index), k, D)
     for index in top:
@@ -160,7 +174,7 @@ def kmeans_fixed_order(
     seed_patterns = sorted(
         minimal_covering_pattern(members) for members in groups.values()
     )
-    engine = MergeEngine(pool, (), kernel=kernel)
+    engine = _engine(pool, kernel=kernel)
     for pattern in seed_patterns:
         _process_incoming(engine, pool.cluster(pattern), k, D)
     for index in top:

@@ -204,9 +204,10 @@ def _run_bottom_up_pairwise(instance: ProblemInstance, **kwargs) -> Solution:
     "fixed-order",
     cost="greedy",
     complexity="O(L * k) incoming-element processing",
-    # No "argmax": plain Fixed-Order never runs the group argmax (only
-    # its engine continuations — hybrid, precompute — do); advertising it
-    # would let ablation runs believe they compared two modes.
+    # No "argmax": plain Fixed-Order runs only the merge-target argmax,
+    # which picks the same target in bound order ("heap", resolved per
+    # instance) as in full (scan); the two differ only in the target_*
+    # counters.  The ablation calls fixed_order(..., argmax="scan").
     kwargs=("use_delta", "size_budget", "kernel"),
     summary="Algorithm 3: stream the top-L in value order into <= k clusters",
 )

@@ -95,6 +95,21 @@ class TestBitBlocksPrimitives:
             assert dense.zero_blocks(200).lowest_bit() == -1
             assert dense.first_n_blocks(5, 200).bit_count() == 5
 
+    def test_bit_length_matches_int(self, backend):
+        """``bit_length()`` is ``int.bit_length()`` of the packed view:
+        the empty mask, a bit in the last (partial) block, and random
+        masks over universes that end mid-block and on a block edge."""
+        rng = random.Random(17)
+        with _backend(backend):
+            assert dense.zero_blocks(200).bit_length() == 0
+            assert dense.blocks_of([199], 200).bit_length() == 200
+            assert dense.blocks_of([0], 1).bit_length() == 1
+            for nbits in (1, 63, 64, 65, 200, 4096):
+                for count in (0, 1, 2, 17):
+                    ids = rng.sample(range(nbits), min(count, nbits))
+                    mask = dense.blocks_of(ids, nbits)
+                    assert mask.bit_length() == bitset_of(ids).bit_length()
+
     def test_equality_across_backends(self, backend):
         ids = [1, 64, 129]
         with _backend(backend):
