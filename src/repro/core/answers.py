@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 from repro.common.errors import InvalidParameterError, SchemaError
 from repro.common.interning import AttributeCodec
 from repro.core.bitset import mask_value_sum
-from repro.core.dense import ValueTable, int_mask_value_sum, numpy_enabled
+from repro.core.dense import HAVE_NUMPY, ValueTable, int_mask_value_sum
 
 
 class AnswerSet:
@@ -163,10 +163,10 @@ class AnswerSet:
 
     @property
     def value_table(self):
-        """The values as a contiguous ``array('d')`` row (dense kernel).
+        """The values for the mask kernels' vectorized value sums.
 
-        Built once on first dense-kernel access; the numpy backend views
-        the same buffer zero-copy.  See :class:`repro.core.dense.ValueTable`.
+        Built once on first access; it builds its float64 array on first
+        vectorized use.  See :class:`repro.core.dense.ValueTable`.
         """
         table = self._value_table
         if table is None:
@@ -180,12 +180,12 @@ class AnswerSet:
         *mask* is either an int bitmask (:mod:`repro.core.bitset`) or a
         packed :class:`~repro.core.dense.BitBlocks` mask (the dense
         kernel); both sum identically (same floats) for the same bits.
-        With numpy enabled, int masks of more than a few set bits share
+        With numpy importable, int masks of more than a few set bits share
         the dense kernel's vectorized reduction
         (:func:`repro.core.dense.int_mask_value_sum`).
         """
         if isinstance(mask, int):
-            if numpy_enabled():
+            if HAVE_NUMPY:
                 return int_mask_value_sum(self.value_table, mask)
             return mask_value_sum(self.values, mask)
         return mask.value_sum(self.value_table)

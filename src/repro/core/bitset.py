@@ -21,16 +21,17 @@ With numpy available, :meth:`repro.core.answers.AnswerSet.mask_value_sum`
 sends int masks of more than 8 set bits through the dense kernel's
 vectorized sequential reduction instead (same floats; see
 :func:`repro.core.dense.int_mask_value_sum`); this module stays the
-stdlib path.
+stdlib path, the one every value sum takes without numpy.
 
 Kernels are named: ``"bitset"`` (this module, the default), ``"python"``
 (the original set-based code, kept as the ablation baseline for the
 Figure 8b-style experiments), and ``"dense"`` (fixed-width uint64 block
-masks with numpy-vectorized primitives and a pure-stdlib array fallback —
-:mod:`repro.core.dense` — built for n >= 10^5..10^6).  ``"auto"`` is a
-*policy*, not a kernel: :func:`resolve_kernel` maps it to ``"dense"``
-above :data:`DENSE_AUTO_THRESHOLD` elements when numpy is available and
-to the default otherwise.  All kernels run identical greedy logic, sum
+masks with numpy-vectorized primitives — :mod:`repro.core.dense` — built
+for n >= 10^5..10^6).  ``"auto"`` is a *policy*, not a kernel:
+:func:`resolve_kernel` maps it to ``"dense"`` from
+:data:`DENSE_AUTO_THRESHOLD` elements up and to the default below.  The
+dense kernel needs numpy: without it, ``"dense"`` and ``"auto"`` both
+resolve to ``"bitset"``.  All kernels run identical greedy logic, sum
 values in ascending element-index order, and produce identical solutions
 whenever value sums are exact (property tests enforce this on
 dyadic-rational values); on arbitrary floats the ``python`` kernel sums
@@ -63,7 +64,7 @@ from repro.common.errors import InvalidParameterError
 BITSET_KERNEL = "bitset"
 #: The original pure-Python set kernel (ablation baseline).
 PYTHON_KERNEL = "python"
-#: The packed uint64-block kernel (numpy-vectorized, array fallback).
+#: The packed uint64-block kernel (numpy only; bitset runs without numpy).
 DENSE_KERNEL = "dense"
 #: Every concrete kernel name the engines accept.
 KERNELS = (BITSET_KERNEL, PYTHON_KERNEL, DENSE_KERNEL)
@@ -74,10 +75,12 @@ AUTO_KERNEL = "auto"
 #: What requests/CLI may carry: every kernel plus the auto policy.
 KERNEL_CHOICES = KERNELS + (AUTO_KERNEL,)
 #: ``kernel="auto"`` selects the dense kernel at or above this answer-set
-#: size, provided numpy is importable (the stdlib fallback tracks the
-#: bitset kernel, so switching without numpy buys nothing).  Calibrated
-#: on the ``dense_scaling`` benchmark: at 64k elements the two kernels
-#: are at parity, from ~10^5 dense wins ~3x, at 10^6 ~4.5x.
+#: size, provided numpy is importable.  Set where the ``dense_scaling``
+#: benchmark's Bottom-Up merge loop measured parity.  On the served path
+#: (``Engine.submit_dict``, Hybrid, m=6, warm pools, 2-core host) dense's
+#: summary p50 was 13.2/9.0 ms against bitset's 13.0/7.0 ms at n=10^5
+#: and 14.7 against 29.7 ms at n=10^6: there the crossover lies between
+#: 10^5 and 10^6.
 DENSE_AUTO_THRESHOLD = 1 << 16
 
 #: Bit offsets set in each possible byte value; drives the dense-sum path.
@@ -93,26 +96,29 @@ def resolve_kernel(kernel: str | None, n: int | None = None) -> str:
     """Resolve a kernel request to the concrete kernel an engine will run.
 
     ``None`` resolves to :data:`DEFAULT_KERNEL`.  ``"auto"`` applies the
-    size policy: :data:`DENSE_KERNEL` when the instance size *n* is known,
-    at least :data:`DENSE_AUTO_THRESHOLD`, and numpy is available —
-    otherwise the default.  Concrete names pass through after validation.
-    Every layer that resolves (pool construction, merge engine, service
-    cache keys) passes the same *n*, so one request resolves identically
-    everywhere.
+    size policy: :data:`DENSE_KERNEL` when the instance size *n* is known
+    and at least :data:`DENSE_AUTO_THRESHOLD` — otherwise the default.
+    Concrete names pass through after validation, except that
+    :data:`DENSE_KERNEL` (asked for or picked by ``"auto"``) resolves to
+    :data:`BITSET_KERNEL` when numpy is not importable.  Every layer that
+    resolves (pool construction, merge engine, service cache keys) passes
+    the same *n*, so one request resolves identically everywhere.
     """
     if kernel is None:
         return DEFAULT_KERNEL
     if kernel == AUTO_KERNEL:
-        if n is not None and n >= DENSE_AUTO_THRESHOLD:
-            from repro.core.dense import numpy_enabled
-
-            if numpy_enabled():
-                return DENSE_KERNEL
-        return DEFAULT_KERNEL
-    if kernel not in KERNELS:
+        if n is None or n < DENSE_AUTO_THRESHOLD:
+            return DEFAULT_KERNEL
+        kernel = DENSE_KERNEL
+    elif kernel not in KERNELS:
         raise InvalidParameterError(
             "unknown kernel %r; expected one of %r" % (kernel, KERNEL_CHOICES)
         )
+    if kernel == DENSE_KERNEL:
+        from repro.core import dense
+
+        if not dense.HAVE_NUMPY:
+            return BITSET_KERNEL
     return kernel
 
 

@@ -38,9 +38,10 @@ result may stay.
 Independently of the strategy, ``kernel=`` selects the pool's *mask
 representation*: int bitmasks (the default, shared by the bitset and
 python kernels) or packed uint64 blocks when ``kernel="dense"`` — the
-working representation of :mod:`repro.core.dense`, built vectorized when
-numpy is available.  A :class:`~repro.core.merge.MergeEngine` requires a
-pool whose representation matches its kernel.
+working representation of :mod:`repro.core.dense` (without numpy,
+``"dense"`` resolves to ``"bitset"`` and the pool holds int masks).  A
+:class:`~repro.core.merge.MergeEngine` requires a pool whose
+representation matches its kernel.
 
 No coverage ``frozenset`` is built at initialization, and
 :meth:`~ClusterPool.cluster` builds none either: a cluster is its mask
@@ -64,7 +65,7 @@ from repro.common.interning import STAR
 from repro.core.answers import AnswerSet
 from repro.core.bitset import DENSE_KERNEL, bitset_of, resolve_kernel
 from repro.core.cluster import Cluster, Pattern, covers, generalizations
-from repro.core.dense import blocks_from_int, mask_indices
+from repro.core.dense import int_to_blocks, mask_indices
 
 MappingStrategy = Literal["eager", "naive", "lazy"]
 
@@ -153,7 +154,7 @@ class ClusterPool:
     def _pack(self, bits: int):
         """The int mask *bits* in the pool's representation."""
         if self.kernel == DENSE_KERNEL:
-            return blocks_from_int(bits, self.answers.n)
+            return int_to_blocks(bits, self.answers.n)
         return bits
 
     def _pack_value_masks(self) -> None:

@@ -35,6 +35,7 @@ import time
 from typing import Any
 
 from repro.core.answers import AnswerSet
+from repro.core.bitset import DENSE_KERNEL
 from repro.obs import Telemetry
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace import AppendEvent, Trace, compile_trace
@@ -406,9 +407,12 @@ def _differential(
 # -- append bit-identity check ------------------------------------------------
 
 
-def _masks_identical(maintained, rebuilt, dense: bool) -> bool:
+def _masks_identical(maintained, rebuilt) -> bool:
     if set(maintained.patterns()) != set(rebuilt.patterns()):
         return False
+    # Key on the kernel the pool resolved: without numpy a "dense"
+    # request builds int masks.
+    dense = rebuilt.kernel == DENSE_KERNEL
     for pattern in rebuilt.patterns():
         left, right = maintained.mask(pattern), rebuilt.mask(pattern)
         if dense:
@@ -443,9 +447,7 @@ def check_append_identity(
             )
             maintained = maintained.extended(current, delta)
         rebuilt = ClusterPool(current, L, kernel=kernel)
-        verdicts[kernel] = _masks_identical(
-            maintained, rebuilt, dense=(kernel == "dense")
-        )
+        verdicts[kernel] = _masks_identical(maintained, rebuilt)
     return {
         "kernels": verdicts,
         "batches": len(events),

@@ -9,6 +9,18 @@ import pytest
 
 from repro.core.answers import AnswerSet
 
+try:  # the viz extra: repro.viz's placement solves with numpy and scipy
+    import scipy.optimize  # noqa: F401
+except ImportError:
+    HAVE_VIZ = False
+else:
+    HAVE_VIZ = True
+
+#: Skips a test that runs repro.viz code where the viz extra is missing.
+needs_viz = pytest.mark.skipif(
+    not HAVE_VIZ, reason="needs the viz extra (numpy, scipy)"
+)
+
 #: Wall-clock-dependent response fields, zeroed before any byte
 #: comparison — the golden-file convention shared by the service tests,
 #: the server transport-parity tests, and benchmarks/bench_server_load.py.

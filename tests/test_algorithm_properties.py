@@ -219,22 +219,6 @@ def test_kernels_produce_identical_solutions(instance):
 
 @settings(max_examples=15, deadline=None)
 @given(dyadic_instances())
-def test_kernels_identical_on_array_fallback(instance):
-    """The dense kernel's stdlib array fallback (numpy disabled) is
-    bit-identical to the numpy backend and to the bitset kernel."""
-    from repro.core import dense
-
-    answers, k, L, D = instance
-    reference = bottom_up(ClusterPool(answers, L=L), k, D)
-    with dense.numpy_disabled():
-        pool = ClusterPool(answers, L=L, kernel="dense")
-        solution = bottom_up(pool, k, D, kernel="dense")
-    assert solution.patterns() == reference.patterns()
-    assert solution.value_sum == reference.value_sum
-
-
-@settings(max_examples=15, deadline=None)
-@given(dyadic_instances())
 def test_brute_force_kernels_agree(instance):
     """The exact search finds the same optimum on all three kernels."""
     answers, _, L, D = instance

@@ -4,9 +4,8 @@ The append scenario's core guarantee: after any sequence of row appends,
 the incrementally maintained state — :meth:`AnswerSet.extended`'s grown
 set plus :meth:`ClusterPool.extended`'s carried-over pool — is *bit-identical*
 to rebuilding from scratch over the concatenated rows, across all three
-kernels (python/bitset share int masks; dense on both the numpy and the
-stdlib-array backend), all three mapping strategies, and both coverage
-modes.  On top sit the service-layer contracts: dataset versions key
+kernels (python/bitset share int masks; dense packs uint64 blocks) and
+all three mapping strategies.  On top sit the service-layer contracts: dataset versions key
 caches so stale pools/stores are unreachable, cached pools are carried
 over (not dropped) by an append, and the ``append_rows`` wire kind
 round-trips with typed errors for hostile input.
@@ -19,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.answers import AnswerSet
+from repro.core.bitset import DENSE_KERNEL
 from repro.core.bottom_up import bottom_up
-from repro.core.dense import numpy_disabled
 from repro.core.semilattice import ClusterPool
 from repro.service import Engine
 from repro.service.serve import Dispatcher
@@ -110,11 +109,13 @@ def append_runs(draw):
     return universe[:base_n], values[:base_n], batches, L, strategy
 
 
-def _assert_pools_identical(maintained, rebuilt, dense):
+def _assert_pools_identical(maintained, rebuilt):
     assert list(maintained.patterns()) == list(rebuilt.patterns())
     for pattern in rebuilt.patterns():
         left, right = maintained.mask(pattern), rebuilt.mask(pattern)
-        if dense:
+        # Key on the kernel the pool resolved: without numpy a "dense"
+        # pool holds int masks.
+        if rebuilt.kernel == DENSE_KERNEL:
             assert left._as_int() == right._as_int(), pattern
             assert left.nbits == right.nbits
         else:
@@ -137,7 +138,7 @@ def test_pool_after_appends_equals_rebuild_int_masks(run):
         answers, delta = answers.extended(rows, row_values)
         pool = pool.extended(answers, delta)
         rebuilt = ClusterPool(answers, L, strategy=strategy)
-        _assert_pools_identical(pool, rebuilt, dense=False)
+        _assert_pools_identical(pool, rebuilt)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,23 +151,7 @@ def test_pool_after_appends_equals_rebuild_dense_numpy(run):
         answers, delta = answers.extended(rows, row_values)
         pool = pool.extended(answers, delta)
         rebuilt = ClusterPool(answers, L, strategy=strategy, kernel="dense")
-        _assert_pools_identical(pool, rebuilt, dense=True)
-
-
-@settings(max_examples=25, deadline=None)
-@given(append_runs())
-def test_pool_after_appends_equals_rebuild_dense_fallback(run):
-    elements, values, batches, L, strategy = run
-    with numpy_disabled():
-        answers = AnswerSet(elements, values)
-        pool = ClusterPool(answers, L, strategy=strategy, kernel="dense")
-        for rows, row_values in batches:
-            answers, delta = answers.extended(rows, row_values)
-            pool = pool.extended(answers, delta)
-            rebuilt = ClusterPool(
-                answers, L, strategy=strategy, kernel="dense"
-            )
-            _assert_pools_identical(pool, rebuilt, dense=True)
+        _assert_pools_identical(pool, rebuilt)
 
 
 @settings(max_examples=30, deadline=None)
@@ -205,7 +190,7 @@ def test_full_rebuild_fallback_when_top_l_churns():
     answers2, delta = answers.extended(rows, [99.0, 98.0, 97.0, 96.0])
     maintained = pool.extended(answers2, delta)
     rebuilt = ClusterPool(answers2, L=2)
-    _assert_pools_identical(maintained, rebuilt, dense=False)
+    _assert_pools_identical(maintained, rebuilt)
 
 
 def test_extended_rejects_inconsistent_delta():

@@ -4,7 +4,6 @@ Cluster mask, and the ClusterPool mask table + bounded fallback cache."""
 
 from __future__ import annotations
 
-import contextlib
 import random
 
 import pytest
@@ -17,6 +16,7 @@ from repro.core.answers import AnswerSet
 from repro.core.bitset import (
     BITSET_KERNEL,
     DEFAULT_KERNEL,
+    DENSE_KERNEL,
     PYTHON_KERNEL,
     bitset_of,
     iter_bits,
@@ -150,27 +150,25 @@ def _values_and_mask(draw):
     return values, bitset_of(indices)
 
 
+@pytest.mark.skipif(not dense.HAVE_NUMPY, reason="compares numpy sums")
 @settings(max_examples=150, deadline=None)
 @given(_values_and_mask())
 def test_value_sums_agree_bit_for_bit(case):
-    """AnswerSet.mask_value_sum on an int mask, the stdlib
-    bitset.mask_value_sum, and the BitBlocks sum of the same bits return
-    the same float, with numpy on and with the stdlib fallback."""
+    """The stdlib bitset.mask_value_sum, the vectorized
+    dense.int_mask_value_sum and the BitBlocks sum of the same bits
+    return the same float, and AnswerSet.mask_value_sum returns it for
+    either mask."""
     values, mask = case
     answers = AnswerSet([(i,) for i in range(len(values))], values)
     # AnswerSet sorts by value; sum the same rank-ordered values.
     ranked = answers.values
-    nbits = len(ranked)
-    backends = [dense.numpy_disabled]
-    if dense.HAVE_NUMPY:
-        backends.append(contextlib.nullcontext)
-    for backend in backends:
-        with backend():
-            expected = mask_value_sum(ranked, mask)
-            blocks = dense.blocks_from_int(mask, nbits)
-            assert answers.mask_value_sum(mask) == expected
-            assert blocks.value_sum(answers.value_table) == expected
-            assert answers.mask_value_sum(blocks) == expected
+    table = answers.value_table
+    blocks = dense.int_to_blocks(mask, len(ranked))
+    expected = mask_value_sum(ranked, mask)
+    assert dense.int_mask_value_sum(table, mask) == expected
+    assert blocks.value_sum(table) == expected
+    assert answers.mask_value_sum(mask) == expected
+    assert answers.mask_value_sum(blocks) == expected
 
 
 class TestClusterMask:
@@ -187,38 +185,34 @@ class TestPoolMasksAndFallback:
     @pytest.mark.parametrize("strategy", ["eager", "naive", "lazy"])
     def test_pool_masks_match_coverage(self, strategy):
         """Every pattern's mask equals a direct covers() scan, on int and
-        dense pools (both dense backends), before and after extended()."""
+        dense pools, before and after extended()."""
         full = random_answer_set(n=56, m=4, domain=3, seed=6)
         rows = [full.decode(element) for element in full.elements]
         # Interleaved halves: the append lands rows inside the top-6.
         answers = AnswerSet.from_rows(rows[0::2], full.values[0::2])
         grown, delta = answers.extended(rows[1::2], full.values[1::2])
-        setups = [(None, contextlib.nullcontext)]
-        if dense.HAVE_NUMPY:
-            setups.append(("dense", contextlib.nullcontext))
-        setups.append(("dense", dense.numpy_disabled))
-        for kernel, backend in setups:
-            with backend():
-                pool = ClusterPool(answers, L=6, strategy=strategy,
-                                   kernel=kernel)
-                carried = pool.extended(grown, delta)
-                for built in (pool, carried):
-                    elements = built.answers.elements
-                    for pattern in built.patterns():
-                        expected = bitset_of(
-                            index for index, element in enumerate(elements)
-                            if covers(pattern, element)
-                        )
-                        mask = built.mask(pattern)
-                        if kernel == "dense":
-                            assert mask.nbits == len(elements)
-                            mask = mask._as_int()
-                        assert mask == expected, (kernel, pattern)
-                        # The cluster derives its element set from the
-                        # mask on first access: the same scan's indices.
-                        assert built.cluster(pattern).covered == frozenset(
-                            iter_bits(expected)
-                        ), (kernel, pattern)
+        for kernel in (None, "dense"):
+            pool = ClusterPool(answers, L=6, strategy=strategy, kernel=kernel)
+            carried = pool.extended(grown, delta)
+            for built in (pool, carried):
+                elements = built.answers.elements
+                for pattern in built.patterns():
+                    expected = bitset_of(
+                        index for index, element in enumerate(elements)
+                        if covers(pattern, element)
+                    )
+                    mask = built.mask(pattern)
+                    # Key on the kernel the pool resolved: without numpy
+                    # a "dense" pool holds int masks.
+                    if built.kernel == DENSE_KERNEL:
+                        assert mask.nbits == len(elements)
+                        mask = mask._as_int()
+                    assert mask == expected, (kernel, pattern)
+                    # The cluster derives its element set from the
+                    # mask on first access: the same scan's indices.
+                    assert built.cluster(pattern).covered == frozenset(
+                        iter_bits(expected)
+                    ), (kernel, pattern)
 
     def test_value_masks_past_255_codes(self):
         """An attribute with more than 255 distinct codes among the top-L

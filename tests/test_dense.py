@@ -1,13 +1,12 @@
 """Tests for the dense packed-array kernel: :mod:`repro.core.dense`
-primitives on both backends (numpy and the stdlib array fallback), the
-AnswerSet value table, dense ClusterPool construction, the auto kernel
-policy, engine/pool representation matching, and the frontier-width
-argmax counters."""
+primitives, the AnswerSet value table, dense ClusterPool construction,
+the auto kernel policy (and ``dense``/``auto`` running bitset without
+numpy), engine/pool representation matching, and the frontier-width
+argmax counters.  Tests of the kernel itself skip when numpy is absent."""
 
 from __future__ import annotations
 
 import random
-from array import array
 
 import pytest
 
@@ -30,40 +29,34 @@ from repro.core.merge import MergeEngine
 from repro.core.semilattice import ClusterPool
 from tests.conftest import random_answer_set
 
-#: Both backends when numpy is importable, else just the fallback.
-BACKENDS = ("numpy", "array") if dense.HAVE_NUMPY else ("array",)
+#: Marks tests of the dense kernel itself, which exists only with numpy.
+needs_numpy = pytest.mark.skipif(
+    not dense.HAVE_NUMPY, reason="the dense kernel needs numpy"
+)
+
+#: The one mask backend; kept as a parameter so the test ids name it.
+BACKENDS = ("numpy",)
 
 
-def _backend(name):
-    """Context under which masks build on the requested backend."""
-    if name == "array":
-        return dense.numpy_disabled()
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
+@needs_numpy
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBitBlocksPrimitives:
     def test_roundtrip_and_popcount(self, backend):
-        with _backend(backend):
-            for nbits, indices in (
-                (1, []),
-                (8, [0]),
-                (64, [0, 63]),
-                (65, [0, 63, 64]),
-                (1000, [0, 1, 63, 64, 65, 999]),
-                (300, list(range(0, 300, 3))),
-            ):
-                mask = dense.blocks_of(indices, nbits)
-                assert list(mask.indices()) == sorted(indices)
-                assert mask.bit_count() == len(indices)
-                assert bool(mask) == bool(indices)
-                assert mask.nblocks == (nbits + 63) // 64
-                packed = mask.blocks()
-                assert isinstance(packed, array)
-                assert packed.typecode == "Q"
-                assert len(packed) == mask.nblocks
+        for nbits, indices in (
+            (1, []),
+            (8, [0]),
+            (64, [0, 63]),
+            (65, [0, 63, 64]),
+            (1000, [0, 1, 63, 64, 65, 999]),
+            (300, list(range(0, 300, 3))),
+        ):
+            mask = dense.blocks_of(indices, nbits)
+            assert list(mask.indices()) == sorted(indices)
+            assert mask.bit_count() == len(indices)
+            assert bool(mask) == bool(indices)
+            assert mask.nblocks == (nbits + 63) // 64
+            assert mask._as_int() == bitset_of(indices)
+            assert dense.int_to_blocks(bitset_of(indices), nbits) == mask
 
     def test_operators_match_int_masks(self, backend):
         rng = random.Random(11)
@@ -71,52 +64,37 @@ class TestBitBlocksPrimitives:
         a_ids = rng.sample(range(nbits), 120)
         b_ids = rng.sample(range(nbits), 200)
         ia, ib = bitset_of(a_ids), bitset_of(b_ids)
-        with _backend(backend):
-            ba = dense.blocks_of(a_ids, nbits)
-            bb = dense.blocks_of(b_ids, nbits)
-            for op in ("__and__", "__or__", "__xor__"):
-                expected = getattr(ia, op)(ib)
-                got = getattr(ba, op)(bb)
-                assert list(got.indices()) == list(
-                    dense.mask_indices(expected)
-                )
-            andnot = ba & ~bb
-            assert list(andnot.indices()) == list(
-                dense.mask_indices(ia & ~ib)
-            )
-            assert (~ba).bit_count() == nbits - len(a_ids)
+        ba = dense.blocks_of(a_ids, nbits)
+        bb = dense.blocks_of(b_ids, nbits)
+        for op in ("__and__", "__or__", "__xor__"):
+            expected = getattr(ia, op)(ib)
+            got = getattr(ba, op)(bb)
+            assert list(got.indices()) == list(dense.mask_indices(expected))
+        andnot = ba & ~bb
+        assert list(andnot.indices()) == list(dense.mask_indices(ia & ~ib))
+        assert (~ba).bit_count() == nbits - len(a_ids)
 
     def test_test_and_lowest_bit(self, backend):
-        with _backend(backend):
-            mask = dense.blocks_of([3, 70, 128], 200)
-            assert mask.test(3) and mask.test(70) and mask.test(128)
-            assert not mask.test(0) and not mask.test(199)
-            assert mask.lowest_bit() == 3
-            assert dense.zero_blocks(200).lowest_bit() == -1
-            assert dense.first_n_blocks(5, 200).bit_count() == 5
+        mask = dense.blocks_of([3, 70, 128], 200)
+        assert mask.test(3) and mask.test(70) and mask.test(128)
+        assert not mask.test(0) and not mask.test(199)
+        assert mask.lowest_bit() == 3
+        assert dense.zero_blocks(200).lowest_bit() == -1
+        assert dense.first_n_blocks(5, 200).bit_count() == 5
 
     def test_bit_length_matches_int(self, backend):
         """``bit_length()`` is ``int.bit_length()`` of the packed view:
         the empty mask, a bit in the last (partial) block, and random
         masks over universes that end mid-block and on a block edge."""
         rng = random.Random(17)
-        with _backend(backend):
-            assert dense.zero_blocks(200).bit_length() == 0
-            assert dense.blocks_of([199], 200).bit_length() == 200
-            assert dense.blocks_of([0], 1).bit_length() == 1
-            for nbits in (1, 63, 64, 65, 200, 4096):
-                for count in (0, 1, 2, 17):
-                    ids = rng.sample(range(nbits), min(count, nbits))
-                    mask = dense.blocks_of(ids, nbits)
-                    assert mask.bit_length() == bitset_of(ids).bit_length()
-
-    def test_equality_across_backends(self, backend):
-        ids = [1, 64, 129]
-        with _backend(backend):
-            first = dense.blocks_of(ids, 200)
-        second = dense.blocks_of(ids, 200)  # whatever backend is active
-        assert first == second
-        assert first != dense.blocks_of([1, 64], 200)
+        assert dense.zero_blocks(200).bit_length() == 0
+        assert dense.blocks_of([199], 200).bit_length() == 200
+        assert dense.blocks_of([0], 1).bit_length() == 1
+        for nbits in (1, 63, 64, 65, 200, 4096):
+            for count in (0, 1, 2, 17):
+                ids = rng.sample(range(nbits), min(count, nbits))
+                mask = dense.blocks_of(ids, nbits)
+                assert mask.bit_length() == bitset_of(ids).bit_length()
 
     def test_value_sum_bit_identical_to_bitset(self, backend):
         """Sparse and vectorized paths produce the exact floats of the
@@ -125,52 +103,44 @@ class TestBitBlocksPrimitives:
         nbits = 4000
         values = [rng.uniform(0.0, 9.0) for _ in range(nbits)]
         table = dense.ValueTable(values)
-        with _backend(backend):
-            for count in (0, 1, 30, 500, 3500):
-                ids = sorted(rng.sample(range(nbits), count))
-                int_sum = mask_value_sum(values, bitset_of(ids))
-                blocks_sum = dense.blocks_of(ids, nbits).value_sum(table)
-                assert blocks_sum == int_sum  # exact, not approx
+        for count in (0, 1, 30, 500, 3500):
+            ids = sorted(rng.sample(range(nbits), count))
+            int_sum = mask_value_sum(values, bitset_of(ids))
+            blocks_sum = dense.blocks_of(ids, nbits).value_sum(table)
+            assert blocks_sum == int_sum  # exact, not approx
 
     def test_value_sum_monotone_under_superset(self, backend):
         """Ascending sequential summation keeps subset sums dominated by
         superset sums for non-negative values — the heap argmax's
-        soundness precondition — on both backends."""
+        soundness precondition."""
         rng = random.Random(13)
         nbits = 2500
         values = [rng.uniform(0.0, 1.0) for _ in range(nbits)]
         table = dense.ValueTable(values)
-        with _backend(backend):
-            subset = sorted(rng.sample(range(nbits), 700))
-            superset = sorted(
-                set(subset) | set(rng.sample(range(nbits), 1200))
-            )
-            assert dense.blocks_of(subset, nbits).value_sum(
-                table
-            ) <= dense.blocks_of(superset, nbits).value_sum(table)
+        subset = sorted(rng.sample(range(nbits), 700))
+        superset = sorted(set(subset) | set(rng.sample(range(nbits), 1200)))
+        assert dense.blocks_of(subset, nbits).value_sum(
+            table
+        ) <= dense.blocks_of(superset, nbits).value_sum(table)
 
 
 class TestValueTable:
-    def test_packed_row_and_list(self):
-        table = dense.ValueTable([3.0, 1.5, 2.25])
-        assert isinstance(table.packed, array)
-        assert table.packed.typecode == "d"
-        assert list(table.packed) == [3.0, 1.5, 2.25]
-        assert len(table) == 3
-
-    @pytest.mark.skipif(not dense.HAVE_NUMPY, reason="needs numpy")
+    @needs_numpy
     def test_np_view_is_zero_copy(self):
         import numpy as np
 
         table = dense.ValueTable([1.0, 2.0])
         assert table.np_view.dtype == np.float64
         assert table.np_view.tolist() == [1.0, 2.0]
+        assert table.np_view is table.np_view  # built once
 
     def test_answer_set_value_table_cached(self):
         answers = random_answer_set(n=10, m=3, domain=4, seed=1)
         assert answers.value_table is answers.value_table
-        assert list(answers.value_table.packed) == answers.values
+        assert answers.value_table.values == answers.values
+        assert len(answers.value_table) == answers.n
 
+    @needs_numpy
     def test_answer_set_mask_value_sum_dispatch(self):
         answers = random_answer_set(n=32, m=3, domain=4, seed=2)
         ids = [1, 5, 17, 31]
@@ -189,59 +159,89 @@ class TestKernelResolution:
         assert "auto" in KERNEL_CHOICES
         assert "auto" not in KERNELS
 
+    @needs_numpy
     def test_explicit_names_pass_through(self):
         for name in KERNELS:
             assert resolve_kernel(name) == name
             assert resolve_kernel(name, n=10**7) == name
 
+    @needs_numpy
     def test_auto_policy(self):
         small = resolve_kernel("auto", n=DENSE_AUTO_THRESHOLD - 1)
         assert small == BITSET_KERNEL
         large = resolve_kernel("auto", n=DENSE_AUTO_THRESHOLD)
-        if dense.numpy_enabled():
-            assert large == DENSE_KERNEL
-        else:
-            assert large == BITSET_KERNEL
+        assert large == DENSE_KERNEL
         # Unknown size: stay on the default rather than guessing.
         assert resolve_kernel("auto") == BITSET_KERNEL
 
-    def test_auto_needs_numpy(self):
-        with dense.numpy_disabled():
-            assert (
-                resolve_kernel("auto", n=DENSE_AUTO_THRESHOLD)
-                == BITSET_KERNEL
-            )
+    def test_dense_and_auto_run_bitset_without_numpy(
+        self, monkeypatch, small_answers
+    ):
+        """Without numpy, ``dense`` and ``auto`` resolve to bitset, and a
+        served summary and explore asking for ``dense`` report and
+        return the bitset answer.  Patching the flag stands in for a
+        process without numpy; without numpy it patches nothing."""
+        from repro.service import Engine
+        from repro.service.api import ExploreRequest, SummaryRequest
+
+        monkeypatch.setattr(dense, "HAVE_NUMPY", False)
+        assert resolve_kernel("dense") == BITSET_KERNEL
+        assert resolve_kernel("dense", n=10**7) == BITSET_KERNEL
+        assert (
+            resolve_kernel("auto", n=DENSE_AUTO_THRESHOLD) == BITSET_KERNEL
+        )
+        engine = Engine()
+        engine.register_dataset("ds", small_answers)
+
+        def submit(make, kernel):
+            response = engine.submit(make(kernel)).to_dict()
+            for key in ("cache_hit", "init_seconds", "algo_seconds",
+                        "total_seconds", "phase_seconds"):
+                response.pop(key)
+            return response
+
+        def summary(kernel):
+            return SummaryRequest(dataset="ds", k=3, L=8, D=1,
+                                  algorithm="bottom-up",
+                                  options={"kernel": kernel})
+
+        def explore(kernel):
+            return ExploreRequest(dataset="ds", k=3, L=8, D=1,
+                                  k_range=(2, 5), d_values=(0, 1),
+                                  kernel=kernel)
+
+        for make in (summary, explore):
+            asked_dense = submit(make, "dense")
+            assert asked_dense["kernel"] == BITSET_KERNEL
+            assert asked_dense == submit(make, "bitset")
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
             resolve_kernel("numpy")
 
 
+@needs_numpy
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("strategy", ["eager", "naive", "lazy"])
 class TestDensePools:
     def test_masks_match_bitset_pool(self, backend, strategy):
         answers = random_answer_set(n=40, m=4, domain=3, seed=6)
         reference = ClusterPool(answers, L=6, strategy=strategy)
-        with _backend(backend):
-            pool = ClusterPool(
-                answers, L=6, strategy=strategy, kernel="dense"
+        pool = ClusterPool(answers, L=6, strategy=strategy, kernel="dense")
+        assert pool.kernel == DENSE_KERNEL
+        for pattern in pool.patterns():
+            mask = pool.mask(pattern)
+            assert isinstance(mask, dense.BitBlocks)
+            assert frozenset(mask.indices()) == reference.coverage(pattern)
+            assert pool.coverage(pattern) == reference.coverage(pattern)
+            cluster = pool.cluster(pattern)
+            assert cluster.mask is mask or cluster.mask == mask
+            assert cluster.value_sum == pytest.approx(
+                sum(answers.values[i] for i in cluster.covered)
             )
-            assert pool.kernel == DENSE_KERNEL
-            for pattern in pool.patterns():
-                mask = pool.mask(pattern)
-                assert isinstance(mask, dense.BitBlocks)
-                assert frozenset(mask.indices()) == reference.coverage(
-                    pattern
-                )
-                assert pool.coverage(pattern) == reference.coverage(pattern)
-                cluster = pool.cluster(pattern)
-                assert cluster.mask is mask or cluster.mask == mask
-                assert cluster.value_sum == pytest.approx(
-                    sum(answers.values[i] for i in cluster.covered)
-                )
 
 
+@needs_numpy
 class TestEnginePoolMatching:
     def test_dense_engine_rejects_int_pool(self, tiny_answers):
         pool = ClusterPool(tiny_answers, L=4)
@@ -270,22 +270,19 @@ class TestEnginePoolMatching:
         """The engine's mask-facing read API (is_covered, covered_count,
         covered_indices, is_fully_covered) works on packed-block masks —
         regression test: is_covered used the int-only shift expression."""
-        with _backend(backend):
-            pool = ClusterPool(tiny_answers, L=4, kernel="dense")
-            engine = MergeEngine(
-                pool, (pool.singleton(i) for i in range(4)), kernel="dense"
-            )
-            int_pool = ClusterPool(tiny_answers, L=4)
-            reference = MergeEngine(
-                int_pool, (int_pool.singleton(i) for i in range(4))
-            )
-            for index in range(tiny_answers.n):
-                assert engine.is_covered(index) == reference.is_covered(
-                    index
-                )
-            assert engine.covered_count == reference.covered_count
-            assert engine.covered_indices() == reference.covered_indices()
-            assert engine.is_fully_covered(pool.singleton(0))
+        pool = ClusterPool(tiny_answers, L=4, kernel="dense")
+        engine = MergeEngine(
+            pool, (pool.singleton(i) for i in range(4)), kernel="dense"
+        )
+        int_pool = ClusterPool(tiny_answers, L=4)
+        reference = MergeEngine(
+            int_pool, (int_pool.singleton(i) for i in range(4))
+        )
+        for index in range(tiny_answers.n):
+            assert engine.is_covered(index) == reference.is_covered(index)
+        assert engine.covered_count == reference.covered_count
+        assert engine.covered_indices() == reference.covered_indices()
+        assert engine.is_fully_covered(pool.singleton(0))
 
     def test_heap_argmax_allowed_on_dense(self, tiny_answers):
         pool = ClusterPool(tiny_answers, L=4, kernel="dense")
@@ -299,6 +296,7 @@ class TestEnginePoolMatching:
         assert engine.kernel == DENSE_KERNEL
 
 
+@needs_numpy
 class TestProblemInstancePools:
     def test_pool_for_caches_per_representation(self, small_answers):
         from repro.core.problem import ProblemInstance
@@ -358,6 +356,7 @@ class TestFrontierWidthCounters:
 
 
 class TestServiceDenseKernel:
+    @needs_numpy
     def test_summary_reports_dense_and_splits_pool_cache(self, small_answers):
         from repro.service import Engine
         from repro.service.api import SummaryRequest
@@ -388,6 +387,7 @@ class TestServiceDenseKernel:
         # Small n: the policy lands on the default kernel.
         assert response.kernel == BITSET_KERNEL
 
+    @needs_numpy
     def test_explore_accepts_dense(self, small_answers):
         from repro.service import Engine
         from repro.service.api import ExploreRequest

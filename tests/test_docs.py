@@ -420,18 +420,13 @@ def test_rounds_vs_groups_floors_hold_in_committed_results():
 
 
 def test_dense_scaling_floors_hold_in_committed_results():
-    """The committed full run must satisfy the dense-kernel floors: the
-    numpy backend >= 3x bitset at n = 10^6, and the stdlib array
-    fallback never below 0.9x bitset at any measured size."""
+    """The committed full run must satisfy the dense-kernel floor: the
+    numpy backend >= 3x bitset at n = 10^6."""
     import sys
 
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     try:
-        from run_bench import (
-            DENSE_FALLBACK_SPEEDUP_FLOOR,
-            DENSE_FLOOR_N,
-            DENSE_NUMPY_SPEEDUP_FLOOR,
-        )
+        from run_bench import DENSE_FLOOR_N, DENSE_NUMPY_SPEEDUP_FLOOR
     finally:
         sys.path.pop(0)
     scaling = next(
@@ -439,14 +434,11 @@ def test_dense_scaling_floors_hold_in_committed_results():
         if w["name"] == "dense_scaling"
     )
     # The committed run must exercise the vectorized backend and reach
-    # the million-row size the floors are defined at.
+    # the million-row size the floor is defined at.
     assert scaling["params"]["numpy"] is True
     assert DENSE_FLOOR_N in scaling["params"]["sizes"]
     floored = 0
     for n_text, ratios in scaling["dense_speedups"].items():
-        assert (
-            ratios["dense-fallback"] >= DENSE_FALLBACK_SPEEDUP_FLOOR
-        ), n_text
         if int(n_text) >= DENSE_FLOOR_N:
             assert (
                 ratios["dense-numpy"] >= DENSE_NUMPY_SPEEDUP_FLOOR

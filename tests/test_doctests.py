@@ -21,7 +21,13 @@ import repro.service.engine
         repro.core.problem,
         repro.common.timing,
         repro.core.bitset,
-        repro.core.dense,
+        pytest.param(
+            repro.core.dense,
+            marks=pytest.mark.skipif(
+                not repro.core.dense.HAVE_NUMPY,
+                reason="the dense kernel's examples need numpy",
+            ),
+        ),
         repro.core.merge,
         repro.server.singleflight,
         repro.service.engine,

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.conftest import needs_viz
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -32,6 +34,7 @@ def test_quickstart():
     assert "rank" in output  # second layer shown
 
 
+@needs_viz
 def test_movielens_exploration():
     output = run_example("movielens_exploration.py")
     assert "Figure 1b" in output

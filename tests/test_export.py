@@ -10,14 +10,18 @@ from repro.core.problem import ProblemInstance
 from repro.core.semilattice import ClusterPool
 from repro.interactive.guidance import build_guidance_view
 from repro.interactive.precompute import SolutionStore
-from repro.viz.comparison import build_comparison
-from repro.viz.export import (
+from tests.conftest import HAVE_VIZ, random_answer_set
+
+if not HAVE_VIZ:
+    pytest.skip("needs the viz extra (numpy, scipy)", allow_module_level=True)
+
+from repro.viz.comparison import build_comparison  # noqa: E402
+from repro.viz.export import (  # noqa: E402
     comparison_payload,
     guidance_payload,
     solution_payload,
     to_json,
 )
-from tests.conftest import random_answer_set
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from repro.interactive import ExplorationSession
 from repro.query.aggregate import AggregateQuery, run_aggregate
 from repro.query.sql import execute_sql
 from repro.userstudy import run_study
-from repro.viz.comparison import build_comparison
+from tests.conftest import needs_viz
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,10 @@ class TestMovieLensPipeline:
         decoded = answers.decode(solution.clusters[0].pattern)
         assert len(decoded) == 4
 
+    @needs_viz
     def test_query_then_explore_then_compare(self, movielens_db):
+        from repro.viz.comparison import build_comparison
+
         result = execute_sql(
             "SELECT hdec, agegrp, gender, avg(rating) AS val "
             "FROM RatingTable GROUP BY hdec, agegrp, gender "

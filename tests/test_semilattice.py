@@ -77,7 +77,7 @@ class TestCoverageMapping:
         released together by a barrier: every mask and cluster mask equals
         a direct covers() scan, and every pattern ends up derived."""
         if kernel == "dense" and not dense.HAVE_NUMPY:
-            pytest.skip("dense pools build vectorized only with numpy")
+            pytest.skip("the dense kernel needs numpy")
         answers = random_answer_set(n=120, m=4, domain=4, seed=21)
         pool = ClusterPool(answers, L=16, kernel=kernel)
         expected = {

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from repro.common.errors import InvalidParameterError
 from repro.core.semilattice import ClusterPool
 from repro.core.hybrid import hybrid
-from repro.viz.comparison import build_comparison, overlap_matrix
-from repro.viz.placement import (
+from tests.conftest import HAVE_VIZ, random_answer_set
+
+if not HAVE_VIZ:
+    pytest.skip("needs the viz extra (numpy, scipy)", allow_module_level=True)
+
+from repro.viz.comparison import build_comparison, overlap_matrix  # noqa: E402
+from repro.viz.placement import (  # noqa: E402
     brute_force_ordering,
     count_crossings,
     default_ordering,
@@ -18,7 +23,6 @@ from repro.viz.placement import (
     position_cost_matrix,
     total_distance,
 )
-from tests.conftest import random_answer_set
 
 
 class TestPlacementObjective:
