@@ -9,7 +9,8 @@ on integer tuples (the paper reports a ~50x speedup from this).
 :class:`ValueInterner` interns the values of a single attribute;
 :class:`AttributeCodec` bundles one interner per attribute and converts whole
 tuples.  Code ``STAR`` (-1) is reserved for the don't-care value and is never
-assigned to a real value.
+assigned to a real value.  The merge engine goes one step further and packs
+a whole code tuple into one int (:class:`repro.core.cluster.Packing`).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ sorted by descending value, which is the representation every algorithm in
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from repro.common.errors import InvalidParameterError, SchemaError
@@ -70,6 +71,14 @@ class AnswerSet:
         self.elements: list[tuple[int, ...]] = [elements[i] for i in order]
         self.values: list[float] = [float(values[i]) for i in order]
         self.codec = codec
+        #: The largest code an attribute of this set holds, which sizes
+        #: the cluster pools' packed pattern keys.  A codec bounds it in
+        #: O(m) (codes are dense and append-only); without one, one scan.
+        if codec is not None:
+            self.top_code = max(map(codec.domain_size, range(arity)),
+                                default=0) - 1
+        else:
+            self.top_code = max(chain.from_iterable(self.elements), default=-1)
         self._prefix_sums: list[float] | None = None
         self._avg_all: float | None = None
         self._min_value: float | None = None

@@ -15,11 +15,20 @@ on patterns and is monotone under generalization (Proposition 4.2), which is
 what lets the greedy merges of Section 5 never re-violate the distance
 constraint.
 
-All functions here operate on plain ``tuple[int, ...]`` patterns for speed;
-:class:`Cluster` is the value-carrying wrapper used in solutions.  It
-carries its covered set as a mask with a popcount and a value sum; the
-element-index frozenset is built on demand, only when a caller asks for
-elements.
+Patterns are plain ``tuple[int, ...]``: the API and wire type, and what
+the functions here operate on.  :class:`Cluster` is the value-carrying
+wrapper used in solutions.  It carries its covered set as a mask with a
+popcount and a value sum; the element-index frozenset is built on
+demand, only when a caller asks for elements.
+
+The merge engine runs on *keys* instead: each pool packs its patterns
+into ints with one :class:`Packing`, the only code that knows this
+layout.  Field i holds ``code + 1`` of attribute i (so ``*`` is 0) in
+``width`` bits under a guard bit that stays 0; attribute 0 takes the
+most significant field.  All fields share one width, and ``*`` is the
+smallest code, so key order is tuple order.  The LCA, the distance and
+the cover test then take a few int operations each (see
+:class:`Packing`), where the tuple functions loop over the attributes.
 """
 
 from __future__ import annotations
@@ -90,23 +99,6 @@ def lca(p1: Pattern, p2: Pattern) -> Pattern:
     minimal pattern covering both).
     """
     return tuple(a if a == b else STAR for a, b in zip(p1, p2))
-
-
-def lca_and_distance(p1: Pattern, p2: Pattern) -> tuple[Pattern, int]:
-    """:func:`lca` and :func:`distance` in one traversal.
-
-    The merge engine's pair table needs both for every registered pair;
-    fusing the loops halves that (hot) bookkeeping cost.
-    """
-    joined = []
-    d = 0
-    for a, b in zip(p1, p2):
-        if a == b and a != STAR:
-            joined.append(a)
-        else:
-            joined.append(STAR)
-            d += 1
-    return tuple(joined), d
 
 
 def lca_many(patterns: Iterable[Pattern]) -> Pattern:
@@ -182,6 +174,92 @@ def format_pattern(pattern: Pattern, values: Sequence[object] | None = None) -> 
     return "(%s)" % ", ".join(rendered)
 
 
+class Packing:
+    """Packed-int keys for the patterns over one answer set.
+
+    *top_code* is the largest code any attribute can hold; the field
+    width is the bit length of ``top_code + 1``.  With ``g`` the guard
+    bits of all fields and ``lo`` the value bits, a field's guard bit
+    in ``(x + lo) & g`` is set exactly when the field of ``x`` is not 0
+    (the carry out of ``field + 2^width - 1`` lands there, and no
+    further), and ``h - (h >> width)`` spreads guard bits ``h`` over
+    the value bits of their fields.  Hence:
+
+    * ``lca(a, b)`` clears the fields where ``a`` and ``b`` differ;
+    * ``distance(a, b)`` is m minus the non-star fields of the LCA;
+    * ``covers(a, d)`` holds when ``a ^ d`` is 0 on the non-star fields
+      of ``a``.
+    """
+
+    __slots__ = ("m", "width", "_shifts", "_low", "_guards")
+
+    def __init__(self, m: int, top_code: int) -> None:
+        self.m = m
+        self.width = (top_code + 1).bit_length()
+        step = self.width + 1
+        self._shifts = tuple(step * attr for attr in reversed(range(m)))
+        ones = (1 << self.width) - 1
+        self._low = sum(ones << shift for shift in self._shifts)
+        self._guards = sum(1 << self.width << shift for shift in self._shifts)
+
+    def pack(self, pattern: Pattern) -> int:
+        """The key of *pattern*; ``ValueError`` if it has the wrong arity
+        or a code whose ``code + 1`` does not fit the field width."""
+        if len(pattern) != self.m:
+            raise ValueError(
+                "pattern arity %d != packing arity %d" % (len(pattern), self.m)
+            )
+        step = self.width + 1
+        limit = 1 << self.width
+        key = 0
+        for attr, code in enumerate(pattern):
+            if not -1 <= code < limit - 1:
+                raise ValueError(
+                    "code %r of attribute %d does not fit a %d-bit field"
+                    % (code, attr, self.width)
+                )
+            key = key << step | code + 1
+        return key
+
+    def unpack(self, key: int) -> Pattern:
+        """The pattern whose key is *key*."""
+        ones = (1 << self.width) - 1
+        return tuple((key >> shift & ones) - 1 for shift in self._shifts)
+
+    def lca(self, a: int, b: int) -> int:
+        """Key of the least common ancestor of keys *a* and *b*."""
+        differ = ((a ^ b) + self._low) & self._guards
+        return a & ~(differ - (differ >> self.width))
+
+    def level(self, key: int) -> int:
+        """The number of ``*`` fields of *key* (:func:`level`)."""
+        return self.m - ((key + self._low) & self._guards).bit_count()
+
+    def distance(self, a: int, b: int) -> int:
+        """Cluster distance (:func:`distance`) between keys *a* and *b*:
+        the level of their LCA, which stars exactly the positions the
+        distance counts."""
+        differ = ((a ^ b) + self._low) & self._guards
+        joined = a & ~(differ - (differ >> self.width))
+        return self.m - ((joined + self._low) & self._guards).bit_count()
+
+    def covers(self, ancestor: int, descendant: int) -> bool:
+        """True if key *ancestor* covers key *descendant* (:func:`covers`)."""
+        constant = (ancestor + self._low) & self._guards
+        fields = constant - (constant >> self.width)
+        return not ((ancestor ^ descendant) & fields)
+
+    def strictly_covered(self, ancestor: int, keys: Iterable[int]) -> list[int]:
+        """The keys among *keys* that *ancestor* covers and that differ
+        from it (:func:`strictly_covers`), in their order."""
+        constant = (ancestor + self._low) & self._guards
+        fields = constant - (constant >> self.width)
+        return [
+            key for key in keys
+            if not ((ancestor ^ key) & fields) and key != ancestor
+        ]
+
+
 @dataclass(frozen=True, order=True, init=False)
 class Cluster:
     """A cluster together with the elements of S it covers.
@@ -198,11 +276,16 @@ class Cluster:
     element indices is derived from the mask on first access only (the
     served path never asks for it).  ``Cluster(pattern, covered=...,
     value_sum=...)`` builds the mask from an index set instead.
+
+    ``key`` is the pattern packed by the pool's :class:`Packing`, which
+    the merge engine runs on; a pool gives it to every cluster it
+    materializes, and it is None on a cluster built directly.
     """
 
     pattern: Pattern
     mask: Any = field(compare=False, repr=False)
     value_sum: float = field(compare=False)
+    key: int | None = field(default=None, compare=False, repr=False)
 
     def __init__(
         self,
@@ -210,6 +293,7 @@ class Cluster:
         mask: Any = None,
         value_sum: float = 0.0,
         covered: Iterable[int] | None = None,
+        key: int | None = None,
     ) -> None:
         if mask is None:
             covered = frozenset(covered or ())
@@ -218,6 +302,7 @@ class Cluster:
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "value_sum", value_sum)
+        object.__setattr__(self, "key", key)
         object.__setattr__(self, "size", mask.bit_count())
 
     @cached_property

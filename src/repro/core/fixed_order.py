@@ -21,7 +21,7 @@ import random as _random
 from typing import Sequence
 
 from repro.common.errors import InvalidParameterError
-from repro.core.cluster import Cluster, Pattern, distance, lca_many
+from repro.core.cluster import Cluster, Pattern, lca_many
 from repro.core.merge import TARGET_COUNTERS, MergeEngine
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution, floor_at_root
@@ -47,12 +47,7 @@ def _process_incoming(engine: MergeEngine, incoming: Cluster, k: int, D: int) ->
         return
     members = engine.members()
     if engine.size < k:
-        pattern = incoming.pattern
-        near = [
-            member
-            for member in members
-            if distance(pattern, member.pattern) < D
-        ]
+        near = engine.near_members(incoming, D)
         if not near:
             engine.add(incoming)
             return

@@ -77,6 +77,14 @@ Evaluation is the hot path, and two layers of optimization live here:
   silently falls back to the scan and an explicit ``argmax="heap"`` is
   rejected.
 
+All of this runs on the clusters' packed *keys*
+(:class:`~repro.core.cluster.Packing`): the solution, the delta cache,
+the pair table, the LCA groups and the heaps are keyed by them, and
+every LCA, distance and strict-cover test is a few int operations on
+them instead of a loop over a pattern tuple.  Key order is pattern
+order, so every tie-break is the one the patterns give; callers still
+pass and receive clusters, whose patterns stay the API.
+
 Note: Algorithm 2 in the paper transposes the assignments of ``delta_sum``
 and ``delta_cnt`` (lines 6-7 and 10-11); we implement the evidently
 intended semantics (sum of values vs. element count).
@@ -114,14 +122,7 @@ from repro.core.bitset import (
     bitset_of,
     resolve_kernel,
 )
-from repro.core.cluster import (
-    Cluster,
-    Pattern,
-    distance,
-    lca,
-    lca_and_distance,
-    strictly_covers,
-)
+from repro.core.cluster import Cluster
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution
 
@@ -207,11 +208,12 @@ TARGET_COUNTERS = ("target_rounds", "target_groups", "target_evals")
 class _ArgmaxHeap:
     """One lazy max-heap of LCA groups for one distance filter.
 
-    ``entries`` is a heapified list of ``(-priority, lca_pattern)``;
-    ``meta`` maps each live candidate pattern to ``(priority,
-    stale_marginal_sum, stale_mass)``, where the newest heap entry for a
-    pattern is the one whose priority matches ``meta`` (older duplicates
-    are discarded lazily on pop).
+    ``entries`` is a heapified list of ``(-priority, lca_key)``, the LCA
+    as its packed key (key order is pattern order, so ties pop in the
+    order of the tie-break key); ``meta`` maps each live candidate key
+    to ``(priority, stale_marginal_sum, stale_mass)``, where the newest
+    heap entry for a key is the one whose priority matches ``meta``
+    (older duplicates are discarded lazily on pop).
 
     The three stale ingredients bound a group's current post-merge
     objective ``(S + delta_sum) / (C + delta_cnt)`` from above, given only
@@ -239,8 +241,8 @@ class _ArgmaxHeap:
     __slots__ = ("entries", "meta", "s_floor")
 
     def __init__(self, s_floor: float) -> None:
-        self.entries: list[tuple[float, Pattern]] = []
-        self.meta: dict[Pattern, tuple[float, float, int]] = {}
+        self.entries: list[tuple[float, int]] = []
+        self.meta: dict[int, tuple[float, float, int]] = {}
         self.s_floor = s_floor
 
 
@@ -256,21 +258,23 @@ class _DeltaState:
 
 
 #: One row of the persistent pair table: ``(first, second, distance,
-#: lca_cluster)`` with ``first.pattern < second.pattern`` — mirroring the
-#: order in which the naive path enumerates pairs, so tie-breaking keys are
-#: identical across kernels.  Rows are plain tuples (cheapest to build and
-#: index) and immutable once built: distance and LCA depend only on the two
-#: patterns, never on the covered state, which is what makes the table safe
-#: to keep across rounds and to share (shallow-copied) with clones.
+#: lca_cluster)`` with ``first.key < second.key``, stored under the key
+#: pair ``(first.key, second.key)``.  Key order is pattern order, so the
+#: key pairs sort as the naive path enumerates pairs and tie-breaking
+#: keys are identical across kernels.  Rows are plain tuples (cheapest to
+#: build and index) and immutable once built: distance and LCA depend
+#: only on the two patterns, never on the covered state, which is what
+#: makes the table safe to keep across rounds and to share
+#: (shallow-copied) with clones.
 _PairRow = tuple[Cluster, Cluster, int, Cluster]
 
-#: Pairs grouped by their LCA pattern: ``(distance, lca_cluster, rows)``
-#: where ``rows`` maps pair keys to their table rows.  Every pair in a
-#: group shares one distance (``distance(p1, p2) == level(lca(p1, p2))``:
-#: the LCA stars exactly the disagreeing positions) and one post-merge
-#: objective, so the per-round argmax scans *groups*, evaluating each LCA
-#: once, instead of scanning all O(|O|^2) pairs.
-_LcaGroup = tuple[int, Cluster, dict[tuple[Pattern, Pattern], _PairRow]]
+#: Pairs grouped by the key of their LCA: ``(distance, lca_cluster,
+#: rows)`` where ``rows`` maps key pairs to their table rows.  Every pair
+#: in a group shares one distance (``distance(p1, p2) == level(lca(p1,
+#: p2))``: the LCA stars exactly the disagreeing positions) and one
+#: post-merge objective, so the per-round argmax scans *groups*,
+#: evaluating each LCA once, instead of scanning all O(|O|^2) pairs.
+_LcaGroup = tuple[int, Cluster, dict[tuple[int, int], _PairRow]]
 
 
 class MergeEngine:
@@ -280,6 +284,11 @@ class MergeEngine:
     cached sum/count, the delta-judgment cache, and (bitset kernel) the
     incremental pair table.  All candidate-selection ties are broken
     lexicographically on cluster patterns so runs are deterministic.
+
+    Internally every structure is keyed by the clusters' packed keys
+    (:class:`~repro.core.cluster.Packing`; key order is pattern order),
+    and every LCA, distance and cover test runs on keys: the engine
+    takes clusters of *pool*, which carry them.
     """
 
     def __init__(
@@ -315,6 +324,7 @@ class MergeEngine:
         else:
             self._ops = INT_MASK_OPS
         self.argmax = resolve_argmax(argmax, self.kernel, self.answers)
+        self._packing = pool.packing
         self._heap_argmax = self.argmax == HEAP_ARGMAX
         #: One lazy heap per distance filter (None = unfiltered phase 2).
         self._heaps: dict[int | None, _ArgmaxHeap] = {}
@@ -332,24 +342,24 @@ class MergeEngine:
             "argmax_pops": 0.0,
             "argmax_pops_max": 0.0,
         }
-        self._solution: dict[Pattern, Cluster] = {}
+        self._solution: dict[int, Cluster] = {}
         self.rounds: int = 0
-        self._delta_cache: dict[Pattern, _DeltaState] = {}
+        self._delta_cache: dict[int, _DeltaState] = {}
         self._covered_sum: float = 0.0
         #: The pair table (mask kernels only): empty and not live until
         #: the first read builds it over the current solution in one pass
         #: (see _pair_table); from then on add/merge maintain it.
         self._pairs_live = False
         if self._masked:
-            self._pairs: dict[tuple[Pattern, Pattern], _PairRow] | None = {}
-            self._by_lca: dict[Pattern, _LcaGroup] | None = {}
+            self._pairs: dict[tuple[int, int], _PairRow] | None = {}
+            self._by_lca: dict[int, _LcaGroup] | None = {}
             self._covered: set[int] | None = None
             self._covered_mask = self._ops.empty(self.answers.n)
             self._last_diff: list[int] = []
             for cluster in clusters:
-                if cluster.pattern in self._solution:
+                if cluster.key in self._solution:
                     continue
-                self._solution[cluster.pattern] = cluster
+                self._solution[cluster.key] = cluster
                 fresh = cluster.mask & ~self._covered_mask
                 if fresh:
                     self._covered_mask |= fresh
@@ -375,9 +385,9 @@ class MergeEngine:
             self._diff_since_cache = {}
             values = self.answers.values
             for cluster in clusters:
-                if cluster.pattern in self._solution:
+                if cluster.key in self._solution:
                     continue
-                self._solution[cluster.pattern] = cluster
+                self._solution[cluster.key] = cluster
                 for index in cluster.covered:
                     if index not in self._covered:
                         self._covered.add(index)
@@ -434,6 +444,7 @@ class MergeEngine:
         twin._masked = self._masked
         twin._ops = self._ops
         twin.argmax = self.argmax
+        twin._packing = self._packing
         twin._heap_argmax = self._heap_argmax
         twin._heaps = {}
         twin.stats = dict(self.stats)
@@ -450,8 +461,8 @@ class MergeEngine:
         twin._pairs = dict(self._pairs) if self._pairs is not None else None
         twin._by_lca = (
             {
-                pattern: (group[0], group[1], dict(group[2]))
-                for pattern, group in self._by_lca.items()
+                joined: (group[0], group[1], dict(group[2]))
+                for joined, group in self._by_lca.items()
             }
             if self._by_lca is not None
             else None
@@ -460,7 +471,7 @@ class MergeEngine:
 
     def clusters(self) -> list[Cluster]:
         """Current clusters in deterministic (pattern-sorted) order."""
-        return [self._solution[p] for p in sorted(self._solution)]
+        return [self._solution[key] for key in sorted(self._solution)]
 
     def members(self) -> Iterable[Cluster]:
         """Current clusters in no particular order: a live view, for
@@ -516,7 +527,7 @@ class MergeEngine:
                     delta_sum += values[index]
                     delta_cnt += 1
             return delta_sum, delta_cnt
-        state = self._delta_cache.get(candidate.pattern)
+        state = self._delta_cache.get(candidate.key)
         if state is not None and state.stamp == self.rounds:
             return state.delta_sum, state.delta_cnt
         if state is not None and state.stamp == self.rounds - 1:
@@ -537,7 +548,7 @@ class MergeEngine:
             if index not in self._covered:
                 delta_sum += values[index]
                 delta_cnt += 1
-        self._delta_cache[candidate.pattern] = _DeltaState(
+        self._delta_cache[candidate.key] = _DeltaState(
             self.rounds, delta_sum, delta_cnt
         )
         return delta_sum, delta_cnt
@@ -559,7 +570,7 @@ class MergeEngine:
             diff = candidate.mask & ~self._covered_mask
             return answers.mask_value_sum(diff), diff.bit_count()
         rounds = self.rounds
-        state = self._delta_cache.get(candidate.pattern)
+        state = self._delta_cache.get(candidate.key)
         if state is not None:
             if state.stamp == rounds:
                 return state.delta_sum, state.delta_cnt
@@ -581,7 +592,7 @@ class MergeEngine:
             )
         else:
             delta_sum = answers.mask_value_sum(diff)
-        self._delta_cache[candidate.pattern] = _DeltaState(
+        self._delta_cache[candidate.key] = _DeltaState(
             rounds, delta_sum, delta_cnt
         )
         return delta_sum, delta_cnt
@@ -597,6 +608,18 @@ class MergeEngine:
         """Objective after merging (c1, c2), and the LCA cluster itself."""
         merged = self._merged_cluster(c1, c2)
         return self.evaluate_candidate(merged), merged
+
+    def near_members(self, cluster: Cluster, D: int) -> list[Cluster]:
+        """The members of O at distance < *D* from *cluster*, in no
+        particular order: the ones Fixed-Order may merge it with while
+        the size budget still has room."""
+        key = cluster.key
+        distance = self._packing.distance
+        return [
+            member
+            for member in self._solution.values()
+            if distance(key, member.key) < D
+        ]
 
     def best_merge_target(
         self, incoming: Cluster, candidates: Iterable[Cluster]
@@ -620,24 +643,24 @@ class MergeEngine:
         every LCA.  A skipped LCA's delta state is left as it is; its next
         read refreshes across the whole window.
         """
-        pattern = incoming.pattern
-        targets: dict[Pattern, Cluster] = {}
+        key = incoming.key
+        lca = self._packing.lca
+        targets: dict[int, Cluster] = {}
         for member in candidates:
-            joined = lca(member.pattern, pattern)
+            joined = lca(member.key, key)
             held = targets.get(joined)
-            if held is None or member.pattern < held.pattern:
+            if held is None or member.key < held.key:
                 targets[joined] = member
         if not targets:
             raise ValueError("no merge candidates available")
         covered_sum = self._covered_sum
         covered_cnt = self.covered_count
-        pool_cluster = self.pool.cluster
+        keyed = self.pool.keyed
         if self._heap_argmax and len(targets) > 1:
             ranked = self._bounded_targets(targets, covered_sum, covered_cnt)
         else:
             ranked = [
-                (float("-inf"), joined, pool_cluster(joined))
-                for joined in targets
+                (float("-inf"), joined, keyed(joined)) for joined in targets
             ]
         marginal = self._marginal
         best_avg = float("-inf")
@@ -662,13 +685,13 @@ class MergeEngine:
 
     def _bounded_targets(
         self,
-        targets: dict[Pattern, Cluster],
+        targets: dict[int, Cluster],
         covered_sum: float,
         covered_cnt: int,
-    ) -> list[tuple[float, Pattern, Cluster]]:
-        """``(-bound, lca, lca_cluster)`` per distinct LCA of *targets*
-        (which maps each LCA to a member under it), sorted: the heap-mode
-        evaluation order of :meth:`best_merge_target`.
+    ) -> list[tuple[float, int, Cluster]]:
+        """``(-bound, lca_key, lca_cluster)`` per distinct LCA of *targets*
+        (which maps each LCA key to a member under it), sorted: the
+        heap-mode evaluation order of :meth:`best_merge_target`.
 
         Each bound costs one mask AND, one popcount and one highest-bit
         read, and its float dominates the LCA's float objective ``(S +
@@ -715,11 +738,11 @@ class MergeEngine:
         values = self.answers.values
         covered = self._covered_mask
         cache = self._delta_cache
-        pool_cluster = self.pool.cluster
+        keyed = self.pool.keyed
         slack = _TARGET_SLACK * (self.answers.n + 2)
         ranked = []
         for joined in targets:
-            cluster = pool_cluster(joined)
+            cluster = keyed(joined)
             inter = cluster.mask & covered
             inter_cnt = inter.bit_count()
             count = cluster.size - inter_cnt
@@ -744,16 +767,15 @@ class MergeEngine:
 
     def _merged_cluster(self, c1: Cluster, c2: Cluster) -> Cluster:
         """The LCA cluster of a pair, via the pair table when possible."""
+        key1 = c1.key
+        key2 = c2.key
         if self._pairs_live:
-            key = (
-                (c1.pattern, c2.pattern)
-                if c1.pattern < c2.pattern
-                else (c2.pattern, c1.pattern)
+            row = self._pairs.get(
+                (key1, key2) if key1 < key2 else (key2, key1)
             )
-            row = self._pairs.get(key)
             if row is not None:
                 return row[3]
-        return self.pool.cluster(lca(c1.pattern, c2.pattern))
+        return self.pool.keyed(self._packing.lca(key1, key2))
 
     # -- pair enumeration ------------------------------------------------------
 
@@ -776,10 +798,11 @@ class MergeEngine:
                 for row in (pairs[key],)
                 if row[2] < D
             ]
+        distance = self._packing.distance
         return [
             (c1, c2)
             for c1, c2 in self.all_pairs()
-            if distance(c1.pattern, c2.pattern) < D
+            if distance(c1.key, c2.key) < D
         ]
 
     def iter_pairs(
@@ -798,12 +821,13 @@ class MergeEngine:
                 if max_distance is None or row[2] < max_distance:
                     yield row[0], row[1], row[3]
             return
+        distance = self._packing.distance
         for c1, c2 in self.all_pairs():
             if (
                 max_distance is None
-                or distance(c1.pattern, c2.pattern) < max_distance
+                or distance(c1.key, c2.key) < max_distance
             ):
-                yield c1, c2, self.pool.cluster(lca(c1.pattern, c2.pattern))
+                yield c1, c2, self._merged_cluster(c1, c2)
 
     # -- the greedy step ---------------------------------------------------------
 
@@ -821,7 +845,7 @@ class MergeEngine:
         best_key = None
         for c1, c2 in pairs:
             new_avg, merged = self.evaluate_pair(c1, c2)
-            key = (-new_avg, merged.pattern, c1.pattern, c2.pattern)
+            key = (-new_avg, merged.key, c1.key, c2.key)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (c1, c2)
@@ -887,10 +911,10 @@ class MergeEngine:
         covered_cnt = self._covered_mask.bit_count()
         marginal = self._marginal_bitset
         best_group = None
-        best_pattern = None
+        best_joined = None
         best_avg = float("-inf")
         evals = 0
-        for pattern, group in by_lca.items():
+        for joined, group in by_lca.items():
             if max_distance is not None and group[0] >= max_distance:
                 continue
             delta_sum, delta_cnt = marginal(group[1])
@@ -898,9 +922,9 @@ class MergeEngine:
             new_avg = (covered_sum + delta_sum) / (covered_cnt + delta_cnt)
             if new_avg < best_avg:
                 continue
-            if new_avg > best_avg or pattern < best_pattern:
+            if new_avg > best_avg or joined < best_joined:
                 best_avg = new_avg
-                best_pattern = pattern
+                best_joined = joined
                 best_group = group
         self.stats["argmax_groups"] += evals
         self.stats["argmax_evals"] += evals
@@ -927,13 +951,13 @@ class MergeEngine:
         marginal = self._marginal_bitset
         meta = heap.meta
         entries = heap.entries
-        for pattern, group in by_lca.items():
+        for joined, group in by_lca.items():
             if max_distance is not None and group[0] >= max_distance:
                 continue
             delta_sum, delta_cnt = marginal(group[1])
             priority = (covered_sum + delta_sum) / (covered_cnt + delta_cnt)
-            meta[pattern] = (priority, delta_sum, covered_cnt + delta_cnt)
-            entries.append((-priority, pattern))
+            meta[joined] = (priority, delta_sum, covered_cnt + delta_cnt)
+            entries.append((-priority, joined))
         heapify(entries)
         self.stats["argmax_evals"] += len(meta)
         self._heaps[max_distance] = heap
@@ -953,7 +977,7 @@ class MergeEngine:
         covered_cnt = self._covered_mask.bit_count()
         meta = heap.meta
         entries = []
-        for pattern, info in meta.items():
+        for joined, info in meta.items():
             stale_sum = info[1]
             stale_mass = info[2]
             denominator = (
@@ -964,8 +988,8 @@ class MergeEngine:
                 if denominator
                 else float("inf")
             )
-            meta[pattern] = (priority, stale_sum, stale_mass)
-            entries.append((-priority, pattern))
+            meta[joined] = (priority, stale_sum, stale_mass)
+            entries.append((-priority, joined))
         heapify(entries)
         heap.entries = entries
         heap.s_floor = covered_sum
@@ -1038,22 +1062,22 @@ class MergeEngine:
         meta = heap.meta
         marginal = self._marginal_bitset
         best_group = None
-        best_pattern = None
+        best_joined = None
         best_avg = float("-inf")
         evals = 0
         skips = 0
         pops = 0
-        touched: set[Pattern] = set()
-        repush: list[tuple[float, Pattern]] = []
+        touched: set[int] = set()
+        repush: list[tuple[float, int]] = []
         while entries:
-            neg_priority, pattern = entries[0]
-            group = by_lca.get(pattern)
-            info = meta.get(pattern)
+            neg_priority, joined = entries[0]
+            group = by_lca.get(joined)
+            info = meta.get(joined)
             if group is None or info is None or info[0] != -neg_priority:
                 heappop(entries)  # dissolved group or superseded entry
                 pops += 1
                 continue
-            if pattern in touched:
+            if joined in touched:
                 heappop(entries)  # same-priority duplicate, handled above
                 pops += 1
                 continue
@@ -1072,9 +1096,9 @@ class MergeEngine:
                     heappop(entries)
                     pops += 1
                     skips += 1
-                    touched.add(pattern)
-                    meta[pattern] = (refined, stale_sum, stale_mass)
-                    repush.append((-refined, pattern))
+                    touched.add(joined)
+                    meta[joined] = (refined, stale_sum, stale_mass)
+                    repush.append((-refined, joined))
                     continue
             heappop(entries)
             pops += 1
@@ -1084,15 +1108,15 @@ class MergeEngine:
                 # _build_heap (already counted there); these reads are
                 # delta-cache hits, not additional evaluations.
                 evals += 1
-            touched.add(pattern)
+            touched.add(joined)
             new_avg = (covered_sum + delta_sum) / (covered_cnt + delta_cnt)
-            meta[pattern] = (new_avg, delta_sum, covered_cnt + delta_cnt)
-            repush.append((-new_avg, pattern))
+            meta[joined] = (new_avg, delta_sum, covered_cnt + delta_cnt)
+            repush.append((-new_avg, joined))
             if new_avg < best_avg:
                 continue
-            if new_avg > best_avg or pattern < best_pattern:
+            if new_avg > best_avg or joined < best_joined:
                 best_avg = new_avg
-                best_pattern = pattern
+                best_joined = joined
                 best_group = group
         if len(repush) > max(64, len(entries) // 4):
             entries.extend(repush)
@@ -1113,7 +1137,7 @@ class MergeEngine:
 
     # -- pair table maintenance ------------------------------------------------
 
-    def _pair_table(self) -> dict[tuple[Pattern, Pattern], _PairRow] | None:
+    def _pair_table(self) -> dict[tuple[int, int], _PairRow] | None:
         """The pair table (None on the python kernel), built on first use.
 
         Fixed-Order never reads the table, so engines build it only when
@@ -1136,21 +1160,27 @@ class MergeEngine:
         pairs = self._pairs
         by_lca = self._by_lca
         assert pairs is not None and by_lca is not None
-        pool_cluster = self.pool.cluster
-        pattern = cluster.pattern
+        keyed = self.pool.keyed
+        lca = self._packing.lca
+        level = self._packing.level
+        own = cluster.key
         heaps = self._heaps
         covered_cnt = self._covered_mask.bit_count() if heaps else 0
         covered_sum = self._covered_sum
         for other in others:
-            if other.pattern < pattern:
+            other_key = other.key
+            if other_key < own:
                 first, second = other, cluster
+                key = (other_key, own)
             else:
                 first, second = cluster, other
-            joined, dist = lca_and_distance(first.pattern, second.pattern)
-            key = (first.pattern, second.pattern)
+                key = (own, other_key)
+            joined = lca(own, other_key)
             group = by_lca.get(joined)
             if group is None:
-                merged = pool_cluster(joined)
+                # A pair's distance is the level of its LCA.
+                dist = level(joined)
+                merged = keyed(joined)
                 row = (first, second, dist, merged)
                 by_lca[joined] = (dist, merged, {key: row})
                 # A brand-new group enters every live heap whose filter it
@@ -1171,30 +1201,28 @@ class MergeEngine:
                         )
                         heappush(heap.entries, (-priority, joined))
             else:
-                row = (first, second, dist, group[1])
+                row = (first, second, group[0], group[1])
                 group[2][key] = row
             pairs[key] = row
 
-    def _replace_clusters(
-        self, removed: list[Pattern], merged: Cluster
-    ) -> None:
-        """Drop *removed* from the solution (and pair table), insert
-        *merged*: the O(|O|) per-merge structural update."""
+    def _replace_clusters(self, removed: list[int], merged: Cluster) -> None:
+        """Drop the members keyed *removed* from the solution (and pair
+        table), insert *merged*: the O(|O|) per-merge structural update."""
         solution = self._solution
-        for pattern in removed:
-            del solution[pattern]
+        for key in removed:
+            del solution[key]
         pairs = self._pairs
         if self._pairs_live:
             by_lca = self._by_lca
             assert pairs is not None and by_lca is not None
 
-            def drop(key: tuple[Pattern, Pattern]) -> None:
-                row = pairs.pop(key, None)
+            def drop(pair: tuple[int, int]) -> None:
+                row = pairs.pop(pair, None)
                 if row is None:
                     return
-                joined = row[3].pattern
+                joined = row[3].key
                 group = by_lca[joined]
-                del group[2][key]
+                del group[2][pair]
                 if not group[2]:
                     del by_lca[joined]
                     # Dissolved groups leave the heaps lazily: clearing the
@@ -1203,24 +1231,16 @@ class MergeEngine:
                     for heap in self._heaps.values():
                         heap.meta.pop(joined, None)
 
-            for pattern in removed:
+            for key in removed:
                 for other in solution:
-                    drop(
-                        (pattern, other)
-                        if pattern < other
-                        else (other, pattern)
-                    )
-            for i, pattern in enumerate(removed):
+                    drop((key, other) if key < other else (other, key))
+            for i, key in enumerate(removed):
                 for other in removed[i + 1:]:
-                    drop(
-                        (pattern, other)
-                        if pattern < other
-                        else (other, pattern)
-                    )
-        if merged.pattern not in solution:
+                    drop((key, other) if key < other else (other, key))
+        if merged.key not in solution:
             if self._pairs_live:
                 self._register_pairs(merged, solution.values())
-            solution[merged.pattern] = merged
+            solution[merged.key] = merged
 
     def _advance_round(self) -> None:
         """Bump the round counter and record the covered-union snapshot.
@@ -1239,10 +1259,10 @@ class MergeEngine:
             if self.rounds % 64 == 0 and len(self._cover_log) > 64:
                 cache = self._delta_cache
                 horizon = self.rounds - 64
-                for pattern in [
-                    p for p, state in cache.items() if state.stamp < horizon
+                for key in [
+                    k for k, state in cache.items() if state.stamp < horizon
                 ]:
-                    del cache[pattern]
+                    del cache[key]
                 floor = min(
                     (state.stamp for state in cache.values()),
                     default=self.rounds,
@@ -1272,18 +1292,14 @@ class MergeEngine:
         counter, the difference list/mask that delta judgment consumes, and
         (bitset kernel) the pair table.
         """
-        if c1.pattern not in self._solution or c2.pattern not in self._solution:
+        if c1.key not in self._solution or c2.key not in self._solution:
             raise ValueError("merge() on clusters not in the current solution")
         merged = self._merged_cluster(c1, c2)
         self._absorb_coverage(merged)
-        removed = [
-            pattern
-            for pattern in self._solution
-            if strictly_covers(merged.pattern, pattern)
-        ]
-        for pattern in (c1.pattern, c2.pattern):
-            if pattern != merged.pattern and pattern not in removed:
-                removed.append(pattern)
+        removed = self._packing.strictly_covered(merged.key, self._solution)
+        for key in (c1.key, c2.key):
+            if key != merged.key and key not in removed:
+                removed.append(key)
         self._replace_clusters(removed, merged)
         self._advance_round()
         return merged
@@ -1294,12 +1310,12 @@ class MergeEngine:
         The caller is responsible for constraint checks; this just keeps the
         covered union, the delta bookkeeping, and the pair table consistent.
         """
-        if cluster.pattern in self._solution:
+        if cluster.key in self._solution:
             return
         self._absorb_coverage(cluster)
         if self._pairs_live:
             self._register_pairs(cluster, self._solution.values())
-        self._solution[cluster.pattern] = cluster
+        self._solution[cluster.key] = cluster
         self._advance_round()
 
     def merge_into(self, existing: Cluster, incoming: Cluster) -> Cluster:
@@ -1309,20 +1325,13 @@ class MergeEngine:
         with a chosen member of O; the LCA replaces the member and swallows
         any newly covered clusters.
         """
-        if existing.pattern not in self._solution:
+        if existing.key not in self._solution:
             raise ValueError("merge_into() target not in the current solution")
-        merged = self.pool.cluster(lca(existing.pattern, incoming.pattern))
+        merged = self.pool.keyed(self._packing.lca(existing.key, incoming.key))
         self._absorb_coverage(merged)
-        removed = [
-            pattern
-            for pattern in self._solution
-            if strictly_covers(merged.pattern, pattern)
-        ]
-        if (
-            existing.pattern != merged.pattern
-            and existing.pattern not in removed
-        ):
-            removed.append(existing.pattern)
+        removed = self._packing.strictly_covered(merged.key, self._solution)
+        if existing.key != merged.key and existing.key not in removed:
+            removed.append(existing.key)
         self._replace_clusters(removed, merged)
         self._advance_round()
         return merged
@@ -1334,7 +1343,5 @@ class MergeEngine:
         pairs = self._pair_table()
         if pairs is not None:
             return min(row[2] for row in pairs.values())
-        return min(
-            distance(c1.pattern, c2.pattern)
-            for c1, c2 in self.all_pairs()
-        )
+        distance = self._packing.distance
+        return min(distance(c1.key, c2.key) for c1, c2 in self.all_pairs())

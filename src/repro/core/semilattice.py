@@ -49,6 +49,12 @@ and value sum, and derives its own element set on first access.
 :meth:`~ClusterPool.coverage` derives one from the mask on its first
 call for a pattern and caches it on the pool; the served path never
 calls it, the baselines that probe coverage repeatedly do.
+
+Every build also derives the pool's :class:`~repro.core.cluster.Packing`
+from the codes its answers can hold, so an append that widens a domain
+gets a wider one.  Each pool cluster carries its packed ``key``, and
+:meth:`~ClusterPool.keyed` resolves a key back to its cluster: the merge
+engine runs on keys, while callers keep using patterns.
 """
 
 from __future__ import annotations
@@ -64,7 +70,13 @@ from repro.common.errors import InvalidParameterError
 from repro.common.interning import STAR
 from repro.core.answers import AnswerSet
 from repro.core.bitset import DENSE_KERNEL, bitset_of, resolve_kernel
-from repro.core.cluster import Cluster, Pattern, covers, generalizations
+from repro.core.cluster import (
+    Cluster,
+    Packing,
+    Pattern,
+    covers,
+    generalizations,
+)
 from repro.core.dense import int_to_blocks, mask_indices
 
 MappingStrategy = Literal["eager", "naive", "lazy"]
@@ -132,6 +144,7 @@ class ClusterPool:
         of finishing it.
         """
         self.answers = answers
+        self.packing = Packing(answers.m, answers.top_code)
         self._patterns: set[Pattern] = set()
         for count, index in enumerate(answers.top(self.L)):
             if not count % 4096:
@@ -141,6 +154,7 @@ class ClusterPool:
         self._masks: dict[Pattern, int] = {}
         self._value_masks: list[dict[int, int]] = []
         self._cluster_cache: dict[Pattern, Cluster] = {}
+        self._keyed: dict[int, Cluster] = {}
         # Out-of-pool patterns (probed by baselines and the hierarchy
         # extension) resolve by direct scan; their results live in this
         # small LRU instead of growing self._coverage without bound.
@@ -282,17 +296,21 @@ class ClusterPool:
 
     def _fallback_cluster(self, pattern: Pattern) -> Cluster:
         """Materialize (and LRU-cache) a cluster for an out-of-pool pattern
-        by a direct O(n*m) coverage scan."""
+        by a direct O(n*m) coverage scan.  Its key is packed first, so a
+        code no attribute of the answers can hold raises ``ValueError``."""
         cached = self._fallback.get(pattern)
         if cached is not None:
             self._fallback.move_to_end(pattern)
             return cached
+        key = self.packing.pack(pattern)
         mask = self._pack(bitset_of(
             index
             for index, element in enumerate(self.answers.elements)
             if covers(pattern, element)
         ))
-        built = Cluster(pattern, mask, self.answers.mask_value_sum(mask))
+        built = Cluster(
+            pattern, mask, self.answers.mask_value_sum(mask), key=key
+        )
         self._fallback[pattern] = built
         while len(self._fallback) > FALLBACK_CACHE_SIZE:
             self._fallback.popitem(last=False)
@@ -300,17 +318,29 @@ class ClusterPool:
 
     def cluster(self, pattern: Pattern) -> Cluster:
         """Materialize the :class:`Cluster` for *pattern* (cached): its
-        mask and value sum.  No coverage frozenset is derived here; the
-        cluster derives its own on first access to ``covered``."""
+        mask, value sum and key.  No coverage frozenset is derived here;
+        the cluster derives its own on first access to ``covered``."""
         cached = self._cluster_cache.get(pattern)
         if cached is not None:
             return cached
         if pattern not in self._patterns:
             return self._fallback_cluster(pattern)
         mask = self.mask(pattern)
-        built = Cluster(pattern, mask, self.answers.mask_value_sum(mask))
+        key = self.packing.pack(pattern)
+        built = Cluster(
+            pattern, mask, self.answers.mask_value_sum(mask), key=key
+        )
         self._cluster_cache[pattern] = built
+        self._keyed[key] = built
         return built
+
+    def keyed(self, key: int) -> Cluster:
+        """The cluster whose key is *key*: one dict lookup for a pool
+        pattern whose cluster exists, :meth:`cluster` otherwise."""
+        cached = self._keyed.get(key)
+        if cached is not None:
+            return cached
+        return self.cluster(self.packing.unpack(key))
 
     def singleton(self, index: int) -> Cluster:
         """The singleton cluster for the element at rank *index*."""

@@ -1,41 +1,35 @@
-"""Comparison visualization of successive solutions (Appendix A.7)."""
+"""Comparison visualization of successive solutions (Appendix A.7).
 
-from repro.viz.comparison import (
-    Band,
-    ClusterBox,
-    ComparisonView,
-    build_comparison,
-    overlap_matrix,
-)
-from repro.viz.placement import (
-    brute_force_ordering,
-    count_crossings,
-    default_ordering,
-    optimal_ordering,
-    position_cost_matrix,
-    total_distance,
-)
-from repro.viz.export import (
-    comparison_payload,
-    guidance_payload,
-    solution_payload,
-    to_json,
-)
+The submodules load on first use of one of their names (PEP 562), so
+``repro.viz.export`` imports without the viz extra: only ``comparison``
+and ``placement`` need numpy and scipy.
+"""
 
-__all__ = [
-    "comparison_payload",
-    "guidance_payload",
-    "solution_payload",
-    "to_json",
-    "Band",
-    "ClusterBox",
-    "ComparisonView",
-    "build_comparison",
-    "overlap_matrix",
-    "brute_force_ordering",
-    "count_crossings",
-    "default_ordering",
-    "optimal_ordering",
-    "position_cost_matrix",
-    "total_distance",
-]
+from importlib import import_module
+
+_MODULE_OF = {
+    "comparison_payload": "export",
+    "guidance_payload": "export",
+    "solution_payload": "export",
+    "to_json": "export",
+    "Band": "comparison",
+    "ClusterBox": "comparison",
+    "ComparisonView": "comparison",
+    "build_comparison": "comparison",
+    "overlap_matrix": "comparison",
+    "brute_force_ordering": "placement",
+    "count_crossings": "placement",
+    "default_ordering": "placement",
+    "optimal_ordering": "placement",
+    "position_cost_matrix": "placement",
+    "total_distance": "placement",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("repro.viz." + module), name)

@@ -10,12 +10,14 @@ stable field names, plus round-trip helpers for the solution payload.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.answers import AnswerSet
 from repro.core.solution import Solution
 from repro.interactive.guidance import GuidanceView
-from repro.viz.comparison import ComparisonView
+
+if TYPE_CHECKING:  # the comparison view needs the viz extra; payloads do not
+    from repro.viz.comparison import ComparisonView
 
 
 def _decoded(answers: AnswerSet, pattern: tuple[int, ...]) -> list[Any]:

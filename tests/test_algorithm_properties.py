@@ -262,8 +262,8 @@ def test_pair_cache_matches_full_rescan(instance, rng):
         # also builds the table on the first round).
         fast = engine.best_any_pair()
         table = {
-            key: (row[2], row[3].pattern)
-            for key, row in engine._pairs.items()
+            (row[0].pattern, row[1].pattern): (row[2], row[3].pattern)
+            for row in engine._pairs.values()
         }
         assert table == rescan
         assert engine.min_pairwise_distance() == min(

@@ -203,6 +203,41 @@ def test_extended_rejects_inconsistent_delta():
         pool.extended(bigger, [0, 1])
 
 
+@pytest.mark.parametrize("kernel", ["bitset", "dense"])
+def test_append_that_widens_a_field_repacks_the_pool(kernel):
+    """A 16th value of the first attribute takes ``code + 1`` from 15 to
+    16, one bit wider: the carried-over pool must derive its packing
+    again (a packing carried over could not pack the new row, which
+    enters the top-L), and answer as a fresh engine over base + row."""
+    rows = [("a%d" % (i % 15), "b%d" % (i % 4), "c%d" % (i % 3))
+            for i in range(60)]
+    values = [(i * 37 % 64) / 8 for i in range(60)]
+    row, value = ("a15", "b0", "c1"), 99.0
+    summary = {"schema_version": 2, "kind": "summary", "dataset": "wide",
+               "k": 3, "L": 10, "D": 1, "options": {"kernel": kernel}}
+    explore = {"schema_version": 2, "kind": "explore", "dataset": "wide",
+               "k": 3, "L": 10, "D": 1, "k_range": [2, 5],
+               "d_values": [0, 1], "kernel": kernel}
+    engine = Engine()
+    engine.register_dataset("wide", AnswerSet.from_rows(rows, values))
+    engine.submit_dict(summary)
+    before = engine.checkout_pool("wide", 10, kernel=kernel)[0]
+    engine.append_rows("wide", [row], [value])
+    maintained, _, hit = engine.checkout_pool("wide", 10, kernel=kernel)
+    assert hit
+    assert maintained.packing.width == before.packing.width + 1
+    fresh = Engine()
+    fresh.register_dataset(
+        "wide", AnswerSet.from_rows(rows + [row], values + [value])
+    )
+    for request in (summary, explore):
+        got = engine.submit_dict(dict(request))
+        want = fresh.submit_dict(dict(request))
+        for key in ("objective", "clusters", "covered_count",
+                    "solution_size"):
+            assert got[key] == want[key], key
+
+
 # -- service layer: versioned caches + the append_rows wire kind --------------
 
 

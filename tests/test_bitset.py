@@ -23,7 +23,7 @@ from repro.core.bitset import (
     mask_value_sum,
     resolve_kernel,
 )
-from repro.core.cluster import Cluster, covers, lca, lca_and_distance, distance
+from repro.core.cluster import Cluster, covers
 from repro.core.semilattice import ClusterPool
 from tests.conftest import random_answer_set
 
@@ -79,15 +79,6 @@ class TestBitsetPrimitives:
             expected.append(low.bit_length() - 1)
             rest ^= low
         assert list(iter_bits(mask)) == expected
-
-    def test_lca_and_distance_agrees_with_separate_functions(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            p1 = tuple(rng.choice([-1, 0, 1, 2]) for _ in range(5))
-            p2 = tuple(rng.choice([-1, 0, 1, 2]) for _ in range(5))
-            joined, d = lca_and_distance(p1, p2)
-            assert joined == lca(p1, p2)
-            assert d == distance(p1, p2)
 
 
 class TestAnswerSetKernelSupport:

@@ -10,18 +10,13 @@ from repro.core.problem import ProblemInstance
 from repro.core.semilattice import ClusterPool
 from repro.interactive.guidance import build_guidance_view
 from repro.interactive.precompute import SolutionStore
-from tests.conftest import HAVE_VIZ, random_answer_set
-
-if not HAVE_VIZ:
-    pytest.skip("needs the viz extra (numpy, scipy)", allow_module_level=True)
-
-from repro.viz.comparison import build_comparison  # noqa: E402
-from repro.viz.export import (  # noqa: E402
+from repro.viz.export import (
     comparison_payload,
     guidance_payload,
     solution_payload,
     to_json,
 )
+from tests.conftest import needs_viz, random_answer_set
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +74,11 @@ class TestGuidancePayload:
         json.loads(to_json(payload))
 
 
+@needs_viz
 class TestComparisonPayload:
     def test_bands_and_metrics(self):
+        from repro.viz.comparison import build_comparison
+
         answers = random_answer_set(n=60, m=4, domain=4, seed=53)
         old = ProblemInstance(answers, k=5, L=8, D=1).solve()
         new = ProblemInstance(answers, k=3, L=10, D=1).solve()
