@@ -96,10 +96,6 @@ class AnswerSet:
         """Number of grouping attributes."""
         return len(self.elements[0])
 
-    def value_of(self, index: int) -> float:
-        """Value of the element at rank *index* (0-based)."""
-        return self.values[index]
-
     @property
     def min_value(self) -> float:
         """The smallest element value (= ``values[-1]``; rank order).

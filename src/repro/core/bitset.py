@@ -75,13 +75,19 @@ AUTO_KERNEL = "auto"
 #: What requests/CLI may carry: every kernel plus the auto policy.
 KERNEL_CHOICES = KERNELS + (AUTO_KERNEL,)
 #: ``kernel="auto"`` selects the dense kernel at or above this answer-set
-#: size, provided numpy is importable.  Set where the ``dense_scaling``
-#: benchmark's Bottom-Up merge loop measured parity.  On the served path
-#: (``Engine.submit_dict``, Hybrid, m=6, warm pools, 2-core host) dense's
-#: summary p50 was 13.2/9.0 ms against bitset's 13.0/7.0 ms at n=10^5
-#: and 14.7 against 29.7 ms at n=10^6: there the crossover lies between
-#: 10^5 and 10^6.
-DENSE_AUTO_THRESHOLD = 1 << 16
+#: size, provided numpy is importable.  Set on the served path:
+#: ``Engine.submit_dict``, Hybrid, warm pools, 18 (k, L, D) cells x 3
+#: passes over ``synthetic_answer_set(n, m=6, domain_size=32, seed)``,
+#: 2-core host.  Summary p50 in ms, bitset vs dense, two runs each:
+#:
+#:   n       seed 5                      seed 6
+#:   10^5    16.4 / 17.7, 12.7 / 13.8    7.0 / 8.5,   8.5 / 9.7
+#:   2x10^5  23.8 / 20.0, 25.8 / 20.8    17.8 / 13.2, 20.6 / 16.4
+#:   5x10^5  48.7 / 33.4, 47.1 / 31.3    37.7 / 25.2, 30.1 / 19.5
+#:   10^6    64.9 / 43.1, 91.0 / 52.4    73.9 / 42.8, 81.2 / 45.9
+#:
+#: 2x10^5 is the smallest size measured where dense wins on both seeds.
+DENSE_AUTO_THRESHOLD = 200_000
 
 #: Bit offsets set in each possible byte value; drives the dense-sum path.
 _BYTE_BITS: tuple[tuple[int, ...], ...] = tuple(
@@ -189,27 +195,3 @@ def mask_value_sum(values: Sequence[float], mask: int) -> float:
                 total += values[base + offset]
         base += 8
     return total
-
-
-class _IntMaskOps:
-    """Cold-path helpers over int masks (the bitset kernel's counterpart
-    to :data:`repro.core.dense.DENSE_MASK_OPS`; hot paths use the int
-    operators directly)."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def empty(nbits: int) -> int:
-        return 0
-
-    @staticmethod
-    def test(mask: int, index: int) -> bool:
-        return bool((mask >> index) & 1)
-
-    @staticmethod
-    def indices(mask: int) -> Iterator[int]:
-        return iter_bits(mask)
-
-
-#: The int-mask kernels' engine-facing cold-path helpers.
-INT_MASK_OPS = _IntMaskOps()

@@ -32,6 +32,7 @@ from __future__ import annotations
 from repro.common.errors import InvalidParameterError
 from repro.core.cluster import Cluster, ancestors_at_level
 from repro.core.merge import MergeEngine
+from repro.core.registry import register_algorithm
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution, floor_at_root
 
@@ -45,6 +46,13 @@ def _validate(pool: ClusterPool, k: int, D: int) -> None:
         )
 
 
+@register_algorithm(
+    "bottom-up",
+    cost="greedy",
+    complexity="O(L^2) merge candidates per step",
+    kwargs=("use_delta", "kernel", "argmax"),
+    summary="Algorithm 1: greedy pairwise merging from the top-L singletons",
+)
 def bottom_up(
     pool: ClusterPool,
     k: int,
@@ -89,6 +97,13 @@ def run_size_phase(engine: MergeEngine, k: int) -> None:
         engine.merge(*pair)
 
 
+@register_algorithm(
+    "bottom-up-level",
+    cost="greedy",
+    complexity="O(L^2) after seeding at semilattice level D-1",
+    kwargs=("use_delta", "kernel", "argmax"),
+    summary="Section 5.1 variant (i): seed at level D-1 ancestors",
+)
 def bottom_up_level_start(
     pool: ClusterPool,
     k: int,
@@ -132,6 +147,13 @@ def bottom_up_level_start(
     return floor_at_root(engine.snapshot(), pool)
 
 
+@register_algorithm(
+    "bottom-up-pairwise",
+    cost="greedy",
+    complexity="O(L^2) with pairwise-LCA merge scoring",
+    kwargs=("kernel",),
+    summary="Section 5.1 variant (ii): merge the pair with the best LCA avg",
+)
 def bottom_up_pairwise_avg(
     pool: ClusterPool,
     k: int,

@@ -16,12 +16,13 @@ search below adds sound pruning that preserves exactness:
 
 Like the greedy algorithms, the search runs on one of three kernels: the
 default ``"bitset"`` kernel keeps the covered set as an int mask — set
-difference, branching target selection, and pruning all become single
-machine-word operations, and backtracking is free because masks are
-immutable values — ``"dense"`` runs the identical search on packed
-uint64-block masks (:mod:`repro.core.dense`; it needs a pool built with
-``kernel="dense"``), and ``"python"`` keeps the original set-based search
-as the ablation baseline.
+difference and pruning become machine-word operations, the branching
+target is the lowest set bit of the uncovered top-L mask, and
+backtracking is free because masks are immutable values —
+``"dense"`` runs the identical search on packed uint64-block masks
+(:mod:`repro.core.dense`; it needs a pool built with
+``kernel="dense"``), and ``"python"`` keeps the original set-based
+search as the ablation baseline.
 
 The trivial **lower bound** baseline is the all-star cluster, feasible for
 every (k, L, D); its value is the global average of S.
@@ -30,64 +31,25 @@ every (k, L, D); its value is the global average of S.
 from __future__ import annotations
 
 from repro.common.errors import InvalidParameterError
-from repro.core.bitset import (
-    DENSE_KERNEL,
-    PYTHON_KERNEL,
-    iter_bits,
-    resolve_kernel,
-)
+from repro.core.bitset import PYTHON_KERNEL, resolve_kernel
 from repro.core.cluster import Cluster, comparable, distance
-from repro.core.dense import first_n_blocks, zero_blocks
+from repro.core.dense import mask_indices
+from repro.core.registry import register_algorithm
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution
 
 
-class _IntSearchOps:
-    """Mask helpers for the int-bitmask search (the bitset kernel)."""
+@register_algorithm(
+    "lower-bound",
+    cost="bound",
+    complexity="O(L): the all-covering root cluster",
+    summary="Trivial feasible solution; lower-bounds every objective",
+)
+def lower_bound(pool: ClusterPool, k: int = 1, D: int = 0) -> Solution:
+    """The trivial feasible solution: one all-star cluster covering S.
 
-    __slots__ = ()
-
-    @staticmethod
-    def first_n(count: int, nbits: int) -> int:
-        return (1 << count) - 1
-
-    @staticmethod
-    def empty(nbits: int) -> int:
-        return 0
-
-    @staticmethod
-    def indices(mask: int):
-        return iter_bits(mask)
-
-    @staticmethod
-    def lowest_bit(mask: int) -> int:
-        return (mask & -mask).bit_length() - 1
-
-
-class _DenseSearchOps:
-    """Mask helpers for the packed-block search (the dense kernel)."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def first_n(count: int, nbits: int):
-        return first_n_blocks(count, nbits)
-
-    @staticmethod
-    def empty(nbits: int):
-        return zero_blocks(nbits)
-
-    @staticmethod
-    def indices(mask):
-        return mask.indices()
-
-    @staticmethod
-    def lowest_bit(mask) -> int:
-        return mask.lowest_bit()
-
-
-def lower_bound(pool: ClusterPool) -> Solution:
-    """The trivial feasible solution: one all-star cluster covering S."""
+    It is feasible for every (k, D), so *k* and *D* only give it the
+    registry's runner signature."""
     root = pool.root()
     return Solution((root,), root.mask, root.value_sum)
 
@@ -194,22 +156,19 @@ class _MaskedSearch:
     The covered union is an immutable mask passed down the recursion (no
     mutate-and-undo), the branch target is the lowest set bit of
     ``top_mask & ~covered``, and marginal value sums run over set bits
-    only.  The mask representation — int bitmask or packed uint64 blocks
-    — is abstracted behind a tiny *ops* adapter (:class:`_IntSearchOps` /
-    :class:`_DenseSearchOps`); candidate order, pruning bounds, and the
-    1e-12 improvement threshold are identical to :class:`_Search`, so
-    every kernel finds the same optimum.
+    only.  Masks are in the pool's representation — int bitmask or
+    packed uint64 blocks — built by :meth:`ClusterPool.as_mask` and read
+    back by :func:`~repro.core.dense.mask_indices`; candidate order,
+    pruning bounds, and the 1e-12 improvement threshold are identical to
+    :class:`_Search`, so every kernel finds the same optimum.
     """
 
-    def __init__(
-        self, pool: ClusterPool, k: int, L: int, D: int, ops=_IntSearchOps()
-    ) -> None:
+    def __init__(self, pool: ClusterPool, k: int, L: int, D: int) -> None:
         self.pool = pool
         self.k = k
         self.D = D
         self.answers = pool.answers
-        self.ops = ops
-        self.top_mask = ops.first_n(L, pool.answers.n)
+        self.top_mask = pool.as_mask((1 << L) - 1)
         self.candidates: list[Cluster] = sorted(
             (pool.cluster(p) for p in pool.patterns()),
             key=lambda c: (-c.avg, c.pattern),
@@ -220,7 +179,7 @@ class _MaskedSearch:
         self.by_element: dict[int, list[Cluster]] = {}
         for cluster in self.candidates:
             hits = cluster.mask & self.top_mask
-            for index in ops.indices(hits):
+            for index in mask_indices(hits):
                 self.by_element.setdefault(index, []).append(cluster)
         self.best_avg = float("-inf")
         self.best: list[Cluster] | None = None
@@ -276,7 +235,7 @@ class _MaskedSearch:
         )
         if max(current_avg, self.max_candidate_avg) <= self.best_avg + 1e-12:
             return
-        target = self.ops.lowest_bit(missing)
+        target = next(mask_indices(missing))
         for cluster in self.by_element.get(target, ()):
             if not self.compatible(chosen, cluster):
                 continue
@@ -301,6 +260,13 @@ class _MaskedSearch:
         chosen.pop()
 
 
+@register_algorithm(
+    "brute-force",
+    cost="exact",
+    complexity="exponential branch-and-bound over candidate clusters",
+    kwargs=("kernel",),
+    summary="Section 5 baseline: exact optimum by exhaustive search",
+)
 def brute_force(
     pool: ClusterPool,
     k: int,
@@ -321,17 +287,15 @@ def brute_force(
         search = _Search(pool, k, pool.L, D)
         search.extend([], set(), 0.0, 0)
     else:
-        dense = resolved == DENSE_KERNEL
-        if dense != (pool.kernel == DENSE_KERNEL):
+        if resolved != pool.kernel:
             raise InvalidParameterError(
                 "kernel=%r needs cluster masks in its own representation, "
                 "but the pool was built with kernel=%r; construct "
                 "ClusterPool(..., kernel=%r)" % (resolved, pool.kernel,
                                                  resolved)
             )
-        ops = _DenseSearchOps() if dense else _IntSearchOps()
-        search = _MaskedSearch(pool, k, pool.L, D, ops=ops)
-        search.extend([], ops.empty(pool.answers.n), 0.0, 0)
+        search = _MaskedSearch(pool, k, pool.L, D)
+        search.extend([], pool.as_mask(0), 0.0, 0)
     if search.best is None:
         return lower_bound(pool)
     return Solution.from_clusters(search.best, pool.answers)

@@ -120,8 +120,7 @@ class BitBlocks:
 
     ``_arr`` holds the blocks as a ``numpy.uint64`` array (bits past
     ``nbits`` stay clear); ``_count`` lazily caches the popcount.  Build
-    masks with :func:`blocks_of`, :func:`zero_blocks` or
-    :func:`int_to_blocks`.
+    masks with :func:`blocks_of` or :func:`int_to_blocks`.
     """
 
     __slots__ = ("nbits", "_arr", "_count")
@@ -130,11 +129,6 @@ class BitBlocks:
         self.nbits = nbits
         self._arr = arr
         self._count = None
-
-    @property
-    def nblocks(self) -> int:
-        """Number of 64-bit blocks covering the universe."""
-        return (self.nbits + 63) >> 6
 
     def _as_int(self) -> int:
         """The packed little-endian integer view of the blocks."""
@@ -184,10 +178,6 @@ class BitBlocks:
             self._count = count
         return count
 
-    def test(self, index: int) -> bool:
-        """Membership of element *index* (one block load + shift)."""
-        return bool((int(self._arr[index >> 6]) >> (index & 63)) & 1)
-
     def indices(self) -> Iterator[int]:
         """Set-bit indices in ascending order."""
         flat = _np.flatnonzero(
@@ -196,15 +186,6 @@ class BitBlocks:
             )
         )
         return iter(flat.tolist())
-
-    def lowest_bit(self) -> int:
-        """Index of the lowest set bit (-1 when empty)."""
-        nonzero = _np.flatnonzero(self._arr)
-        if nonzero.size == 0:
-            return -1
-        block_index = int(nonzero[0])
-        block = int(self._arr[block_index])
-        return (block_index << 6) + ((block & -block).bit_length() - 1)
 
     def bit_length(self) -> int:
         """Index of the highest set bit + 1 (0 when empty), as
@@ -275,11 +256,6 @@ def int_mask_value_sum(table: ValueTable, mask: int) -> float:
     return _sum_set_bits(table, raw, nbits)
 
 
-def zero_blocks(nbits: int) -> BitBlocks:
-    """The empty mask over a universe of *nbits* elements."""
-    return BitBlocks(_np.zeros((nbits + 63) >> 6, dtype=_np.uint64), nbits)
-
-
 def blocks_of(indices: Iterable[int], nbits: int) -> BitBlocks:
     """Pack *indices* into a :class:`BitBlocks` mask over *nbits* elements.
 
@@ -304,11 +280,6 @@ def int_to_blocks(value: int, nbits: int) -> BitBlocks:
     return BitBlocks(_np.frombuffer(raw, dtype=_np.uint64).copy(), nbits)
 
 
-def first_n_blocks(count: int, nbits: int) -> BitBlocks:
-    """The mask of elements ``0..count-1`` (the brute-force top-L mask)."""
-    return int_to_blocks((1 << count) - 1, nbits)
-
-
 def mask_indices(mask) -> Iterator[int]:
     """Ascending set-bit indices of either mask representation.
 
@@ -319,26 +290,3 @@ def mask_indices(mask) -> Iterator[int]:
     if isinstance(mask, int):
         return iter_bits(mask)
     return mask.indices()
-
-
-class _DenseMaskOps:
-    """Cold-path mask helpers the merge engine dispatches per kernel."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def empty(nbits: int) -> BitBlocks:
-        return zero_blocks(nbits)
-
-    @staticmethod
-    def test(mask: BitBlocks, index: int) -> bool:
-        return mask.test(index)
-
-    @staticmethod
-    def indices(mask: BitBlocks) -> Iterator[int]:
-        return mask.indices()
-
-
-#: The dense kernel's engine-facing mask helpers (cold paths only; hot
-#: paths use the BitBlocks operators directly).
-DENSE_MASK_OPS = _DenseMaskOps()

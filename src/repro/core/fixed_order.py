@@ -23,6 +23,7 @@ from typing import Sequence
 from repro.common.errors import InvalidParameterError
 from repro.core.cluster import Cluster, Pattern, lca_many
 from repro.core.merge import TARGET_COUNTERS, MergeEngine
+from repro.core.registry import register_algorithm
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution, floor_at_root
 
@@ -71,6 +72,17 @@ def _engine(
     return engine
 
 
+@register_algorithm(
+    "fixed-order",
+    cost="greedy",
+    complexity="O(L * k) incoming-element processing",
+    # No "argmax": plain Fixed-Order runs only the merge-target argmax,
+    # which picks the same target in bound order ("heap", resolved per
+    # instance) as in full (scan); the two differ only in the target_*
+    # counters.  The ablation calls fixed_order(..., argmax="scan").
+    kwargs=("use_delta", "size_budget", "kernel"),
+    summary="Algorithm 3: stream the top-L in value order into <= k clusters",
+)
 def fixed_order(
     pool: ClusterPool,
     k: int,
@@ -118,6 +130,13 @@ def fixed_order_engine(
     return engine
 
 
+@register_algorithm(
+    "random-fixed-order",
+    cost="heuristic",
+    complexity="O(L * k), randomized prefix",
+    kwargs=("seed", "kernel"),
+    summary="Section 5.2: process k random top-L elements before the rest",
+)
 def random_fixed_order(
     pool: ClusterPool,
     k: int,
@@ -145,6 +164,13 @@ def minimal_covering_pattern(elements: Sequence[Pattern]) -> Pattern:
     return lca_many(elements)
 
 
+@register_algorithm(
+    "kmeans-fixed-order",
+    cost="heuristic",
+    complexity="O(L * k) plus a k-modes clustering pass",
+    kwargs=("seed", "max_iterations", "kernel"),
+    summary="Section 5.2: seed Fixed-Order with k-modes group patterns",
+)
 def kmeans_fixed_order(
     pool: ClusterPool,
     k: int,

@@ -15,6 +15,7 @@ from repro.common.errors import InvalidParameterError
 from repro.core.bottom_up import run_distance_phase, run_size_phase
 from repro.core.fixed_order import fixed_order_engine
 from repro.core.merge import MergeEngine
+from repro.core.registry import register_algorithm
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution, floor_at_root
 
@@ -22,6 +23,13 @@ from repro.core.solution import Solution, floor_at_root
 DEFAULT_POOL_FACTOR = 2
 
 
+@register_algorithm(
+    "hybrid",
+    cost="greedy",
+    complexity="Fixed-Order with budget c*k, then Bottom-Up",
+    kwargs=("pool_factor", "use_delta", "kernel", "argmax"),
+    summary="Algorithm 4: the paper's recommended two-phase algorithm",
+)
 def hybrid(
     pool: ClusterPool,
     k: int,

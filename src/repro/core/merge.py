@@ -114,15 +114,9 @@ from typing import Iterable, Iterator, Sequence
 from repro.common.budget import checkpoint as _budget_checkpoint
 from repro.common.errors import InvalidParameterError
 from repro.core.answers import AnswerSet
-from repro.core.bitset import (
-    BITSET_KERNEL,
-    DENSE_KERNEL,
-    INT_MASK_OPS,
-    PYTHON_KERNEL,
-    bitset_of,
-    resolve_kernel,
-)
+from repro.core.bitset import PYTHON_KERNEL, bitset_of, resolve_kernel
 from repro.core.cluster import Cluster
+from repro.core.dense import mask_indices
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution
 
@@ -304,25 +298,14 @@ class MergeEngine:
         self.use_delta = use_delta
         self.kernel = resolve_kernel(kernel, n=pool.answers.n)
         self._masked = self.kernel != PYTHON_KERNEL
-        if self._masked:
-            pool_dense = (
-                getattr(pool, "kernel", BITSET_KERNEL) == DENSE_KERNEL
+        if self._masked and pool.kernel != self.kernel:
+            raise InvalidParameterError(
+                "kernel=%r needs cluster masks in its own "
+                "representation, but the pool was built with "
+                "kernel=%r; construct ClusterPool(..., kernel=%r) "
+                "(or go through ProblemInstance.pool_for)"
+                % (self.kernel, pool.kernel, self.kernel)
             )
-            if pool_dense != (self.kernel == DENSE_KERNEL):
-                raise InvalidParameterError(
-                    "kernel=%r needs cluster masks in its own "
-                    "representation, but the pool was built with "
-                    "kernel=%r; construct ClusterPool(..., kernel=%r) "
-                    "(or go through ProblemInstance.pool_for)"
-                    % (self.kernel, getattr(pool, "kernel", BITSET_KERNEL),
-                       self.kernel)
-                )
-        if self.kernel == DENSE_KERNEL:
-            from repro.core.dense import DENSE_MASK_OPS
-
-            self._ops = DENSE_MASK_OPS
-        else:
-            self._ops = INT_MASK_OPS
         self.argmax = resolve_argmax(argmax, self.kernel, self.answers)
         self._packing = pool.packing
         self._heap_argmax = self.argmax == HEAP_ARGMAX
@@ -354,7 +337,7 @@ class MergeEngine:
             self._pairs: dict[tuple[int, int], _PairRow] | None = {}
             self._by_lca: dict[int, _LcaGroup] | None = {}
             self._covered: set[int] | None = None
-            self._covered_mask = self._ops.empty(self.answers.n)
+            self._covered_mask = pool.as_mask(0)
             self._last_diff: list[int] = []
             for cluster in clusters:
                 if cluster.key in self._solution:
@@ -408,7 +391,7 @@ class MergeEngine:
     def is_covered(self, index: int) -> bool:
         """True if element *index* is covered by the current solution."""
         if self._masked:
-            return self._ops.test(self._covered_mask, index)
+            return bool(self._covered_mask & self.pool.as_mask(1 << index))
         return index in self._covered
 
     def is_fully_covered(self, cluster: Cluster) -> bool:
@@ -420,7 +403,7 @@ class MergeEngine:
     def covered_indices(self) -> frozenset[int]:
         """The covered union T as a frozenset of element indices."""
         if self._masked:
-            return frozenset(self._ops.indices(self._covered_mask))
+            return frozenset(mask_indices(self._covered_mask))
         return frozenset(self._covered)
 
     def clone(self) -> "MergeEngine":
@@ -442,7 +425,6 @@ class MergeEngine:
         twin.use_delta = self.use_delta
         twin.kernel = self.kernel
         twin._masked = self._masked
-        twin._ops = self._ops
         twin.argmax = self.argmax
         twin._packing = self._packing
         twin._heap_argmax = self._heap_argmax

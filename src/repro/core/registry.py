@@ -8,19 +8,23 @@ plug in without editing core modules.  This module provides that: a
 process-wide registry populated by the :func:`register_algorithm`
 decorator, carrying an :class:`AlgorithmInfo` record per algorithm.
 
-Registering is declarative::
+Registering is declarative: the decorated function is the runner, and
+it takes the cluster pool for (S, L), then k and D, then its options::
 
     @register_algorithm(
         "my-greedy", cost="greedy", complexity="O(k L^2)",
         kwargs=("use_delta",), summary="my greedy variant",
     )
-    def _run_my_greedy(instance, **kwargs):
+    def my_greedy(pool, k, D, use_delta=True):
         ...
 
-``repro.core.problem`` registers the paper's nine algorithms on import;
-``get_algorithm(name).runner(instance, ...)`` runs one directly, and
+The paper's nine algorithms are registered this way in their own modules
+(:mod:`repro.core.bottom_up`, :mod:`~repro.core.fixed_order`,
+:mod:`~repro.core.hybrid`, :mod:`~repro.core.brute_force`), which
+``repro.core.problem`` imports; ``get_algorithm(name).runner(pool, k,
+D, ...)`` runs one directly, and
 :meth:`~repro.core.problem.ProblemInstance.solve` does the same after
-validating the options.
+validating the options and picking the pool for the ``kernel`` option.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from repro.common.errors import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.problem import ProblemInstance
     from repro.core.solution import Solution
 
 #: Exactness classes an algorithm may declare.
@@ -42,11 +45,13 @@ COST_CLASSES = ("exact", "greedy", "heuristic", "bound")
 class AlgorithmInfo:
     """Metadata the registry keeps for one algorithm.
 
-    ``runner`` takes a :class:`~repro.core.problem.ProblemInstance` plus the
-    algorithm's keyword options and returns a
-    :class:`~repro.core.solution.Solution`.  ``kwargs`` is the exhaustive
-    tuple of keyword option names the runner accepts — the service layer
-    rejects requests carrying anything else *before* any work happens.
+    ``runner`` is called as ``runner(pool, k, D, **options)`` — the
+    :class:`~repro.core.semilattice.ClusterPool` for (S, L), the size and
+    distance parameters, and the algorithm's keyword options — and
+    returns a :class:`~repro.core.solution.Solution`.  ``kwargs`` is the
+    exhaustive tuple of keyword option names the runner accepts, each a
+    named parameter of it — the service layer rejects requests carrying
+    anything else *before* any work happens.
     """
 
     name: str

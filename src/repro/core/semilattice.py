@@ -36,12 +36,14 @@ once both derive the same mask; the dict write is atomic, so either
 result may stay.
 
 Independently of the strategy, ``kernel=`` selects the pool's *mask
-representation*: int bitmasks (the default, shared by the bitset and
-python kernels) or packed uint64 blocks when ``kernel="dense"`` — the
-working representation of :mod:`repro.core.dense` (without numpy,
-``"dense"`` resolves to ``"bitset"`` and the pool holds int masks).  A
-:class:`~repro.core.merge.MergeEngine` requires a pool whose
-representation matches its kernel.
+representation*, which :attr:`ClusterPool.kernel` names: ``"bitset"``
+(int bitmasks, the default; a pool asked for the python kernel holds
+them too) or ``"dense"`` (packed uint64 blocks, the working
+representation of :mod:`repro.core.dense`; without numpy, ``"dense"``
+resolves to ``"bitset"``).  :meth:`ClusterPool.as_mask` is the one way
+to build a mask in that representation.  A
+:class:`~repro.core.merge.MergeEngine` on a mask kernel requires a pool
+whose representation matches its kernel.
 
 No coverage ``frozenset`` is built at initialization, and
 :meth:`~ClusterPool.cluster` builds none either: a cluster is its mask
@@ -69,7 +71,12 @@ from repro.common.budget import checkpoint as _budget_checkpoint
 from repro.common.errors import InvalidParameterError
 from repro.common.interning import STAR
 from repro.core.answers import AnswerSet
-from repro.core.bitset import DENSE_KERNEL, bitset_of, resolve_kernel
+from repro.core.bitset import (
+    BITSET_KERNEL,
+    DENSE_KERNEL,
+    bitset_of,
+    resolve_kernel,
+)
 from repro.core.cluster import (
     Cluster,
     Packing,
@@ -102,6 +109,16 @@ def normalize_mapping(strategy: str) -> str:
     return "eager" if strategy == "lazy" else strategy
 
 
+def mask_representation(kernel: str | None, n: int) -> str:
+    """The mask representation a pool for *kernel* holds at answer-set
+    size *n*: ``"dense"`` when the kernel resolves to the dense kernel
+    (:func:`~repro.core.bitset.resolve_kernel`), ``"bitset"`` for every
+    other kernel, python included."""
+    if resolve_kernel(kernel, n=n) == DENSE_KERNEL:
+        return DENSE_KERNEL
+    return BITSET_KERNEL
+
+
 class ClusterPool:
     """The clusters relevant to a (S, L) instance, with coverage maps.
 
@@ -124,11 +141,9 @@ class ClusterPool:
                 "L=%d out of range [1, %d]" % (L, answers.n)
             )
         self.L = L
-        # The mask *representation* the pool builds: int bitmasks for the
-        # bitset/python kernels (they share storage), packed uint64 blocks
-        # for the dense kernel.  A merge engine requires a pool whose
-        # representation matches its kernel (MergeEngine validates).
-        self.kernel = resolve_kernel(kernel, n=answers.n)
+        #: The mask representation the pool builds, ``"bitset"`` (int
+        #: bitmasks) or ``"dense"`` (packed uint64 blocks).
+        self.kernel = mask_representation(kernel, answers.n)
         self._build(answers)
 
     # -- construction of the coverage maps -----------------------------------
@@ -162,11 +177,12 @@ class ClusterPool:
         if self.strategy == "naive":
             self._map_naive()
             return
-        self._masks[(STAR,) * answers.m] = self._pack((1 << answers.n) - 1)
+        self._masks[(STAR,) * answers.m] = self.as_mask((1 << answers.n) - 1)
         self._pack_value_masks()
 
-    def _pack(self, bits: int):
-        """The int mask *bits* in the pool's representation."""
+    def as_mask(self, bits: int):
+        """The int mask *bits* as a mask in the pool's representation: the
+        int itself, or its packed blocks on a dense pool."""
         if self.kernel == DENSE_KERNEL:
             return int_to_blocks(bits, self.answers.n)
         return bits
@@ -199,7 +215,7 @@ class ClusterPool:
                     digits = slots.translate(
                         b"0" * slot + b"1" + b"0" * (255 - slot)
                     )
-                    masks[code] = self._pack(int(digits[::-1], 2))
+                    masks[code] = self.as_mask(int(digits[::-1], 2))
             self._value_masks.append(masks)
 
     def _derive(self, pattern: Pattern):
@@ -222,7 +238,7 @@ class ClusterPool:
         elements = self.answers.elements
         for pattern in self._patterns:
             _budget_checkpoint()
-            self._masks[pattern] = self._pack(bitset_of(
+            self._masks[pattern] = self.as_mask(bitset_of(
                 index
                 for index, element in enumerate(elements)
                 if covers(pattern, element)
@@ -303,7 +319,7 @@ class ClusterPool:
             self._fallback.move_to_end(pattern)
             return cached
         key = self.packing.pack(pattern)
-        mask = self._pack(bitset_of(
+        mask = self.as_mask(bitset_of(
             index
             for index, element in enumerate(self.answers.elements)
             if covers(pattern, element)

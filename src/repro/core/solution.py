@@ -73,14 +73,6 @@ class Solution:
             raise ValueError("avg of a solution covering no elements")
         return self.value_sum / count
 
-    @property
-    def redundant_count(self) -> int:
-        """Number of covered elements minus those needed per cluster count.
-
-        Exposed for the Min-Size alternative objective discussed in
-        footnote 5 of the paper (minimizing redundant elements)."""
-        return self.covered_count
-
     def patterns(self) -> list[tuple[int, ...]]:
         return [c.pattern for c in self.clusters]
 

@@ -1,11 +1,7 @@
 """Interactive layer (Section 6): precomputation, guidance, sessions."""
 
 from repro.interactive.interval_tree import Interval, IntervalTree
-from repro.interactive.precompute import (
-    PrecomputeTimings,
-    SolutionStore,
-    precompute,
-)
+from repro.interactive.precompute import PrecomputeTimings, SolutionStore
 from repro.interactive.guidance import (
     GuidanceSeries,
     GuidanceView,
@@ -22,7 +18,6 @@ __all__ = [
     "IntervalTree",
     "PrecomputeTimings",
     "SolutionStore",
-    "precompute",
     "GuidanceSeries",
     "GuidanceView",
     "build_guidance_view",

@@ -79,11 +79,6 @@ class SolutionStore:
         Inclusive (k_min, k_max).
     d_values:
         The D values to sweep (Figure 2 plots one curve per D).
-    pool_factor:
-        Hybrid's candidate multiplier c.
-    shared_phase_distance:
-        D used during the shared Fixed-Order phase.  The default 0 is the
-        most permissive; each per-D Bottom-Up run then enforces its own D.
     kernel:
         The sweep engines' evaluation kernel (``"bitset"``/``"python"``/
         ``"dense"``/``"auto"``; see :func:`repro.core.bitset.resolve_kernel`).
@@ -91,6 +86,14 @@ class SolutionStore:
         ``kernel="dense"`` (the merge engine validates); the service
         layer's :meth:`repro.service.Engine.checkout_store` pairs them
         automatically.
+    argmax:
+        The sweep engines' greedy argmax (``None`` = auto: the lazy heap
+        whenever sound; ``"scan"`` is the ablation baseline).
+
+    The shared Fixed-Order phase runs with Hybrid's candidate multiplier
+    c (:data:`~repro.core.hybrid.DEFAULT_POOL_FACTOR`) and D = 0, the
+    most permissive distance; each per-D Bottom-Up run then enforces its
+    own D.
     """
 
     def __init__(
@@ -98,9 +101,6 @@ class SolutionStore:
         pool: ClusterPool,
         k_range: tuple[int, int],
         d_values: Sequence[int],
-        pool_factor: int = DEFAULT_POOL_FACTOR,
-        shared_phase_distance: int = 0,
-        use_delta: bool = True,
         kernel: str | None = None,
         argmax: str | None = None,
     ) -> None:
@@ -118,9 +118,8 @@ class SolutionStore:
         start = time.perf_counter()
         shared = fixed_order_engine(
             pool,
-            budget=max(pool_factor * k_max, k_max),
-            D=shared_phase_distance,
-            use_delta=use_delta,
+            budget=DEFAULT_POOL_FACTOR * k_max,
+            D=0,
             kernel=kernel,
             argmax=argmax,
         )
@@ -246,13 +245,3 @@ class SolutionStore:
             for sweep in self._sweeps.values()
             for k in range(self.k_min, self.k_max + 1)
         )
-
-
-def precompute(
-    pool: ClusterPool,
-    k_range: tuple[int, int],
-    d_values: Sequence[int],
-    **kwargs,
-) -> SolutionStore:
-    """Convenience constructor mirroring the paper's terminology."""
-    return SolutionStore(pool, k_range, d_values, **kwargs)

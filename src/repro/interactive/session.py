@@ -153,7 +153,6 @@ class ExplorationSession:
         )
         if not cache_hit:
             self._pool_seconds[instance.L] = init_seconds
-        # Reuse the engine cache, seeding the matching representation slot.
         instance.adopt_pool(pool)
         start = time.perf_counter()
         solution = instance.solve(algorithm, **kwargs)

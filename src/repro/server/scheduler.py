@@ -54,7 +54,7 @@ from repro.common.budget import Budget, budget_scope
 from repro.common.errors import DeadlineExceeded, Overloaded, PoisonedRequest
 from repro.common.faults import fault_point
 from repro.obs.tracing import RequestTrace, span, trace_scope
-from repro.service.api import ErrorResponse
+from repro.service.api import error_payload
 from repro.server.singleflight import SingleFlight, request_key
 
 logger = logging.getLogger(__name__)
@@ -73,12 +73,6 @@ QUARANTINE_CAPACITY = 128
 #: Supervisor restart backoff: base * 2^(deaths-1), capped.
 RESTART_BACKOFF_BASE = 0.01
 RESTART_BACKOFF_MAX = 1.0
-
-
-def _error_dict(error: Exception) -> dict[str, Any]:
-    return ErrorResponse(
-        error_type=type(error).__name__, message=str(error)
-    ).to_dict()
 
 
 class _Shard:
@@ -235,7 +229,7 @@ class ShardedScheduler:
                 if trace is not None:
                     trace.annotate("poisoned", True)
                 future: Future = Future()
-                future.set_result(_error_dict(PoisonedRequest(
+                future.set_result(error_payload(PoisonedRequest(
                     "request quarantined: it repeatedly crashed workers"
                 )))
                 return future
@@ -246,7 +240,7 @@ class ShardedScheduler:
             if trace is not None:
                 trace.annotate("deadline_shed", "pre-queue")
             future = Future()
-            future.set_result(_error_dict(DeadlineExceeded(
+            future.set_result(error_payload(DeadlineExceeded(
                 "deadline expired before the request was queued"
             )))
             return future
@@ -294,7 +288,7 @@ class ShardedScheduler:
                 self._overloaded += 1
             if trace is not None:
                 trace.annotate("overloaded", shard.index)
-            self._resolve(key, future, _error_dict(Overloaded(
+            self._resolve(key, future, error_payload(Overloaded(
                 "shard %d queue full (depth %d); retry later"
                 % (shard.index, shard.queue.maxsize)
             )))
@@ -344,7 +338,7 @@ class ShardedScheduler:
                     self._deadline_shed += 1
                 if trace is not None:
                     trace.annotate("deadline_shed", "queued")
-                self._finish(key, future, _error_dict(DeadlineExceeded(
+                self._finish(key, future, error_payload(DeadlineExceeded(
                     "deadline expired while the request was queued"
                 )))
                 continue
@@ -367,7 +361,7 @@ class ShardedScheduler:
                         with budget_scope(budget):
                             response = self._submit(payload)
             except Exception as error:  # submit_dict shouldn't raise; belt
-                response = _error_dict(error)  # and suspenders for workers
+                response = error_payload(error)  # and suspenders for workers
             except BaseException:
                 # Worker death (FaultCrash or a genuine non-Exception).
                 # Settle the in-hand request, then let the crash escape
@@ -438,7 +432,7 @@ class ShardedScheduler:
                     strikes=strikes,
                     fingerprint=fingerprint[:64],
                 )
-            self._finish(key, future, _error_dict(PoisonedRequest(
+            self._finish(key, future, error_payload(PoisonedRequest(
                 "request crashed %d workers and was quarantined" % strikes
             )))
             return
@@ -454,7 +448,7 @@ class ShardedScheduler:
         except queue.Full:
             with self._stats_lock:
                 self._overloaded += 1
-            self._finish(key, future, _error_dict(Overloaded(
+            self._finish(key, future, error_payload(Overloaded(
                 "shard %d queue full while retrying a crashed request"
                 % shard.index
             )))

@@ -394,6 +394,14 @@ class ErrorResponse(_WireMessage):
     message: str
 
 
+def error_payload(error: Exception) -> dict[str, Any]:
+    """The wire payload of an :class:`ErrorResponse` reporting *error*:
+    its class name and message."""
+    return ErrorResponse(
+        error_type=type(error).__name__, message=str(error)
+    ).to_dict()
+
+
 # -- dispatch ----------------------------------------------------------------
 
 _REQUEST_KINDS = {

@@ -11,18 +11,19 @@ rebuilding them.
 
 Cache keys pin down everything that changes the cached object's content:
 
-* pools are keyed by ``(dataset, version, L, mapping, mask_repr)`` —
+* pools are keyed by ``(dataset, version, L, mapping, representation)`` —
   the answer set *at a content version* (bumped by replace and append,
   so stale state is unreachable by key), the top-L slice the pool
   generalizes, the coverage-mapping strategy after
   :func:`~repro.core.semilattice.normalize_mapping` (``"lazy"`` and
   ``"eager"`` name one mapping, so they share one key), and the mask
-  representation (``"int"`` for the bitset/python kernels, ``"dense"``
-  for packed uint64-block pools);
+  representation (:attr:`ClusterPool.kernel
+  <repro.core.semilattice.ClusterPool.kernel>`: ``"bitset"`` for the
+  bitset and python kernels, ``"dense"`` for packed uint64-block pools);
 * stores are keyed by ``(dataset, version, L, mapping, k_range,
-  d_values, kernel, argmax)`` — everything the pool key pins (the
-  kernel fixes the mask representation) plus the precompute sweep's
-  parameter grid and the merge-engine substrate the sweep ran on.
+  d_values, kernel)`` — everything the pool key pins (the kernel fixes
+  the mask representation) plus the precompute sweep's parameter grid
+  and the merge-engine kernel the sweep ran on.
 
 Appends (:meth:`Engine.append_rows`) do better than invalidation: each
 cached pool of the old version is *carried over* — rebuilt over the
@@ -65,17 +66,20 @@ from repro.common.errors import InvalidParameterError, ReproError
 from repro.common.faults import fault_point
 from repro.common.interning import STAR
 from repro.core.answers import AnswerSet
-from repro.core.bitset import DENSE_KERNEL, resolve_kernel
+from repro.core.bitset import resolve_kernel
 from repro.core.dense import mask_indices
 from repro.core.problem import ProblemInstance
 from repro.core.registry import validate_algorithm_kwargs
-from repro.core.semilattice import ClusterPool, normalize_mapping
+from repro.core.semilattice import (
+    ClusterPool,
+    mask_representation,
+    normalize_mapping,
+)
 from repro.obs.tracing import record_span, span, trace_scope
 from repro.core.solution import Solution
 from repro.interactive.precompute import SolutionStore
 from repro.service.api import (
     ClusterDTO,
-    ErrorResponse,
     ExpandedElementDTO,
     ExploreRequest,
     GuidanceRequest,
@@ -83,6 +87,7 @@ from repro.service.api import (
     GuidanceSeriesDTO,
     SummaryRequest,
     SummaryResponse,
+    error_payload,
     parse_request,
 )
 
@@ -428,21 +433,19 @@ class Engine:
         *mapping* is normalized before it joins the key, so ``"lazy"``
         checks out the ``"eager"`` pool; an unknown name raises before
         either cache is touched.  *kernel* selects the pool's mask
-        representation: the bitset and python kernels share int-bitmask
-        pools, while ``"dense"`` (or ``"auto"`` resolving to it at this
-        dataset's size) checks out a packed-block pool.  The
-        representation is part of the cache key, so kernels never alias
-        each other's pools.
+        representation (:func:`~repro.core.semilattice.mask_representation`):
+        the bitset and python kernels share int-bitmask pools, while
+        ``"dense"`` (or ``"auto"`` resolving to it at this dataset's size)
+        checks out a packed-block pool.  The representation is part of
+        the cache key, so kernels never alias each other's pools.
         """
         answers, version = self._dataset_state(dataset)
         mapping = normalize_mapping(mapping)
-        resolved = resolve_kernel(kernel, n=answers.n)
-        dense = resolved == DENSE_KERNEL
+        representation = mask_representation(kernel, answers.n)
         return self._pools.get_or_build(
-            (dataset, version, L, mapping, "dense" if dense else "int"),
+            (dataset, version, L, mapping, representation),
             lambda: ClusterPool(
-                answers, L, strategy=mapping,
-                kernel=DENSE_KERNEL if dense else None,
+                answers, L, strategy=mapping, kernel=representation
             ),
         )
 
@@ -454,31 +457,23 @@ class Engine:
         d_values: Sequence[int],
         mapping: str = "eager",
         kernel: str | None = None,
-        argmax: str | None = None,
     ) -> tuple[SolutionStore, float, bool]:
         """The precomputed store for (dataset, L, k_range, d_values).
 
         ``init_seconds`` covers whatever this call actually built: pool
         construction (if cold) plus the precomputation sweep (if cold).
-        ``argmax`` selects the sweep's greedy argmax (``None`` = auto:
-        the lazy heap whenever sound); it is part of the cache key so
-        ablation runs never alias production stores.
         """
         k_range = tuple(k_range)
         d_key = tuple(sorted(set(d_values)))
         answers, version = self._dataset_state(dataset)
         mapping = normalize_mapping(mapping)
         kernel = resolve_kernel(kernel, n=answers.n)
-        argmax_key = "auto" if argmax is None else argmax
         pool, pool_seconds, _pool_hit = self.checkout_pool(
             dataset, L, mapping, kernel=kernel
         )
         store, store_seconds, store_hit = self._stores.get_or_build(
-            (dataset, version, L, mapping, k_range, d_key, kernel,
-             argmax_key),
-            lambda: SolutionStore(
-                pool, k_range, d_key, kernel=kernel, argmax=argmax
-            ),
+            (dataset, version, L, mapping, k_range, d_key, kernel),
+            lambda: SolutionStore(pool, k_range, d_key, kernel=kernel),
         )
         return store, pool_seconds + store_seconds, store_hit
 
@@ -528,9 +523,7 @@ class Engine:
                 with span("engine.request"):
                     return self.submit(parse_request(payload)).to_dict()
         except (ReproError, TypeError, ValueError) as error:
-            return ErrorResponse(
-                error_type=type(error).__name__, message=str(error)
-            ).to_dict()
+            return error_payload(error)
 
     # -- handlers -------------------------------------------------------------
 

@@ -51,7 +51,7 @@ from repro.common.errors import (
 )
 from repro.core.registry import algorithm_infos
 from repro.obs import Telemetry
-from repro.service.api import SCHEMA_VERSION, ErrorResponse
+from repro.service.api import SCHEMA_VERSION, error_payload
 from repro.service.engine import CacheStats, Engine
 
 #: Request kinds that cost real computation — the ones per-user quotas
@@ -71,12 +71,6 @@ SERVER_SCOPE = "server"
 #: reads — a safety valve so a stream whose decoder cannot make progress
 #: does not spin the loop forever.
 _MAX_CONSECUTIVE_DECODE_ERRORS = 100
-
-
-def _error_payload(error: Exception) -> dict[str, Any]:
-    return ErrorResponse(
-        error_type=type(error).__name__, message=str(error)
-    ).to_dict()
 
 
 def _status_of(response: Any) -> str:
@@ -237,7 +231,7 @@ class Dispatcher:
     def oversized_error(self) -> dict[str, Any]:
         with self._counts_lock:
             self.oversized += 1
-        return _error_payload(LineTooLong(
+        return error_payload(LineTooLong(
             "request line exceeds max_line_bytes=%d; line discarded"
             % self.max_line_bytes
         ))
@@ -245,14 +239,14 @@ class Dispatcher:
     def undecodable_error(self) -> dict[str, Any]:
         with self._counts_lock:
             self.undecodable += 1
-        return _error_payload(SchemaError(
+        return error_payload(SchemaError(
             "request line is not valid UTF-8"
         ))
 
     def _malformed_error(self, error: Exception) -> dict[str, Any]:
         with self._counts_lock:
             self.malformed += 1
-        return _error_payload(error)
+        return error_payload(error)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -339,20 +333,20 @@ class Dispatcher:
             except AuthError as error:
                 with self._counts_lock:
                     self.auth_rejected += 1
-                return DispatchOutcome(_error_payload(error), kind=kind_label)
+                return DispatchOutcome(error_payload(error), kind=kind_label)
         if self.quota is not None and kind in ANALYTIC_KINDS:
             try:
                 self.quota.charge(user, kind)
             except QuotaExceeded as error:
                 with self._counts_lock:
                     self.quota_rejected += 1
-                return DispatchOutcome(_error_payload(error), kind=kind_label)
+                return DispatchOutcome(error_payload(error), kind=kind_label)
         try:
             admin = self._handle_admin(payload)
         except ReproError as error:
-            return DispatchOutcome(_error_payload(error), kind=kind_label)
+            return DispatchOutcome(error_payload(error), kind=kind_label)
         except OSError as error:
-            return DispatchOutcome(_error_payload(error), kind=kind_label)
+            return DispatchOutcome(error_payload(error), kind=kind_label)
         if admin is not None:
             response, scope = admin
             return DispatchOutcome(response, shutdown=scope, kind=kind_label)

@@ -61,7 +61,7 @@ from repro.server.scheduler import (
     DEFAULT_WORKERS_PER_SHARD,
     ShardedScheduler,
 )
-from repro.service.api import SCHEMA_VERSION, ErrorResponse
+from repro.service.api import SCHEMA_VERSION, error_payload
 from repro.service.engine import Engine
 from repro.service.serve import (
     ANALYTIC_KINDS,
@@ -102,12 +102,6 @@ def status_for(payload: Any) -> int:
     if isinstance(payload, dict) and payload.get("kind") == "error":
         return STATUS_BY_ERROR_TYPE.get(payload.get("error_type"), 400)
     return 200
-
-
-def _error_payload(error: Exception) -> dict[str, Any]:
-    return ErrorResponse(
-        error_type=type(error).__name__, message=str(error)
-    ).to_dict()
 
 
 #: Bound on a caller-supplied ``X-Request-Id`` (the id lands verbatim in
@@ -590,7 +584,7 @@ class _Handler(BaseHTTPRequestHandler):
         close_connection = False
         try:
             if route is None:
-                status, payload, content_type = 404, _error_payload(
+                status, payload, content_type = 404, error_payload(
                     SchemaError("no route for %s %s" % (method, self.path))
                 ), None
             else:
@@ -609,10 +603,10 @@ class _Handler(BaseHTTPRequestHandler):
             close_connection = True  # unread body: cannot reuse the socket
         except ReproError as error:
             status, payload, content_type = (
-                status_for(_error_payload(error)), _error_payload(error), None
+                status_for(error_payload(error)), error_payload(error), None
             )
         except Exception as error:  # belt and suspenders: never a traceback
-            status, payload, content_type = 500, _error_payload(error), None
+            status, payload, content_type = 500, error_payload(error), None
         # Counted before the write: a client that holds its response and
         # scrapes /metrics must find it there.  A write that then fails
         # stays counted.

@@ -54,7 +54,6 @@ class TestBitBlocksPrimitives:
             assert list(mask.indices()) == sorted(indices)
             assert mask.bit_count() == len(indices)
             assert bool(mask) == bool(indices)
-            assert mask.nblocks == (nbits + 63) // 64
             assert mask._as_int() == bitset_of(indices)
             assert dense.int_to_blocks(bitset_of(indices), nbits) == mask
 
@@ -75,19 +74,26 @@ class TestBitBlocksPrimitives:
         assert (~ba).bit_count() == nbits - len(a_ids)
 
     def test_test_and_lowest_bit(self, backend):
+        """Membership and the lowest set bit as the merge engine and the
+        brute-force search read them: an AND with a one-bit mask, and the
+        first of ``indices()``; a first-n mask is ``int_to_blocks``."""
         mask = dense.blocks_of([3, 70, 128], 200)
-        assert mask.test(3) and mask.test(70) and mask.test(128)
-        assert not mask.test(0) and not mask.test(199)
-        assert mask.lowest_bit() == 3
-        assert dense.zero_blocks(200).lowest_bit() == -1
-        assert dense.first_n_blocks(5, 200).bit_count() == 5
+
+        def bit(index):
+            return dense.int_to_blocks(1 << index, 200)
+
+        assert mask & bit(3) and mask & bit(70) and mask & bit(128)
+        assert not mask & bit(0) and not mask & bit(199)
+        assert next(mask.indices()) == 3
+        assert list(dense.int_to_blocks(0, 200).indices()) == []
+        assert dense.int_to_blocks((1 << 5) - 1, 200).bit_count() == 5
 
     def test_bit_length_matches_int(self, backend):
         """``bit_length()`` is ``int.bit_length()`` of the packed view:
         the empty mask, a bit in the last (partial) block, and random
         masks over universes that end mid-block and on a block edge."""
         rng = random.Random(17)
-        assert dense.zero_blocks(200).bit_length() == 0
+        assert dense.int_to_blocks(0, 200).bit_length() == 0
         assert dense.blocks_of([199], 200).bit_length() == 200
         assert dense.blocks_of([0], 1).bit_length() == 1
         for nbits in (1, 63, 64, 65, 200, 4096):
@@ -164,6 +170,18 @@ class TestKernelResolution:
         for name in KERNELS:
             assert resolve_kernel(name) == name
             assert resolve_kernel(name, n=10**7) == name
+
+    @needs_numpy
+    def test_auto_stays_on_bitset_at_1e5_rows(self):
+        """On the served path bitset is the faster kernel at n=10^5."""
+        assert resolve_kernel("auto", n=100_000) == BITSET_KERNEL
+
+    def test_pool_kernel_names_the_mask_representation(self, tiny_answers):
+        """A pool reports the representation it holds: int masks read
+        ``"bitset"`` whichever int-mask kernel asked for them."""
+        for kernel in (None, "bitset", "python", "auto"):
+            pool = ClusterPool(tiny_answers, L=3, kernel=kernel)
+            assert pool.kernel == BITSET_KERNEL
 
     @needs_numpy
     def test_auto_policy(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.common.errors import InvalidParameterError
@@ -15,6 +17,8 @@ from repro.core.registry import (
     unregister_algorithm,
     validate_algorithm_kwargs,
 )
+from repro.core.semilattice import ClusterPool
+from repro.core.solution import Solution, is_feasible
 from tests.conftest import random_answer_set
 
 PAPER_ALGORITHMS = {
@@ -44,6 +48,19 @@ class TestRegistryContents:
         assert get_algorithm("hybrid").cost == "greedy"
         assert get_algorithm("lower-bound").cost == "bound"
         assert get_algorithm("random-fixed-order").cost == "heuristic"
+
+    def test_runners_take_pool_k_D(self):
+        """Every registered runner is called as ``runner(pool, k, D)``,
+        and each option it declares is a named parameter of it."""
+        answers = random_answer_set(n=25, m=4, domain=3, seed=9)
+        pool = ClusterPool(answers, L=5)
+        for info in algorithm_infos():
+            solution = info.runner(pool, 3, 1)
+            assert isinstance(solution, Solution)
+            assert is_feasible(solution, answers, k=3, L=5, D=1), info.name
+            parameters = inspect.signature(info.runner).parameters
+            for option in info.kwargs:
+                assert option in parameters, (info.name, option)
 
     def test_describe_is_json_friendly(self):
         import json
@@ -80,10 +97,10 @@ class TestRegistration:
     def test_register_and_unregister_plugin(self):
         @register_algorithm("test-plugin", cost="heuristic",
                             kwargs=("knob",), summary="for this test")
-        def run_plugin(instance, knob=0):
+        def run_plugin(pool, k, D, knob=0):
             from repro.core.brute_force import lower_bound
 
-            return lower_bound(instance.pool)
+            return lower_bound(pool)
 
         try:
             assert "test-plugin" in algorithm_names()
