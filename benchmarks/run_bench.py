@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -242,6 +243,11 @@ def bench_kernel_core(smoke: bool) -> dict:
     }
 
 
+#: Warm explores the service_cache workload times; its speedup is over
+#: their median (one sub-millisecond sample swung 30-55x run to run).
+SERVICE_WARM_EXPLORES = 25
+
+
 def bench_service_cache(smoke: bool) -> dict:
     """Cold vs warm engine requests (shared pools/stores across sessions)."""
     n = 500 if smoke else 2087
@@ -263,10 +269,14 @@ def bench_service_cache(smoke: bool) -> dict:
     start = time.perf_counter()
     explore_cold = engine.submit(explore)
     explore_cold_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    explore_warm = engine.submit(explore)
-    explore_warm_seconds = time.perf_counter() - start
-    assert explore_cold.cache_hit is False and explore_warm.cache_hit is True
+    assert explore_cold.cache_hit is False
+    warm_samples = []
+    for _ in range(SERVICE_WARM_EXPLORES):
+        start = time.perf_counter()
+        explore_warm = engine.submit(explore)
+        warm_samples.append(time.perf_counter() - start)
+        assert explore_warm.cache_hit is True
+    explore_warm_seconds = statistics.median(warm_samples)
     return {
         "name": "service_cache",
         "params": {"n": n, "m": 6, "L": L},
@@ -278,7 +288,8 @@ def bench_service_cache(smoke: bool) -> dict:
             {"label": "explore-cold", "kernel": explore_cold.kernel,
              "seconds": explore_cold_seconds},
             {"label": "explore-warm", "kernel": explore_warm.kernel,
-             "seconds": explore_warm_seconds},
+             "seconds": explore_warm_seconds,
+             "samples": SERVICE_WARM_EXPLORES},
         ],
         "speedup": explore_cold_seconds / max(explore_warm_seconds, 1e-9),
     }

@@ -39,8 +39,9 @@ upper-bound heap argmax (:mod:`repro.core.merge`) — and what makes the
 ``dense`` kernel bit-identical to ``bitset``/``python`` whenever sums are
 exact (property-tested on dyadic-rational values).
 
->>> from repro.core.dense import ValueTable, blocks_of
->>> mask = blocks_of([0, 2, 5], nbits=8)
+>>> from repro.core.bitset import bitset_of
+>>> from repro.core.dense import ValueTable, int_to_blocks
+>>> mask = int_to_blocks(bitset_of([0, 2, 5]), nbits=8)
 >>> mask.bit_count(), list(mask.indices())
 (3, [0, 2, 5])
 >>> mask.value_sum(ValueTable([1.0, 9.0, 2.0, 9.0, 9.0, 3.0, 9.0, 9.0]))
@@ -49,7 +50,7 @@ exact (property-tested on dyadic-rational values).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.bitset import iter_bits, mask_value_sum
 
@@ -120,7 +121,7 @@ class BitBlocks:
 
     ``_arr`` holds the blocks as a ``numpy.uint64`` array (bits past
     ``nbits`` stay clear); ``_count`` lazily caches the popcount.  Build
-    masks with :func:`blocks_of` or :func:`int_to_blocks`.
+    masks with :func:`int_to_blocks`.
     """
 
     __slots__ = ("nbits", "_arr", "_count")
@@ -256,28 +257,20 @@ def int_mask_value_sum(table: ValueTable, mask: int) -> float:
     return _sum_set_bits(table, raw, nbits)
 
 
-def blocks_of(indices: Iterable[int], nbits: int) -> BitBlocks:
-    """Pack *indices* into a :class:`BitBlocks` mask over *nbits* elements.
-
-    Scatters into a byte-per-bit row and ``packbits`` it — O(n) vectorized
-    regardless of how many indices there are — which is what makes dense
-    pools cheap to build at n = 10^6.
-    """
-    flags = _np.zeros(((nbits + 63) >> 6) << 6, dtype=_np.uint8)
-    if not isinstance(indices, (list, tuple)):
-        indices = list(indices)
-    if indices:
-        flags[_np.array(indices, dtype=_np.int64)] = 1
-    return BitBlocks(
-        _np.packbits(flags, bitorder="little").view(_np.uint64), nbits
-    )
-
-
 def int_to_blocks(value: int, nbits: int) -> BitBlocks:
     """The int mask *value* (below ``2**nbits``) as a :class:`BitBlocks`
     mask over *nbits* elements."""
     raw = value.to_bytes(((nbits + 63) >> 6) << 3, "little")
     return BitBlocks(_np.frombuffer(raw, dtype=_np.uint64).copy(), nbits)
+
+
+def mask_has_bit(mask, index: int) -> bool:
+    """Whether bit *index* of either mask representation is set, with no
+    n-bit temporary: an int ANDs with ``1 << index`` (its cost grows with
+    *index*, not with n), and blocks read one block."""
+    if isinstance(mask, int):
+        return bool(mask & 1 << index)
+    return bool(int(mask._arr[index >> 6]) >> (index & 63) & 1)
 
 
 def mask_indices(mask) -> Iterator[int]:

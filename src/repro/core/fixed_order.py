@@ -18,10 +18,10 @@ here as well; the paper finds neither improves on plain Fixed-Order.
 from __future__ import annotations
 
 import random as _random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.common.errors import InvalidParameterError
-from repro.core.cluster import Cluster, Pattern, lca_many
+from repro.core.cluster import Pattern, lca_many
 from repro.core.merge import TARGET_COUNTERS, MergeEngine
 from repro.core.registry import register_algorithm
 from repro.core.semilattice import ClusterPool
@@ -37,23 +37,17 @@ def _validate(pool: ClusterPool, k: int, D: int) -> None:
         )
 
 
-def _process_incoming(engine: MergeEngine, incoming: Cluster, k: int, D: int) -> None:
-    """One iteration of Algorithm 3's loop body for an incoming cluster.
-
-    Members are read unsorted: whether any lies within distance D, and
-    which one is the merge target (an argmax with a total tie-break key),
-    do not depend on their order.
-    """
-    if engine.is_fully_covered(incoming):
-        return
-    members = engine.members()
-    if engine.size < k:
-        near = engine.near_members(incoming, D)
-        if not near:
-            engine.add(incoming)
-            return
-        members = near
-    engine.merge_into(engine.best_merge_target(incoming, members), incoming)
+def _process_ranks(
+    engine: MergeEngine, ranks: Iterable[int], k: int, D: int
+) -> None:
+    """Algorithm 3's loop body for the top-L elements at *ranks*, in that
+    order.  A singleton covers its own element only, so a rank already
+    in T is skipped by a bit test before its cluster is looked up."""
+    singleton = engine.pool.singleton
+    is_covered = engine.is_covered
+    for index in ranks:
+        if not is_covered(index):
+            engine.place(singleton(index), k, D)
 
 
 def _engine(
@@ -125,8 +119,7 @@ def fixed_order_engine(
     """
     _validate(pool, max(budget, 1), D)
     engine = _engine(pool, use_delta=use_delta, kernel=kernel, argmax=argmax)
-    for index in pool.answers.top(pool.L):
-        _process_incoming(engine, pool.singleton(index), budget, D)
+    _process_ranks(engine, pool.answers.top(pool.L), budget, D)
     return engine
 
 
@@ -151,10 +144,8 @@ def random_fixed_order(
     top = pool.answers.top(pool.L)
     chosen = rng.sample(top, min(k, len(top)))
     engine = _engine(pool, kernel=kernel)
-    for index in chosen:
-        _process_incoming(engine, pool.singleton(index), k, D)
-    for index in top:
-        _process_incoming(engine, pool.singleton(index), k, D)
+    _process_ranks(engine, chosen, k, D)
+    _process_ranks(engine, top, k, D)
     return floor_at_root(engine.snapshot(), pool)
 
 
@@ -197,7 +188,8 @@ def kmeans_fixed_order(
     )
     engine = _engine(pool, kernel=kernel)
     for pattern in seed_patterns:
-        _process_incoming(engine, pool.cluster(pattern), k, D)
-    for index in top:
-        _process_incoming(engine, pool.singleton(index), k, D)
+        seed_cluster = pool.cluster(pattern)
+        if not engine.is_fully_covered(seed_cluster):
+            engine.place(seed_cluster, k, D)
+    _process_ranks(engine, top, k, D)
     return floor_at_root(engine.snapshot(), pool)

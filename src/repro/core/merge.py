@@ -28,13 +28,18 @@ Evaluation is the hot path, and two layers of optimization live here:
   pair enumeration (Bottom-Up, Hybrid's second phase, the precompute
   forks, which share one build through :meth:`MergeEngine.clone`) builds
   it in one pass.  Fixed-Order never reads it, so its adds and merges
-  skip the bookkeeping, and its argmax
-  (:meth:`MergeEngine.best_merge_target`) evaluates each distinct LCA of
-  the incoming element at most once: under ``argmax="heap"`` in
-  descending order of an upper bound that costs one AND, one popcount
-  and one highest-bit read, stopping once the next bound falls below the
-  best exact objective (on the benchmark's warm-explore data, about 1.4
-  exact evaluations per merge instead of 12.7 distinct LCAs).  Both
+  skip the bookkeeping.  Its loop body (:meth:`MergeEngine.place`)
+  computes each member's LCA with the incoming element once, in one
+  pass that reads nearness from the LCA's level, and skips that pass
+  when nothing can be near (room in the budget and ``D <= 1``).  Its
+  argmax (:meth:`MergeEngine.best_merge_target`) evaluates each
+  distinct LCA at most once: under ``argmax="heap"`` in descending order
+  of an upper bound that costs one AND, one popcount and one highest-bit
+  read, stopping once the next bound falls below the best exact
+  objective (on the benchmark's warm-explore data, about 1.4 exact
+  evaluations per merge instead of 12.7 distinct LCAs).  A merge then
+  adds the marginal its round priced to the covered sum instead of
+  summing the newly covered elements again.  Both
   mask kernels share this entire code path (the mask objects expose the
   same operators); a dense engine requires a pool built with
   ``kernel="dense"`` so the cluster masks match its representation.
@@ -62,7 +67,10 @@ Evaluation is the hot path, and two layers of optimization live here:
   values are non-negative*: the marginal value sum only shrinks, and
   ``covered_count + marginal_count`` only grows — so ``(covered_sum +
   stale_sum) / max(covered_count, stale_mass)`` always dominates the
-  group's current objective.  The argmax pops groups in bound order,
+  group's current objective.  A build evaluates nothing: each group
+  enters at the bound Fixed-Order's targets are ordered by, so the
+  first round, like every later one, evaluates only its frontier.  The
+  argmax pops groups in bound order,
   re-evaluates exactly (stale-bound pop-and-refresh), and stops as soon
   as the best exact value seen beats the drift-corrected bound at the
   top of the heap; every group that could still win or tie has, at that
@@ -116,7 +124,7 @@ from repro.common.errors import InvalidParameterError
 from repro.core.answers import AnswerSet
 from repro.core.bitset import PYTHON_KERNEL, bitset_of, resolve_kernel
 from repro.core.cluster import Cluster
-from repro.core.dense import mask_indices
+from repro.core.dense import mask_has_bit, mask_indices
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution
 
@@ -227,9 +235,10 @@ class _ArgmaxHeap:
       current refined bound because ``s_floor`` never exceeds any entry's
       push-time S.
 
-    ``s_floor`` is reset by (re)builds; the engine rebuilds the heap when
-    the drift term grows past a small fraction of the current average, so
-    the stop bound stays within a hair of the true maximum.
+    ``s_floor`` is reset by builds and reprioritizations; the engine
+    reprioritizes the heap when the drift term grows past a small
+    fraction of the current average, so the stop bound stays within a
+    hair of the true maximum.
     """
 
     __slots__ = ("entries", "meta", "s_floor")
@@ -389,9 +398,10 @@ class MergeEngine:
         return len(self._covered)
 
     def is_covered(self, index: int) -> bool:
-        """True if element *index* is covered by the current solution."""
+        """True if element *index* is covered by the current solution: a
+        bit test on T that builds no n-bit mask."""
         if self._masked:
-            return bool(self._covered_mask & self.pool.as_mask(1 << index))
+            return mask_has_bit(self._covered_mask, index)
         return index in self._covered
 
     def is_fully_covered(self, cluster: Cluster) -> bool:
@@ -591,32 +601,51 @@ class MergeEngine:
         merged = self._merged_cluster(c1, c2)
         return self.evaluate_candidate(merged), merged
 
-    def near_members(self, cluster: Cluster, D: int) -> list[Cluster]:
-        """The members of O at distance < *D* from *cluster*, in no
-        particular order: the ones Fixed-Order may merge it with while
-        the size budget still has room."""
-        key = cluster.key
-        distance = self._packing.distance
-        return [
-            member
-            for member in self._solution.values()
-            if distance(key, member.key) < D
-        ]
+    def place(self, incoming: Cluster, budget: int, D: int) -> None:
+        """Algorithm 3's loop body for an *incoming* cluster that is not
+        fully covered: add it while the solution holds fewer than
+        *budget* clusters and no member lies at distance < *D*, else
+        merge it into the best target (:meth:`best_merge_target`) among
+        those near members, or among all members once the budget is full.
 
-    def best_merge_target(
-        self, incoming: Cluster, candidates: Iterable[Cluster]
-    ) -> Cluster:
+        One pass over the members computes each one's LCA with
+        *incoming* once.  Its level is the pair's distance (the LCA-group
+        invariant), so the same LCA answers the near test and keys the
+        targets.  With room and ``D <= 1`` the pass is skipped: only
+        distance 0 is near, which means equal star-free patterns, and a
+        member equal to *incoming* would cover it.
+        """
+        room = len(self._solution) < budget
+        if room and D <= 1:
+            self.add(incoming)
+            return
+        key = incoming.key
+        lca = self._packing.lca
+        level = self._packing.level
+        targets: dict[int, Cluster] = {}
+        for member in self._solution.values():
+            joined = lca(member.key, key)
+            if room and level(joined) >= D:
+                continue
+            held = targets.get(joined)
+            if held is None or member.key < held.key:
+                targets[joined] = member
+        if not targets:
+            self.add(incoming)
+            return
+        self.merge_into(self.best_merge_target(targets), incoming)
+
+    def best_merge_target(self, targets: dict[int, Cluster]) -> Cluster:
         """Fixed-Order's UpdateSolution argmax over pairs (member,
-        *incoming*): the member whose LCA with *incoming* maximizes the
-        merged objective, ties broken by the smallest (LCA pattern, member
-        pattern).  *candidates* are members of the current solution (the
-        heap-mode bound relies on their coverage lying in T); their order
-        does not matter.
+        incoming): *targets* maps each distinct LCA key of the incoming
+        cluster with a member of O to the smallest such member, and the
+        pick is the member whose LCA maximizes the merged objective, ties
+        broken by the smallest (LCA pattern, member pattern).  The
+        heap-mode bound relies on every member's coverage lying in T.
 
-        Members sharing an LCA share its post-merge objective, so only the
-        smallest member per distinct LCA competes, and each LCA is
-        evaluated at most once, against the covered sum and count read
-        once per call; the floats are those of :meth:`evaluate_pair`.
+        Members sharing an LCA share its post-merge objective, so each
+        LCA is evaluated at most once, against the covered sum and count
+        read once per call; the floats are those of :meth:`evaluate_pair`.
         Under ``argmax="heap"`` the LCAs are evaluated in descending order
         of an upper bound on their objective (:meth:`_bounded_targets`),
         stopping as soon as the next bound is strictly below the best
@@ -625,14 +654,6 @@ class MergeEngine:
         every LCA.  A skipped LCA's delta state is left as it is; its next
         read refreshes across the whole window.
         """
-        key = incoming.key
-        lca = self._packing.lca
-        targets: dict[int, Cluster] = {}
-        for member in candidates:
-            joined = lca(member.key, key)
-            held = targets.get(joined)
-            if held is None or member.key < held.key:
-                targets[joined] = member
         if not targets:
             raise ValueError("no merge candidates available")
         covered_sum = self._covered_sum
@@ -673,13 +694,36 @@ class MergeEngine:
     ) -> list[tuple[float, int, Cluster]]:
         """``(-bound, lca_key, lca_cluster)`` per distinct LCA of *targets*
         (which maps each LCA key to a member under it), sorted: the
-        heap-mode evaluation order of :meth:`best_merge_target`.
+        heap-mode evaluation order of :meth:`best_merge_target`.  Each
+        bound is ``(S + ub) / (C + cnt)`` with ``(ub, cnt)`` from
+        :meth:`_marginal_bounds`.
+        """
+        keyed = self.pool.keyed
+        ranked = [
+            (-(covered_sum + upper) / (covered_cnt + count), cluster.key,
+             cluster)
+            for cluster, upper, count in self._marginal_bounds(
+                (keyed(joined), member) for joined, member in targets.items()
+            )
+        ]
+        ranked.sort()
+        return ranked
+
+    def _marginal_bounds(
+        self, candidates: Iterable[tuple[Cluster, Cluster]]
+    ) -> Iterator[tuple[Cluster, float, int]]:
+        """``(c, ub, cnt)`` per ``(c, member)`` of *candidates*, where
+        *member* is a member of O under c: ``cnt`` is c's exact marginal
+        count and ``ub`` a float upper bound on its marginal value sum.
+        The bounds that order Fixed-Order's targets
+        (:meth:`_bounded_targets`) and seed the lazy heaps
+        (:meth:`_build_heap`).
 
         Each bound costs one mask AND, one popcount and one highest-bit
-        read, and its float dominates the LCA's float objective ``(S +
-        delta_sum) / (C + delta_cnt)`` as :meth:`_marginal` would compute
-        it now.  The count is exact: ``cnt = |c| - |c & T|`` is the int
-        the marginal returns, so only the sum needs bounding.  Values are
+        read, and ``(S + ub) / (C + cnt)`` dominates c's float objective
+        ``(S + delta_sum) / (C + delta_cnt)`` as :meth:`_marginal` would
+        compute it now.  The count is exact: ``cnt = |c| - |c & T|`` is the
+        int the marginal returns, so only the sum needs bounding.  Values are
         non-negative (the heap's precondition) and every value sum adds
         in ascending index order, so a sum over a subset of c never
         exceeds, in floats, the sum over c, and subtracting a
@@ -699,8 +743,8 @@ class MergeEngine:
         * with a state, the ``delta_cnt - cnt`` elements covered since
           its stamp, each worth at least v_min;
         * without one, all of ``c & T``: the member's own elements (it
-          lies under the LCA and in T) worth ``value_sum(member)``, and
-          the other ``|c & T| - |member|``, each worth at least v_min.
+          lies under c and in T) worth ``value_sum(member)``, and the
+          other ``|c & T| - |member|``, each worth at least v_min.
 
         In real arithmetic the tightened bound dominates the marginal.
         In floats, with u = 2^-53 and V = value_sum(c), the marginal's
@@ -715,22 +759,21 @@ class MergeEngine:
 
         With a float sum bound ``ub`` at least the float marginal, ``(S +
         ub) / (C + cnt)`` dominates the objective: IEEE addition, and
-        division by the same positive denominator, are monotone.
+        division by the same positive denominator, are monotone.  A heap
+        keeps ``ub`` as a group's stale sum, as it keeps an evaluated
+        marginal: the real marginal only shrinks as T grows, so ``ub``
+        bounds the later ones as it bounds this one.
         """
         values = self.answers.values
         covered = self._covered_mask
         cache = self._delta_cache
-        keyed = self.pool.keyed
         slack = _TARGET_SLACK * (self.answers.n + 2)
-        ranked = []
-        for joined in targets:
-            cluster = keyed(joined)
+        for cluster, member in candidates:
             inter = cluster.mask & covered
             inter_cnt = inter.bit_count()
             count = cluster.size - inter_cnt
-            state = cache.get(joined)
+            state = cache.get(cluster.key)
             if state is None:
-                member = targets[joined]
                 upper = cluster.value_sum
                 tighter = upper - member.value_sum
                 shared = inter_cnt - member.size
@@ -740,12 +783,7 @@ class MergeEngine:
             if shared:
                 tighter -= shared * values[inter.bit_length() - 1]
             tighter += slack * cluster.value_sum
-            if tighter < upper:
-                upper = tighter
-            bound = (covered_sum + upper) / (covered_cnt + count)
-            ranked.append((-bound, joined, cluster))
-        ranked.sort()
-        return ranked
+            yield cluster, (tighter if tighter < upper else upper), count
 
     def _merged_cluster(self, c1: Cluster, c2: Cluster) -> Cluster:
         """The LCA cluster of a pair, via the pair table when possible."""
@@ -916,32 +954,32 @@ class MergeEngine:
         return row[0], row[1]
 
     def _build_heap(self, max_distance: int | None) -> _ArgmaxHeap:
-        """(Re)seed the lazy heap for one distance filter with exact bounds.
+        """(Re)seed the lazy heap for one distance filter with bounds.
 
-        Costs one full group evaluation (the same work as a single scan
-        round); every later round then only refreshes the groups whose
-        bounds still compete.  The evaluations land in the delta cache, so
-        the first :meth:`_heap_best` against the fresh heap re-reads them
-        for free.  Also serves as the periodic rebuild that resets
-        ``s_floor`` once covered-sum drift has loosened the stop bound.
+        Evaluates nothing: each group enters at the bound
+        :meth:`_marginal_bounds` proves for its LCA (one AND, one
+        popcount and one highest-bit read), given any member of one of
+        its pairs.  A group whose delta state is stamped this round enters
+        at its exact objective.  The first :meth:`_heap_best` round then
+        evaluates only its frontier, as later rounds do.
         """
         by_lca = self._by_lca
         assert by_lca is not None
         covered_sum = self._covered_sum
         covered_cnt = self._covered_mask.bit_count()
         heap = _ArgmaxHeap(covered_sum)
-        marginal = self._marginal_bitset
         meta = heap.meta
         entries = heap.entries
-        for joined, group in by_lca.items():
-            if max_distance is not None and group[0] >= max_distance:
-                continue
-            delta_sum, delta_cnt = marginal(group[1])
-            priority = (covered_sum + delta_sum) / (covered_cnt + delta_cnt)
-            meta[joined] = (priority, delta_sum, covered_cnt + delta_cnt)
-            entries.append((-priority, joined))
+        for cluster, upper, count in self._marginal_bounds(
+            (group[1], next(iter(group[2].values()))[0])
+            for group in by_lca.values()
+            if max_distance is None or group[0] < max_distance
+        ):
+            mass = covered_cnt + count
+            priority = (covered_sum + upper) / mass
+            meta[cluster.key] = (priority, upper, mass)
+            entries.append((-priority, cluster.key))
         heapify(entries)
-        self.stats["argmax_evals"] += len(meta)
         self._heaps[max_distance] = heap
         return heap
 
@@ -1004,9 +1042,10 @@ class MergeEngine:
           decides when to stop popping altogether: it dominates every
           remaining entry's refined bound, so once it falls below the
           best exact value nothing beneath the top can win or tie.  The
-          engine rebuilds the heap (resetting ``s_floor``) whenever drift
-          exceeds a small fraction of the current average, keeping the
-          stop bound tight at an amortized cost of one scan per rebuild.
+          engine reprioritizes the heap (resetting ``s_floor``) whenever
+          drift exceeds a small fraction of the current average, keeping
+          the stop bound tight at three float ops per group, with no
+          evaluation.
 
         Together these make steady-state rounds touch only the
         near-optimal frontier plus newly created groups — sublinear in
@@ -1028,10 +1067,8 @@ class MergeEngine:
                 del self._heaps[key]
         heap = self._heaps.get(max_distance)
         drift = 0.0
-        fresh_build = False
         if heap is None:
             heap = self._build_heap(max_distance)
-            fresh_build = True
         elif covered_cnt:
             drift = (covered_sum - heap.s_floor) / covered_cnt
             # Reprioritizing costs three float ops per group and resets
@@ -1085,11 +1122,7 @@ class MergeEngine:
             heappop(entries)
             pops += 1
             delta_sum, delta_cnt = marginal(group[1])
-            if not fresh_build:
-                # On a build round every state was just stamped by
-                # _build_heap (already counted there); these reads are
-                # delta-cache hits, not additional evaluations.
-                evals += 1
+            evals += 1
             touched.add(joined)
             new_avg = (covered_sum + delta_sum) / (covered_cnt + delta_cnt)
             meta[joined] = (new_avg, delta_sum, covered_cnt + delta_cnt)
@@ -1253,8 +1286,21 @@ class MergeEngine:
                     del self._cover_log[stamp]
 
     def _absorb_coverage(self, merged: Cluster) -> None:
-        """Fold cov(*merged*) into T, recording the per-round difference."""
+        """Fold cov(*merged*) into T, recording the per-round difference.
+
+        A mask engine whose round priced *merged* (its delta state is
+        stamped this round: Fixed-Order's target, every Bottom-Up winner)
+        adds that marginal, which is cov(*merged*) \\ T, instead of
+        summing it again.  On exact (dyadic) values that is the same
+        float; otherwise the objective is the one the round compared.
+        """
         if self._masked:
+            state = self._delta_cache.get(merged.key)
+            if state is not None and state.stamp == self.rounds:
+                if state.delta_cnt:
+                    self._covered_mask |= merged.mask
+                    self._covered_sum += state.delta_sum
+                return
             fresh = merged.mask & ~self._covered_mask
             if fresh:
                 self._covered_mask |= fresh

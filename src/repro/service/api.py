@@ -27,7 +27,7 @@ examples live in ``docs/WIRE_PROTOCOL.md``.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.common.errors import SchemaError
@@ -80,6 +80,29 @@ def _take_fields(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
     return {name: payload[name] for name in names if name in payload}
 
 
+#: The wire's scalar types: immutable, so the walk shares them.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _plain(value: Any) -> Any:
+    """*value* as ``dataclasses.asdict`` renders a field, copying only
+    containers: a dataclass becomes a dict of its fields, and lists,
+    tuples and dicts are rebuilt with their type kept.  Any other value
+    is shared, where ``asdict`` would deep-copy it."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if is_dataclass(value):
+        return {
+            spec.name: _plain(getattr(value, spec.name))
+            for spec in fields(value)
+        }
+    return value
+
+
 class _WireMessage:
     """Shared to_dict/to_json/from_dict/from_json plumbing."""
 
@@ -90,7 +113,7 @@ class _WireMessage:
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
         }
-        payload.update(asdict(self))
+        payload.update(_plain(self))
         return payload
 
     def to_json(self, **kwargs) -> str:

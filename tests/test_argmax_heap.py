@@ -142,6 +142,30 @@ class TestArgmaxStats:
         assert by_scan.stats["argmax_evals"] == by_scan.stats["argmax_groups"]
         assert by_heap.stats["argmax_evals"] < by_scan.stats["argmax_evals"]
 
+    def test_seeded_build_evaluates_only_its_frontier(self):
+        """A heap build seeds every group with a bound and evaluates
+        nothing, so its first round evaluates fewer groups than the heap
+        holds, and picks the scan's pair."""
+        from tests.test_merge_target import _structured_answers
+
+        pool = ClusterPool(_structured_answers(), L=100)
+        engines = {
+            mode: MergeEngine(
+                pool, (pool.singleton(i) for i in range(pool.L)),
+                argmax=mode,
+            )
+            for mode in (HEAP_ARGMAX, SCAN_ARGMAX)
+        }
+        picks = {mode: engine.best_any_pair()
+                 for mode, engine in engines.items()}
+        assert picks[HEAP_ARGMAX] == picks[SCAN_ARGMAX]
+        stats = engines[HEAP_ARGMAX].stats
+        held = len(engines[HEAP_ARGMAX]._heaps[None].meta)
+        assert stats["argmax_groups"] == held > 1
+        assert 1 <= stats["argmax_evals"] < held
+        # Only evaluations create delta states: the build made none.
+        assert len(engines[HEAP_ARGMAX]._delta_cache) < held
+
     def test_service_reports_argmax_counters(self):
         from repro.service import Engine, SummaryRequest
 

@@ -38,6 +38,11 @@ needs_numpy = pytest.mark.skipif(
 BACKENDS = ("numpy",)
 
 
+def _blocks(ids, nbits: int) -> "dense.BitBlocks":
+    """The dense mask of element *ids* over *nbits* elements."""
+    return dense.int_to_blocks(bitset_of(ids), nbits)
+
+
 @needs_numpy
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBitBlocksPrimitives:
@@ -50,12 +55,11 @@ class TestBitBlocksPrimitives:
             (1000, [0, 1, 63, 64, 65, 999]),
             (300, list(range(0, 300, 3))),
         ):
-            mask = dense.blocks_of(indices, nbits)
+            mask = _blocks(indices, nbits)
             assert list(mask.indices()) == sorted(indices)
             assert mask.bit_count() == len(indices)
             assert bool(mask) == bool(indices)
             assert mask._as_int() == bitset_of(indices)
-            assert dense.int_to_blocks(bitset_of(indices), nbits) == mask
 
     def test_operators_match_int_masks(self, backend):
         rng = random.Random(11)
@@ -63,8 +67,8 @@ class TestBitBlocksPrimitives:
         a_ids = rng.sample(range(nbits), 120)
         b_ids = rng.sample(range(nbits), 200)
         ia, ib = bitset_of(a_ids), bitset_of(b_ids)
-        ba = dense.blocks_of(a_ids, nbits)
-        bb = dense.blocks_of(b_ids, nbits)
+        ba = _blocks(a_ids, nbits)
+        bb = _blocks(b_ids, nbits)
         for op in ("__and__", "__or__", "__xor__"):
             expected = getattr(ia, op)(ib)
             got = getattr(ba, op)(bb)
@@ -75,15 +79,20 @@ class TestBitBlocksPrimitives:
 
     def test_test_and_lowest_bit(self, backend):
         """Membership and the lowest set bit as the merge engine and the
-        brute-force search read them: an AND with a one-bit mask, and the
-        first of ``indices()``; a first-n mask is ``int_to_blocks``."""
-        mask = dense.blocks_of([3, 70, 128], 200)
+        brute-force search read them: ``mask_has_bit`` (on either
+        representation) or an AND with a one-bit mask, and the first of
+        ``indices()``; a first-n mask is ``int_to_blocks``."""
+        mask = _blocks([3, 70, 128], 200)
 
         def bit(index):
             return dense.int_to_blocks(1 << index, 200)
 
         assert mask & bit(3) and mask & bit(70) and mask & bit(128)
         assert not mask & bit(0) and not mask & bit(199)
+        for index in range(200):
+            expected = index in (3, 70, 128)
+            assert dense.mask_has_bit(mask, index) is expected
+            assert dense.mask_has_bit(mask._as_int(), index) is expected
         assert next(mask.indices()) == 3
         assert list(dense.int_to_blocks(0, 200).indices()) == []
         assert dense.int_to_blocks((1 << 5) - 1, 200).bit_count() == 5
@@ -94,12 +103,12 @@ class TestBitBlocksPrimitives:
         masks over universes that end mid-block and on a block edge."""
         rng = random.Random(17)
         assert dense.int_to_blocks(0, 200).bit_length() == 0
-        assert dense.blocks_of([199], 200).bit_length() == 200
-        assert dense.blocks_of([0], 1).bit_length() == 1
+        assert _blocks([199], 200).bit_length() == 200
+        assert _blocks([0], 1).bit_length() == 1
         for nbits in (1, 63, 64, 65, 200, 4096):
             for count in (0, 1, 2, 17):
                 ids = rng.sample(range(nbits), min(count, nbits))
-                mask = dense.blocks_of(ids, nbits)
+                mask = _blocks(ids, nbits)
                 assert mask.bit_length() == bitset_of(ids).bit_length()
 
     def test_value_sum_bit_identical_to_bitset(self, backend):
@@ -112,7 +121,7 @@ class TestBitBlocksPrimitives:
         for count in (0, 1, 30, 500, 3500):
             ids = sorted(rng.sample(range(nbits), count))
             int_sum = mask_value_sum(values, bitset_of(ids))
-            blocks_sum = dense.blocks_of(ids, nbits).value_sum(table)
+            blocks_sum = _blocks(ids, nbits).value_sum(table)
             assert blocks_sum == int_sum  # exact, not approx
 
     def test_value_sum_monotone_under_superset(self, backend):
@@ -125,9 +134,9 @@ class TestBitBlocksPrimitives:
         table = dense.ValueTable(values)
         subset = sorted(rng.sample(range(nbits), 700))
         superset = sorted(set(subset) | set(rng.sample(range(nbits), 1200)))
-        assert dense.blocks_of(subset, nbits).value_sum(
+        assert _blocks(subset, nbits).value_sum(
             table
-        ) <= dense.blocks_of(superset, nbits).value_sum(table)
+        ) <= _blocks(superset, nbits).value_sum(table)
 
 
 class TestValueTable:
@@ -155,7 +164,7 @@ class TestValueTable:
             expected
         )
         assert answers.mask_value_sum(
-            dense.blocks_of(ids, answers.n)
+            _blocks(ids, answers.n)
         ) == pytest.approx(expected)
 
 

@@ -82,18 +82,21 @@ def _check_every_pick(instance) -> None:
     answers, k, L, D, kernel = instance
     pool = ClusterPool(answers, L=L, kernel=kernel)
     real = MergeEngine.best_merge_target
+    checks = []
 
-    def checked(engine, incoming, candidates):
-        candidates = list(candidates)
-        expected = real(_scan_twin(engine), incoming, candidates)
-        picked = real(engine, incoming, candidates)
+    def checked(engine, targets):
+        expected = real(_scan_twin(engine), targets)
+        picked = real(engine, targets)
         assert engine.argmax == "heap"
         assert picked.pattern == expected.pattern
+        checks.append(picked)
         return picked
 
     with mock.patch.object(MergeEngine, "best_merge_target", checked):
-        hybrid(pool, k, D, kernel=kernel)
-        fixed_order(pool, k, D, kernel=kernel)
+        runs = [hybrid(pool, k, D, kernel=kernel),
+                fixed_order(pool, k, D, kernel=kernel)]
+    # Every pick went through the patched name: none bypassed the check.
+    assert len(checks) == sum(run.stats["target_rounds"] for run in runs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,6 +110,112 @@ def test_bound_order_picks_the_scan_target_on_mixed_floats(instance):
 @given(mixed_float_instances())
 def test_bound_order_picks_the_scan_target_on_mixed_floats_slow(instance):
     _check_every_pick(instance)
+
+
+@st.composite
+def dyadic_streams(draw):
+    """``(answers, budget, L, D, kernel)`` with dyadic values (every sum
+    exact), D anywhere in ``[0, m + 1]`` and budgets both below and
+    above the number of elements that arrive uncovered."""
+    m = draw(st.integers(min_value=3, max_value=4))
+    domain = draw(st.integers(min_value=3, max_value=4))
+    n = min(draw(st.integers(min_value=10, max_value=48)), domain ** m)
+    elements = draw(st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=domain - 1)] * m),
+        min_size=n, max_size=n, unique=True,
+    ))
+    values = [q / 8.0 for q in draw(st.lists(
+        st.integers(min_value=0, max_value=80), min_size=n, max_size=n,
+    ))]
+    L = draw(st.integers(min_value=2, max_value=n))
+    budget = draw(st.integers(min_value=1, max_value=L))
+    D = draw(st.integers(min_value=0, max_value=m + 1))
+    kernel = draw(st.sampled_from(("bitset", "dense")))
+    return AnswerSet(elements, values), budget, L, D, kernel
+
+
+def _two_pass_place(engine: MergeEngine, incoming, budget: int, D: int):
+    """Algorithm 3's loop body in two passes: the members at distance < D
+    while the budget has room (add when there are none), then the member
+    whose LCA with *incoming* maximizes the merged objective among them,
+    every LCA evaluated, ties to the smallest (LCA, member) key."""
+    distance = engine._packing.distance
+    lca = engine._packing.lca
+    members = list(engine.members())
+    if engine.size < budget:
+        members = [
+            member for member in members
+            if distance(member.key, incoming.key) < D
+        ]
+        if not members:
+            engine.add(incoming)
+            return
+    target = min(members, key=lambda member: (
+        -engine.evaluate_pair(member, incoming)[0],
+        lca(member.key, incoming.key),
+        member.key,
+    ))
+    engine.merge_into(target, incoming)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyadic_streams())
+def test_place_adds_and_merges_as_the_two_pass_reference(instance):
+    """One member pass (and no pass at all for D <= 1 with room) makes
+    the same add-or-merge decision and the same target, step by step."""
+    answers, budget, L, D, kernel = instance
+    pool = ClusterPool(answers, L=L, kernel=kernel)
+    engine = MergeEngine(pool, (), kernel=kernel)
+    reference = MergeEngine(pool, (), kernel=kernel, argmax="scan")
+    for index in answers.top(L):
+        incoming = pool.singleton(index)
+        assert engine.is_covered(index) == reference.is_fully_covered(incoming)
+        if engine.is_covered(index):
+            continue
+        engine.place(incoming, budget, D)
+        _two_pass_place(reference, incoming, budget, D)
+        assert sorted(engine._solution) == sorted(reference._solution)
+        assert engine.covered_count == reference.covered_count
+        assert engine._covered_sum == reference._covered_sum
+
+
+@settings(max_examples=40, deadline=None)
+@given(dyadic_streams(), st.randoms(use_true_random=False))
+def test_covered_sum_is_the_covered_value_sum_after_every_step(
+    instance, rng
+):
+    """A merge adds the marginal its round priced instead of summing
+    cov(merged) \\ T again; on exact values that is the same float, so
+    the covered sum equals a fresh sum over T after every add and merge
+    of Hybrid, Bottom-Up and Fixed-Order, and of a random trajectory
+    that prices a few pairs per round but merges any pair (whose delta
+    state may be stale, or stamped this round)."""
+    answers, budget, L, D, kernel = instance
+    pool = ClusterPool(answers, L=L, kernel=kernel)
+    real = MergeEngine._advance_round
+    steps = []
+
+    def checked(engine):
+        if engine._masked:
+            assert engine._covered_sum == answers.mask_value_sum(
+                engine._covered_mask
+            )
+            steps.append(engine.rounds)
+        real(engine)
+
+    with mock.patch.object(MergeEngine, "_advance_round", checked):
+        hybrid(pool, budget, D, kernel=kernel)
+        bottom_up(pool, budget, D, kernel=kernel)
+        fixed_order(pool, budget, D, kernel=kernel)
+        engine = MergeEngine(
+            pool, (pool.singleton(i) for i in answers.top(L)), kernel=kernel
+        )
+        while engine.size > 1:
+            pairs = engine.all_pairs()
+            for pair in rng.sample(pairs, min(3, len(pairs))):
+                engine.evaluate_pair(*pair)
+            engine.merge(*rng.choice(pairs))
+    assert steps
 
 
 def _structured_answers(n: int = 1000, seed: int = 1) -> AnswerSet:
