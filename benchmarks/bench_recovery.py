@@ -15,8 +15,8 @@ durability
 bit-identity
     the recovered dataset answers summary queries **byte-identically**
     (timings zeroed) to an uninterrupted in-process reference engine
-    holding the same base rows plus the recovered batches — on all
-    three kernels (``python``, ``bitset``, ``dense``), because recovery
+    holding the same base rows plus the recovered batches — on both
+    kernels (``bitset``, ``dense``), because recovery
     replays through the engine's own register/append path;
 availability
     a concurrent :class:`repro.server.client.RetryingClient` prober
@@ -53,6 +53,7 @@ sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_server_load import check_transport_parity  # noqa: E402
+from repro.core.bitset import KERNELS  # noqa: E402
 from repro.query.csv_io import answer_set_from_relation, read_csv  # noqa: E402
 from repro.scenarios.runner import normalize_response  # noqa: E402
 from repro.server import LineClient, RetryingClient  # noqa: E402
@@ -83,7 +84,7 @@ DOMAINS = (
 #: Summary requests used for the bit-identity check: every kernel, two
 #: (k, L, D) shapes, second display layer included so element-level
 #: ordering (the codec-domain tie-break) is compared too.
-IDENTITY_KERNELS = ("python", "bitset", "dense")
+IDENTITY_KERNELS = KERNELS
 IDENTITY_SHAPES = ((5, 8, 1), (7, 10, 2))
 
 

@@ -17,8 +17,8 @@ concurrently against a real server, and is scored on:
   single-threaded reference replay response-for-response (timings
   zeroed, cache-hit flags dropped), and
 - for the append scenario, an in-process proof that incrementally
-  maintained cluster pools are bit-identical to full rebuilds on all
-  three kernels.
+  maintained cluster pools are bit-identical to full rebuilds on both
+  kernels.
 
 Floors are correctness/cache-shaped, never latency-shaped, so the
 committed JSON is hardware-independent; ``tests/test_docs.py``

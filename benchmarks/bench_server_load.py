@@ -13,7 +13,9 @@ Two scenarios frame the tentpole claim:
     concurrent server: every duplicate request pays a full computation.
 ``sharded+coalesce``
     the default server shape: per-dataset shards, bounded queues, and
-    single-flight coalescing of identical in-flight requests.
+    single-flight coalescing of identical in-flight requests.  The two
+    datasets route to shards 2 and 3 of 4 (crc32 % 4, as perfbench's
+    ``alpha`` and ``beta`` do), so this scenario runs two shards.
 
 The trace is duplicate-heavy by construction (16 clients cycling the
 same small set of distinct requests, roughly in phase), which is what
@@ -21,7 +23,9 @@ interactive multi-analyst traffic looks like; the kernels are CPU-bound
 pure Python, so the speedup measures *coalescing* (one computation
 fanned out to every concurrent duplicate), not parallel CPU.  In full
 mode a ratio below :data:`THROUGHPUT_RATIO_FLOOR` or a zero coalesce
-count is an error.
+count is an error; in every mode, so is a run that served its datasets
+on fewer shards than it has datasets (up to its shard count): the
+scenario would not test the shape it names.
 
 The harness also proves transport fidelity: the golden wire requests are
 driven through the stdio loop and through TCP, and the responses must be
@@ -65,6 +69,10 @@ THROUGHPUT_RATIO_FLOOR = 4.0
 
 GOLDEN_RESPONSE = REPO_ROOT / "tests" / "golden" / "summary_response.json"
 
+#: The trace's two datasets.  Under the server's crc32 routing they land
+#: on shards 2 and 3 of 4: distinct shards, so sharding is exercised.
+DATASETS = ("alpha", "beta")
+
 
 # -- trace --------------------------------------------------------------------
 
@@ -72,12 +80,10 @@ GOLDEN_RESPONSE = REPO_ROOT / "tests" / "golden" / "summary_response.json"
 def make_engine(smoke: bool) -> Engine:
     n = 512 if smoke else 4096
     engine = Engine()
-    engine.register_dataset(
-        "left", synthetic_answer_set(n, m=6, domain_size=10, seed=1)
-    )
-    engine.register_dataset(
-        "right", synthetic_answer_set(n, m=6, domain_size=10, seed=2)
-    )
+    for seed, dataset in enumerate(DATASETS, 1):
+        engine.register_dataset(
+            dataset, synthetic_answer_set(n, m=6, domain_size=10, seed=seed)
+        )
     return engine
 
 
@@ -89,18 +95,19 @@ def make_trace(smoke: bool) -> list[dict]:
     full of analysts pressing the same handful of (k, D) corners.
     """
     L = 24 if smoke else 64
+    first, second = DATASETS
     trace: list[dict] = []
     for k, D in ((8, 1), (12, 1), (16, 1), (8, 2), (12, 2), (16, 2)):
         trace.append({
-            "schema_version": 2, "kind": "summary", "dataset": "left",
+            "schema_version": 2, "kind": "summary", "dataset": first,
             "k": k, "L": L, "D": D, "algorithm": "hybrid",
         })
     for k in (6, 10):
         trace.append({
-            "schema_version": 2, "kind": "summary", "dataset": "right",
+            "schema_version": 2, "kind": "summary", "dataset": second,
             "k": k, "L": L, "D": 1, "algorithm": "hybrid",
         })
-    for dataset in ("left", "right"):
+    for dataset in DATASETS:
         trace.append({
             "schema_version": 2, "kind": "explore", "dataset": dataset,
             "k": 6, "L": L, "D": 1, "k_range": [4, 12], "d_values": [1, 2],
@@ -187,6 +194,12 @@ def run_scenario(
             % (label, len(latencies), total)
         )
     flight = stats["server"]["scheduler"]["singleflight"]
+    served = stats["server"]["scheduler"]["served_per_shard"]
+    if sum(1 for count in served if count) < min(shards, len(DATASETS)):
+        raise SystemExit(
+            "scenario %r: datasets %r were served on too few shards "
+            "(served_per_shard %r)" % (label, DATASETS, served)
+        )
     return {
         "label": label,
         "clients": clients,
@@ -211,7 +224,7 @@ def run_scenario(
             "hit_rate": flight["hit_rate"],
         },
         "overloaded": stats["server"]["scheduler"]["overloaded"],
-        "served_per_shard": stats["server"]["scheduler"]["served_per_shard"],
+        "served_per_shard": served,
     }
 
 
@@ -371,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
             "rounds": rounds,
             "distinct_requests": len(make_trace(args.smoke)),
             "n_per_dataset": 512 if args.smoke else 4096,
-            "datasets": ["left", "right"],
+            "datasets": list(DATASETS),
         },
         "transport_parity": parity,
         "scenarios": scenarios,

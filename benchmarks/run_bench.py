@@ -3,8 +3,10 @@
 Unlike the ``bench_*.py`` pytest modules (which regenerate the paper's
 figures as human-readable tables), this is a plain script that executes the
 core workloads — the Figure 5 brute-force comparison, the Figure 8
-initialization/delta ablations, the bitset-vs-python kernel comparison at
-n >= 10k, and the service cold-vs-warm cache path — and writes one JSON
+initialization/delta ablations, the kernel comparison at n >= 10k (the
+bitset kernel against the literal reference engine of
+:mod:`repro.core.reference`), and the service cold-vs-warm cache path —
+and writes one JSON
 document (default: ``BENCH_core.json`` at the repository root) with
 wall-clock seconds, workload parameters (n/m/L/k/D), and kernel labels.
 CI runs it with ``--smoke`` (scaled-down sizes, no ratio thresholds) to
@@ -18,8 +20,9 @@ Usage::
 
 The kernel-comparison workloads also cross-check that the kernels return
 *identical* solutions, and (full mode) fail loudly when a committed floor
-is broken: bitset >= 5x python on the n=10k workload and dense+numpy >=
-3x bitset on the n=10^6 scaling workload — the acceptance bars this
+is broken: bitset >= 5x the reference engine on the n=10k workload and
+dense+numpy >= 3x bitset on the n=10^6 scaling workload — the acceptance
+bars this
 runner exists to keep honest.  ``--profile`` additionally cProfiles each
 workload into ``results/profile_<name>.{pstats,txt}`` so optimization
 decisions stay profile-driven.
@@ -38,7 +41,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core import dense  # noqa: E402
+from repro.core import dense, reference  # noqa: E402
 from repro.core.bottom_up import bottom_up  # noqa: E402
 from repro.core.brute_force import brute_force  # noqa: E402
 from repro.core.fixed_order import fixed_order  # noqa: E402
@@ -51,7 +54,7 @@ from repro.datasets.loader import (  # noqa: E402
 )
 from repro.service import Engine, ExploreRequest, SummaryRequest  # noqa: E402
 
-#: Minimum acceptable bitset-over-python speedup on the kernel workload.
+#: Minimum acceptable bitset-over-reference speedup on the kernel workload.
 KERNEL_SPEEDUP_FLOOR = 5.0
 
 #: Floors for the rounds-vs-groups workload (enforced in full mode at
@@ -180,9 +183,11 @@ def bench_fig8b_delta(smoke: bool) -> dict:
 
 
 def bench_kernel_core(smoke: bool) -> dict:
-    """The acceptance workload: bitset vs python kernel, n >= 10k, L ~ 100.
+    """The acceptance workload: the bitset kernel against the literal
+    reference engine (Section 5 over element sets, no Section 6.3
+    optimization), n >= 10k, L ~ 100.
 
-    Runs Bottom-Up (the Figure 8b algorithm) on both kernels, checks the
+    Runs Bottom-Up (the Figure 8b algorithm) on both, checks the
     solutions agree (identical patterns, or equal objectives to ~1 ulp on
     an exact tie), and reports the speedup.  In full mode a speedup below
     :data:`KERNEL_SPEEDUP_FLOOR` is an error.
@@ -196,34 +201,36 @@ def bench_kernel_core(smoke: bool) -> dict:
         lambda: bottom_up(pool, k, D, kernel="bitset"),
         repeats=1 if smoke else 3,
     )
-    python_solution, python_seconds = best_of(
-        lambda: bottom_up(pool, k, D, kernel="python"),
+    reference_solution, reference_seconds = best_of(
+        lambda: reference.bottom_up(pool, k, D),
         repeats=1 if smoke else 3,
     )
-    # The kernels accumulate float sums in different orders, so on general
-    # float values a mathematically exact tie can break differently at the
-    # last ulp.  Identical patterns are the expected outcome (and what the
+    # The engine refreshes cached marginal sums by subtraction, the
+    # reference sums each marginal afresh, so on general float values a
+    # mathematically exact tie can break differently at the last ulp.
+    # Identical patterns are the expected outcome (and what the
     # dyadic-valued property tests prove); if they ever differ here, the
     # objectives must still agree to ~1 ulp or something is actually wrong.
-    identical = bitset_solution.patterns() == python_solution.patterns()
+    identical = bitset_solution.patterns() == reference_solution.patterns()
     if not identical:
-        assert abs(bitset_solution.avg - python_solution.avg) < 1e-9, (
-            "kernel divergence beyond float-tie noise: bitset avg %r vs "
-            "python avg %r"
-            % (bitset_solution.avg, python_solution.avg)
+        assert abs(bitset_solution.avg - reference_solution.avg) < 1e-9, (
+            "divergence beyond float-tie noise: bitset avg %r vs "
+            "reference avg %r"
+            % (bitset_solution.avg, reference_solution.avg)
         )
     _, hybrid_bitset = best_of(
         lambda: hybrid(pool, k, D, kernel="bitset"), repeats=1 if smoke else 3
     )
-    _, hybrid_python = best_of(
-        lambda: hybrid(pool, k, D, kernel="python"), repeats=1 if smoke else 3
+    _, hybrid_reference = best_of(
+        lambda: reference.hybrid(pool, k, D), repeats=1 if smoke else 3
     )
-    speedup = python_seconds / bitset_seconds
+    speedup = reference_seconds / bitset_seconds
     if not smoke and speedup < KERNEL_SPEEDUP_FLOOR:
         raise SystemExit(
             "kernel speedup regression: %.2fx < %.1fx floor "
-            "(bitset %.3fs, python %.3fs)"
-            % (speedup, KERNEL_SPEEDUP_FLOOR, bitset_seconds, python_seconds)
+            "(bitset %.3fs, reference %.3fs)"
+            % (speedup, KERNEL_SPEEDUP_FLOOR, bitset_seconds,
+               reference_seconds)
         )
     return {
         "name": "fig8_kernel_core",
@@ -231,12 +238,12 @@ def bench_kernel_core(smoke: bool) -> dict:
         "entries": [
             {"label": "bottom-up", "kernel": "bitset",
              "seconds": bitset_seconds},
-            {"label": "bottom-up", "kernel": "python",
-             "seconds": python_seconds},
+            {"label": "bottom-up", "kernel": "reference",
+             "seconds": reference_seconds},
             {"label": "hybrid", "kernel": "bitset",
              "seconds": hybrid_bitset},
-            {"label": "hybrid", "kernel": "python",
-             "seconds": hybrid_python},
+            {"label": "hybrid", "kernel": "reference",
+             "seconds": hybrid_reference},
         ],
         "speedup": speedup,
         "solutions_identical": identical,
@@ -595,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             workload = WORKLOADS[name](args.smoke)
         for entry in workload["entries"]:
-            print("  %-14s %-7s %8.3f s" % (
+            print("  %-14s %-9s %8.3f s" % (
                 entry["label"], entry["kernel"], entry["seconds"]))
         if "speedup" in workload:
             print("  speedup: %.1fx" % workload["speedup"])

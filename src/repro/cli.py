@@ -89,11 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel", default=DEFAULT_KERNEL, choices=list(KERNEL_CHOICES),
-        help="evaluation kernel: 'bitset' (int bitmasks, default), "
-        "'dense' (packed uint64 blocks, numpy-vectorized — built for "
-        "very large n), 'python' (pure-Python ablation baseline), or "
-        "'auto' (dense from %d answers up, else bitset); without numpy, "
-        "'dense' and 'auto' run bitset" % DENSE_AUTO_THRESHOLD,
+        help="mask kernel: 'bitset' (int bitmasks, default), 'dense' "
+        "(packed uint64 blocks, numpy-vectorized — built for very large "
+        "n), or 'auto' (dense from %d answers up, else bitset); without "
+        "numpy, 'dense' and 'auto' run bitset" % DENSE_AUTO_THRESHOLD,
     )
     parser.add_argument(
         "--argmax", default=AUTO_ARGMAX, choices=list(ARGMAX_MODES),

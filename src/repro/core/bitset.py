@@ -2,10 +2,10 @@
 
 The greedy algorithms spend almost all of their time asking two questions
 about element sets: "how many elements of cov(c) are not yet covered?" and
-"what is the sum of their values?".  The pure-Python representation
-(``frozenset`` of element indices) answers both with interpreted loops.
-This module provides the bitset representation used by the optimized
-kernel: the covered set of a cluster (and the running covered union ``T``
+"what is the sum of their values?".  A ``frozenset`` of element indices
+(what :mod:`repro.core.reference` uses) answers both with interpreted
+loops.  This module provides the bitset representation used by the
+default kernel: the covered set of a cluster (and the running covered union ``T``
 of a solution) is an ``int`` whose bit *i* is set iff element *i* (by rank
 in the :class:`~repro.core.answers.AnswerSet`) is covered.  Then
 
@@ -23,20 +23,17 @@ vectorized sequential reduction instead (same floats; see
 :func:`repro.core.dense.int_mask_value_sum`); this module stays the
 stdlib path, the one every value sum takes without numpy.
 
-Kernels are named: ``"bitset"`` (this module, the default), ``"python"``
-(the original set-based code, kept as the ablation baseline for the
-Figure 8b-style experiments), and ``"dense"`` (fixed-width uint64 block
-masks with numpy-vectorized primitives — :mod:`repro.core.dense` — built
-for n >= 10^5..10^6).  ``"auto"`` is a *policy*, not a kernel:
-:func:`resolve_kernel` maps it to ``"dense"`` from
-:data:`DENSE_AUTO_THRESHOLD` elements up and to the default below.  The
-dense kernel needs numpy: without it, ``"dense"`` and ``"auto"`` both
-resolve to ``"bitset"``.  All kernels run identical greedy logic, sum
-values in ascending element-index order, and produce identical solutions
-whenever value sums are exact (property tests enforce this on
-dyadic-rational values); on arbitrary floats the ``python`` kernel sums
-in set-iteration order, so exact ties may break differently at the last
-ulp.
+Kernels are named: ``"bitset"`` (this module, the default) and
+``"dense"`` (fixed-width uint64 block masks with numpy-vectorized
+primitives — :mod:`repro.core.dense` — built for n >= 10^5..10^6).
+``"auto"`` is a *policy*, not a kernel: :func:`resolve_kernel` maps it
+to ``"dense"`` from :data:`DENSE_AUTO_THRESHOLD` elements up and to the
+default below.  The dense kernel needs numpy: without it, ``"dense"``
+and ``"auto"`` both resolve to ``"bitset"``.  Both kernels run one
+greedy code path, sum values in ascending element-index order, and are
+float-identical to each other.  (``"python"``, the set-based kernel of
+versions before 4.0.0, is gone; its role as the kernel ablation's
+baseline passed to :mod:`repro.core.reference`.)
 
 The three primitives in one glance::
 
@@ -62,12 +59,10 @@ from repro.common.errors import InvalidParameterError
 
 #: The optimized int-mask kernel (default).
 BITSET_KERNEL = "bitset"
-#: The original pure-Python set kernel (ablation baseline).
-PYTHON_KERNEL = "python"
 #: The packed uint64-block kernel (numpy only; bitset runs without numpy).
 DENSE_KERNEL = "dense"
 #: Every concrete kernel name the engines accept.
-KERNELS = (BITSET_KERNEL, PYTHON_KERNEL, DENSE_KERNEL)
+KERNELS = (BITSET_KERNEL, DENSE_KERNEL)
 #: What engines run when no kernel is requested.
 DEFAULT_KERNEL = BITSET_KERNEL
 #: The size-based kernel policy: resolved per instance, never run as-is.

@@ -20,7 +20,7 @@ greedy selection by the merged *cluster's own* average instead of the
 solution average.
 
 All entry points accept ``kernel`` (``"bitset"``, the default, or
-``"python"``) selecting the evaluation substrate of
+``"dense"``) selecting the mask representation of
 :class:`~repro.core.merge.MergeEngine`, and ``argmax`` (``"auto"``,
 ``"heap"``, ``"scan"``) selecting the per-round greedy argmax — the lazy
 upper-bound heap or the exhaustive LCA-group scan.  All combinations

@@ -14,15 +14,14 @@ search below adds sound pruning that preserves exactness:
 * Once coverage is complete, optional extra clusters are only explored in
   canonical (pattern-sorted) order to avoid enumerating permutations.
 
-Like the greedy algorithms, the search runs on one of three kernels: the
+Like the greedy algorithms, the search runs on either mask kernel: the
 default ``"bitset"`` kernel keeps the covered set as an int mask — set
 difference and pruning become machine-word operations, the branching
 target is the lowest set bit of the uncovered top-L mask, and
-backtracking is free because masks are immutable values —
+backtracking is free because masks are immutable values — and
 ``"dense"`` runs the identical search on packed uint64-block masks
 (:mod:`repro.core.dense`; it needs a pool built with
-``kernel="dense"``), and ``"python"`` keeps the original set-based
-search as the ablation baseline.
+``kernel="dense"``).
 
 The trivial **lower bound** baseline is the all-star cluster, feasible for
 every (k, L, D); its value is the global average of S.
@@ -31,7 +30,7 @@ every (k, L, D); its value is the global average of S.
 from __future__ import annotations
 
 from repro.common.errors import InvalidParameterError
-from repro.core.bitset import PYTHON_KERNEL, resolve_kernel
+from repro.core.bitset import resolve_kernel
 from repro.core.cluster import Cluster, comparable, distance
 from repro.core.dense import mask_indices
 from repro.core.registry import register_algorithm
@@ -55,112 +54,16 @@ def lower_bound(pool: ClusterPool, k: int = 1, D: int = 0) -> Solution:
 
 
 class _Search:
-    """Backtracking state for the exact search (pure-Python kernel)."""
+    """Backtracking state for the exact search.
 
-    def __init__(self, pool: ClusterPool, k: int, L: int, D: int) -> None:
-        self.pool = pool
-        self.k = k
-        self.L = L
-        self.D = D
-        self.values = pool.answers.values
-        # Deterministic candidate order: by descending cluster average, then
-        # pattern.  Pool clusters are exactly the patterns covering at least
-        # one top-L element, which is all the search ever needs.
-        self.candidates: list[Cluster] = sorted(
-            (pool.cluster(p) for p in pool.patterns()),
-            key=lambda c: (-c.avg, c.pattern),
-        )
-        self.max_candidate_avg = (
-            max(c.avg for c in self.candidates) if self.candidates else 0.0
-        )
-        self.by_element: dict[int, list[Cluster]] = {}
-        for cluster in self.candidates:
-            for index in cluster.covered:
-                if index < L:
-                    self.by_element.setdefault(index, []).append(cluster)
-        self.best_avg = float("-inf")
-        self.best: list[Cluster] | None = None
-        self.nodes = 0
-
-    def compatible(self, chosen: list[Cluster], cluster: Cluster) -> bool:
-        for member in chosen:
-            if distance(member.pattern, cluster.pattern) < self.D:
-                return False
-            if comparable(member.pattern, cluster.pattern):
-                return False
-        return True
-
-    def record(self, chosen: list[Cluster], covered: set[int], total: float) -> None:
-        if not covered:
-            return
-        avg = total / len(covered)
-        if avg > self.best_avg + 1e-12:
-            self.best_avg = avg
-            self.best = list(chosen)
-
-    def extend(
-        self,
-        chosen: list[Cluster],
-        covered: set[int],
-        total: float,
-        next_candidate: int,
-    ) -> None:
-        self.nodes += 1
-        uncovered = [i for i in range(self.L) if i not in covered]
-        if not uncovered:
-            self.record(chosen, covered, total)
-            if len(chosen) >= self.k:
-                return
-            # Optional growth: explore additions in canonical order only.
-            current_avg = total / len(covered) if covered else float("-inf")
-            bound = max(current_avg, self.max_candidate_avg)
-            if bound <= self.best_avg + 1e-12:
-                return
-            for pos in range(next_candidate, len(self.candidates)):
-                cluster = self.candidates[pos]
-                if not self.compatible(chosen, cluster):
-                    continue
-                self._descend(chosen, covered, total, cluster, pos + 1)
-            return
-        if len(chosen) >= self.k:
-            return
-        current_avg = total / len(covered) if covered else self.max_candidate_avg
-        if max(current_avg, self.max_candidate_avg) <= self.best_avg + 1e-12:
-            return
-        target = uncovered[0]
-        for cluster in self.by_element.get(target, ()):
-            if not self.compatible(chosen, cluster):
-                continue
-            self._descend(chosen, covered, total, cluster, 0)
-
-    def _descend(
-        self,
-        chosen: list[Cluster],
-        covered: set[int],
-        total: float,
-        cluster: Cluster,
-        next_candidate: int,
-    ) -> None:
-        fresh = [i for i in cluster.covered if i not in covered]
-        chosen.append(cluster)
-        covered.update(fresh)
-        new_total = total + sum(self.values[i] for i in fresh)
-        self.extend(chosen, covered, new_total, next_candidate)
-        chosen.pop()
-        covered.difference_update(fresh)
-
-
-class _MaskedSearch:
-    """The same exact search on a mask kernel (bitset or dense).
-
-    The covered union is an immutable mask passed down the recursion (no
-    mutate-and-undo), the branch target is the lowest set bit of
-    ``top_mask & ~covered``, and marginal value sums run over set bits
-    only.  Masks are in the pool's representation — int bitmask or
+    Candidates are the pool's clusters by descending average, then
+    pattern.  The covered union is an immutable mask passed down the
+    recursion (no mutate-and-undo), the branch target is the lowest set
+    bit of ``top_mask & ~covered``, and marginal value sums run over set
+    bits only.  Masks are in the pool's representation — int bitmask or
     packed uint64 blocks — built by :meth:`ClusterPool.as_mask` and read
-    back by :func:`~repro.core.dense.mask_indices`; candidate order,
-    pruning bounds, and the 1e-12 improvement threshold are identical to
-    :class:`_Search`, so every kernel finds the same optimum.
+    back by :func:`~repro.core.dense.mask_indices`, so both kernels find
+    the same optimum.
     """
 
     def __init__(self, pool: ClusterPool, k: int, L: int, D: int) -> None:
@@ -283,19 +186,14 @@ def brute_force(
     if k < 1:
         raise InvalidParameterError("k=%d must be >= 1" % k)
     resolved = resolve_kernel(kernel, n=pool.answers.n)
-    if resolved == PYTHON_KERNEL:
-        search = _Search(pool, k, pool.L, D)
-        search.extend([], set(), 0.0, 0)
-    else:
-        if resolved != pool.kernel:
-            raise InvalidParameterError(
-                "kernel=%r needs cluster masks in its own representation, "
-                "but the pool was built with kernel=%r; construct "
-                "ClusterPool(..., kernel=%r)" % (resolved, pool.kernel,
-                                                 resolved)
-            )
-        search = _MaskedSearch(pool, k, pool.L, D)
-        search.extend([], pool.as_mask(0), 0.0, 0)
+    if resolved != pool.kernel:
+        raise InvalidParameterError(
+            "kernel=%r needs cluster masks in its own representation, "
+            "but the pool was built with kernel=%r; construct "
+            "ClusterPool(..., kernel=%r)" % (resolved, pool.kernel, resolved)
+        )
+    search = _Search(pool, k, pool.L, D)
+    search.extend([], pool.as_mask(0), 0.0, 0)
     if search.best is None:
         return lower_bound(pool)
     return Solution.from_clusters(search.best, pool.answers)

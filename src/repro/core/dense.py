@@ -36,8 +36,7 @@ ascending element-index order, exactly like the bitset kernel:
 Ascending sequential summation is what makes subset sums float-monotone
 for non-negative values — the soundness precondition of the lazy
 upper-bound heap argmax (:mod:`repro.core.merge`) — and what makes the
-``dense`` kernel bit-identical to ``bitset``/``python`` whenever sums are
-exact (property-tested on dyadic-rational values).
+``dense`` kernel bit-identical to ``bitset``, always.
 
 >>> from repro.core.bitset import bitset_of
 >>> from repro.core.dense import ValueTable, int_to_blocks

@@ -43,18 +43,15 @@ Evaluation is the hot path, and two layers of optimization live here:
   mask kernels share this entire code path (the mask objects expose the
   same operators); a dense engine requires a pool built with
   ``kernel="dense"`` so the cluster masks match its representation.
-  ``kernel="python"`` preserves the original pure-Python set
-  implementation as the ablation baseline.  All kernels run the same
-  greedy logic with the same tie-break keys and produce identical
-  solutions whenever value sums are exact (integer or dyadic-rational
-  values — property-tested); ``bitset`` and ``dense`` sum in the same
-  ascending index order and are float-identical to each other always,
-  while on arbitrary floats the ``python`` kernel accumulates in a
-  different order, so a mathematically exact tie can, in principle,
-  break differently at the last ulp.
+  ``bitset`` and ``dense`` sum in the same ascending index order and are
+  float-identical to each other always.  The unoptimized baseline is
+  :mod:`repro.core.reference`, the algorithms written straight from
+  Section 5 over element sets: the engine returns its solutions
+  whenever value sums are exact (integer or dyadic-rational values —
+  property-tested).
 
-* **The lazy upper-bound heap argmax** (``argmax="heap"``, the default on
-  the bitset kernel whenever no element value is negative): instead of
+* **The lazy upper-bound heap argmax** (``argmax="heap"``, the default
+  whenever no element value is negative): instead of
   scanning every LCA group per round, the engine keeps one max-heap of
   groups per distance filter, keyed by a *stale* upper bound on each
   group's post-merge objective.  The **LCA-group invariant** makes groups
@@ -79,8 +76,7 @@ Evaluation is the hot path, and two layers of optimization live here:
   (property-tested).  Steady-state rounds therefore evaluate only the
   near-optimal frontier plus newly created groups — sublinear in the
   number of LCA groups — instead of all of them.  ``argmax="scan"``
-  keeps the exhaustive group scan as the ablation baseline, and remains
-  the only mode of the python kernel (which has no pair table).  With
+  keeps the exhaustive group scan as the ablation baseline.  With
   negative values the monotonicity argument fails, so ``argmax="auto"``
   silently falls back to the scan and an explicit ``argmax="heap"`` is
   rejected.
@@ -122,35 +118,34 @@ from typing import Iterable, Iterator, Sequence
 from repro.common.budget import checkpoint as _budget_checkpoint
 from repro.common.errors import InvalidParameterError
 from repro.core.answers import AnswerSet
-from repro.core.bitset import PYTHON_KERNEL, bitset_of, resolve_kernel
+from repro.core.bitset import resolve_kernel
 from repro.core.cluster import Cluster
 from repro.core.dense import mask_has_bit, mask_indices
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution
 
-#: The lazy upper-bound heap argmax (bitset kernel, non-negative values).
+#: The lazy upper-bound heap argmax (non-negative values).
 HEAP_ARGMAX = "heap"
 #: The exhaustive per-round LCA-group scan (ablation baseline).
 SCAN_ARGMAX = "scan"
-#: Pick per instance: heap when sound (bitset kernel, min value >= 0).
+#: Pick per instance: heap when sound (min value >= 0).
 AUTO_ARGMAX = "auto"
 #: Every argmax mode the engine accepts.
 ARGMAX_MODES = (AUTO_ARGMAX, HEAP_ARGMAX, SCAN_ARGMAX)
 
 
-def resolve_argmax(argmax: str | None, kernel: str, answers: AnswerSet) -> str:
+def resolve_argmax(argmax: str | None, answers: AnswerSet) -> str:
     """Resolve an argmax request to the concrete mode an engine will run.
 
     ``None``/``"auto"`` chooses :data:`HEAP_ARGMAX` exactly when it is
-    sound and implemented — a mask kernel (``bitset`` or ``dense``; the
-    heap lives on the pair table) with no negative element value
-    (marginal sums must be monotone non-increasing for stale bounds to
-    stay upper bounds; both mask kernels sum in ascending index order,
-    which preserves that monotonicity in floats) — and
-    :data:`SCAN_ARGMAX` otherwise.  An explicit ``"heap"`` that cannot be
-    honored is an :class:`~repro.common.errors.InvalidParameterError`
-    rather than a silent fallback: the caller asked for a specific
-    complexity class, and quietly scanning would invalidate benchmarks.
+    sound — no negative element value (marginal sums must be monotone
+    non-increasing for stale bounds to stay upper bounds; both mask
+    kernels sum in ascending index order, which preserves that
+    monotonicity in floats) — and :data:`SCAN_ARGMAX` otherwise.  An
+    explicit ``"heap"`` that cannot be honored is an
+    :class:`~repro.common.errors.InvalidParameterError` rather than a
+    silent fallback: the caller asked for a specific complexity class,
+    and quietly scanning would invalidate benchmarks.
     """
     if argmax is None:
         argmax = AUTO_ARGMAX
@@ -158,16 +153,10 @@ def resolve_argmax(argmax: str | None, kernel: str, answers: AnswerSet) -> str:
         raise InvalidParameterError(
             "unknown argmax %r; expected one of %r" % (argmax, ARGMAX_MODES)
         )
-    heap_ok = kernel != PYTHON_KERNEL and answers.min_value >= 0.0
+    heap_ok = answers.min_value >= 0.0
     if argmax == AUTO_ARGMAX:
         return HEAP_ARGMAX if heap_ok else SCAN_ARGMAX
     if argmax == HEAP_ARGMAX and not heap_ok:
-        if kernel == PYTHON_KERNEL:
-            raise InvalidParameterError(
-                "argmax='heap' requires a mask kernel ('bitset' or "
-                "'dense'; the heap indexes the pair table); got "
-                "kernel=%r" % kernel
-            )
         raise InvalidParameterError(
             "argmax='heap' requires non-negative element values (stale "
             "marginal sums are only upper bounds when marginals shrink "
@@ -263,8 +252,8 @@ class _DeltaState:
 #: One row of the persistent pair table: ``(first, second, distance,
 #: lca_cluster)`` with ``first.key < second.key``, stored under the key
 #: pair ``(first.key, second.key)``.  Key order is pattern order, so the
-#: key pairs sort as the naive path enumerates pairs and tie-breaking
-#: keys are identical across kernels.  Rows are plain tuples (cheapest to
+#: key pairs sort as the pattern pairs do and every tie-break is the one
+#: the patterns give.  Rows are plain tuples (cheapest to
 #: build and index) and immutable once built: distance and LCA depend
 #: only on the two patterns, never on the covered state, which is what
 #: makes the table safe to keep across rounds and to share
@@ -283,9 +272,9 @@ _LcaGroup = tuple[int, Cluster, dict[tuple[int, int], _PairRow]]
 class MergeEngine:
     """Mutable greedy-merging state over a set of clusters.
 
-    Maintains the current solution O, its covered-element union ``T`` with
-    cached sum/count, the delta-judgment cache, and (bitset kernel) the
-    incremental pair table.  All candidate-selection ties are broken
+    Maintains the current solution O, its covered-element union ``T`` (a
+    mask) with cached sum, the delta-judgment cache, and the incremental
+    pair table.  All candidate-selection ties are broken
     lexicographically on cluster patterns so runs are deterministic.
 
     Internally every structure is keyed by the clusters' packed keys
@@ -306,8 +295,7 @@ class MergeEngine:
         self.answers: AnswerSet = pool.answers
         self.use_delta = use_delta
         self.kernel = resolve_kernel(kernel, n=pool.answers.n)
-        self._masked = self.kernel != PYTHON_KERNEL
-        if self._masked and pool.kernel != self.kernel:
+        if pool.kernel != self.kernel:
             raise InvalidParameterError(
                 "kernel=%r needs cluster masks in its own "
                 "representation, but the pool was built with "
@@ -315,7 +303,7 @@ class MergeEngine:
                 "(or go through ProblemInstance.pool_for)"
                 % (self.kernel, pool.kernel, self.kernel)
             )
-        self.argmax = resolve_argmax(argmax, self.kernel, self.answers)
+        self.argmax = resolve_argmax(argmax, self.answers)
         self._packing = pool.packing
         self._heap_argmax = self.argmax == HEAP_ARGMAX
         #: One lazy heap per distance filter (None = unfiltered phase 2).
@@ -338,52 +326,32 @@ class MergeEngine:
         self.rounds: int = 0
         self._delta_cache: dict[int, _DeltaState] = {}
         self._covered_sum: float = 0.0
-        #: The pair table (mask kernels only): empty and not live until
-        #: the first read builds it over the current solution in one pass
-        #: (see _pair_table); from then on add/merge maintain it.
+        #: The pair table: empty and not live until the first read builds
+        #: it over the current solution in one pass (see _pair_table);
+        #: from then on add/merge maintain it.
         self._pairs_live = False
-        if self._masked:
-            self._pairs: dict[tuple[int, int], _PairRow] | None = {}
-            self._by_lca: dict[int, _LcaGroup] | None = {}
-            self._covered: set[int] | None = None
-            self._covered_mask = pool.as_mask(0)
-            self._last_diff: list[int] = []
-            for cluster in clusters:
-                if cluster.key in self._solution:
-                    continue
-                self._solution[cluster.key] = cluster
-                fresh = cluster.mask & ~self._covered_mask
-                if fresh:
-                    self._covered_mask |= fresh
-                    self._covered_sum += self.answers.mask_value_sum(fresh)
-            # Covered-union history: _cover_log[r] is the covered mask
-            # after round r.  Delta refreshes AND a candidate against the
-            # coverage growth window since their stamp, so a state stale
-            # by *any* number of rounds refreshes in one mask operation —
-            # the property the lazy heap argmax depends on (its frontier
-            # groups sleep for many rounds between evaluations).  Keyed by
-            # round (not a list) so snapshots older than every live delta
-            # state can be pruned; without pruning a long run would retain
-            # O(rounds * n/8) bytes of history.
-            self._cover_log: dict[int, int] = {0: self._covered_mask}
-            self._diff_since_cache: dict[int, int] = {}
-        else:
-            self._pairs = None
-            self._by_lca = None
-            self._covered = set()
-            self._covered_mask = 0
-            self._last_diff = []
-            self._cover_log = {}
-            self._diff_since_cache = {}
-            values = self.answers.values
-            for cluster in clusters:
-                if cluster.key in self._solution:
-                    continue
-                self._solution[cluster.key] = cluster
-                for index in cluster.covered:
-                    if index not in self._covered:
-                        self._covered.add(index)
-                        self._covered_sum += values[index]
+        self._pairs: dict[tuple[int, int], _PairRow] = {}
+        self._by_lca: dict[int, _LcaGroup] = {}
+        self._covered_mask = pool.as_mask(0)
+        for cluster in clusters:
+            if cluster.key in self._solution:
+                continue
+            self._solution[cluster.key] = cluster
+            fresh = cluster.mask & ~self._covered_mask
+            if fresh:
+                self._covered_mask |= fresh
+                self._covered_sum += self.answers.mask_value_sum(fresh)
+        # Covered-union history: _cover_log[r] is the covered mask after
+        # round r.  Delta refreshes AND a candidate against the coverage
+        # growth window since their stamp, so a state stale by *any*
+        # number of rounds refreshes in one mask operation — the property
+        # the lazy heap argmax depends on (its frontier groups sleep for
+        # many rounds between evaluations).  Keyed by round (not a list)
+        # so snapshots older than every live delta state can be pruned;
+        # without pruning a long run would retain O(rounds * n/8) bytes
+        # of history.
+        self._cover_log: dict[int, int] = {0: self._covered_mask}
+        self._diff_since_cache: dict[int, int] = {}
 
     # -- read access ---------------------------------------------------------
 
@@ -393,28 +361,20 @@ class MergeEngine:
 
     @property
     def covered_count(self) -> int:
-        if self._masked:
-            return self._covered_mask.bit_count()
-        return len(self._covered)
+        return self._covered_mask.bit_count()
 
     def is_covered(self, index: int) -> bool:
         """True if element *index* is covered by the current solution: a
         bit test on T that builds no n-bit mask."""
-        if self._masked:
-            return mask_has_bit(self._covered_mask, index)
-        return index in self._covered
+        return mask_has_bit(self._covered_mask, index)
 
     def is_fully_covered(self, cluster: Cluster) -> bool:
         """True if every element of cov(*cluster*) is already covered."""
-        if self._masked:
-            return not (cluster.mask & ~self._covered_mask)
-        return all(index in self._covered for index in cluster.covered)
+        return not (cluster.mask & ~self._covered_mask)
 
     def covered_indices(self) -> frozenset[int]:
         """The covered union T as a frozenset of element indices."""
-        if self._masked:
-            return frozenset(mask_indices(self._covered_mask))
-        return frozenset(self._covered)
+        return frozenset(mask_indices(self._covered_mask))
 
     def clone(self) -> "MergeEngine":
         """An independent copy of the current state.
@@ -434,31 +394,24 @@ class MergeEngine:
         twin.answers = self.answers
         twin.use_delta = self.use_delta
         twin.kernel = self.kernel
-        twin._masked = self._masked
         twin.argmax = self.argmax
         twin._packing = self._packing
         twin._heap_argmax = self._heap_argmax
         twin._heaps = {}
         twin.stats = dict(self.stats)
         twin._solution = dict(self._solution)
-        twin._covered = set(self._covered) if self._covered is not None else None
         twin._covered_sum = self._covered_sum
         twin._covered_mask = self._covered_mask
         twin.rounds = self.rounds
-        twin._last_diff = list(self._last_diff)
         twin._cover_log = dict(self._cover_log)
         twin._diff_since_cache = {}
         twin._delta_cache = {}
         twin._pairs_live = self._pairs_live
-        twin._pairs = dict(self._pairs) if self._pairs is not None else None
-        twin._by_lca = (
-            {
-                joined: (group[0], group[1], dict(group[2]))
-                for joined, group in self._by_lca.items()
-            }
-            if self._by_lca is not None
-            else None
-        )
+        twin._pairs = dict(self._pairs)
+        twin._by_lca = {
+            joined: (group[0], group[1], dict(group[2]))
+            for joined, group in self._by_lca.items()
+        }
         return twin
 
     def clusters(self) -> list[Cluster]:
@@ -499,51 +452,11 @@ class MergeEngine:
             if stats["argmax_rounds"]
             else 0.0
         )
-        mask = (
-            self._covered_mask if self._masked else bitset_of(self._covered)
+        return Solution(
+            tuple(ordered), self._covered_mask, self._covered_sum, stats=stats
         )
-        return Solution(tuple(ordered), mask, self._covered_sum, stats=stats)
 
     # -- candidate evaluation --------------------------------------------------
-
-    def _marginal(self, candidate: Cluster) -> tuple[float, int]:
-        """(sum, count) of cov(candidate) \\ T, via delta judgment or naively."""
-        if self._masked:
-            return self._marginal_bitset(candidate)
-        values = self.answers.values
-        if not self.use_delta:
-            delta_sum = 0.0
-            delta_cnt = 0
-            for index in candidate.covered:
-                if index not in self._covered:
-                    delta_sum += values[index]
-                    delta_cnt += 1
-            return delta_sum, delta_cnt
-        state = self._delta_cache.get(candidate.key)
-        if state is not None and state.stamp == self.rounds:
-            return state.delta_sum, state.delta_cnt
-        if state is not None and state.stamp == self.rounds - 1:
-            # Refresh from the last difference list T_j \ T_{j-1}: any of
-            # those newly covered elements that the candidate also covers no
-            # longer counts as marginal.
-            covered_by_candidate = candidate.covered
-            for index in self._last_diff:
-                if index in covered_by_candidate:
-                    state.delta_sum -= values[index]
-                    state.delta_cnt -= 1
-            state.stamp = self.rounds
-            return state.delta_sum, state.delta_cnt
-        # Stale or unseen: full recomputation of cov(candidate) \ T.
-        delta_sum = 0.0
-        delta_cnt = 0
-        for index in candidate.covered:
-            if index not in self._covered:
-                delta_sum += values[index]
-                delta_cnt += 1
-        self._delta_cache[candidate.key] = _DeltaState(
-            self.rounds, delta_sum, delta_cnt
-        )
-        return delta_sum, delta_cnt
 
     def _diff_since(self, stamp: int) -> int:
         """Mask of elements covered after round *stamp* (cached per round)."""
@@ -553,10 +466,12 @@ class MergeEngine:
             self._diff_since_cache[stamp] = diff
         return diff
 
-    def _marginal_bitset(self, candidate: Cluster) -> tuple[float, int]:
-        """Bitset-kernel marginal: one AND-NOT plus popcount, value sums
-        over set bits only; delta refreshes AND the candidate against the
-        coverage growth window since the cached stamp, whatever its age."""
+    def _marginal(self, candidate: Cluster) -> tuple[float, int]:
+        """(sum, count) of cov(candidate) \\ T: one AND-NOT plus popcount,
+        value sums over set bits only.  Without ``use_delta`` it is
+        recomputed every time (the Figure 8b baseline); with it, delta
+        judgment refreshes a cached state by ANDing the candidate with
+        the coverage growth window since its stamp, whatever its age."""
         answers = self.answers
         if not self.use_delta:
             diff = candidate.mask & ~self._covered_mask
@@ -811,18 +726,11 @@ class MergeEngine:
     def violating_pairs(self, D: int) -> list[tuple[Cluster, Cluster]]:
         """Pairs at distance < D (the phase-1 candidates of Algorithm 1)."""
         pairs = self._pair_table()
-        if pairs is not None:
-            return [
-                (row[0], row[1])
-                for key in sorted(pairs)
-                for row in (pairs[key],)
-                if row[2] < D
-            ]
-        distance = self._packing.distance
         return [
-            (c1, c2)
-            for c1, c2 in self.all_pairs()
-            if distance(c1.key, c2.key) < D
+            (row[0], row[1])
+            for key in sorted(pairs)
+            for row in (pairs[key],)
+            if row[2] < D
         ]
 
     def iter_pairs(
@@ -832,22 +740,12 @@ class MergeEngine:
 
         Custom greedy criteria (e.g. the pairwise-average variant, the
         Min-Size objective) iterate this instead of rebuilding pair lists
-        and re-deriving LCAs per round; with the bitset kernel everything
-        comes straight from the pair table.
+        and re-deriving LCAs per round: everything comes straight from
+        the pair table.
         """
-        pairs = self._pair_table()
-        if pairs is not None:
-            for row in pairs.values():
-                if max_distance is None or row[2] < max_distance:
-                    yield row[0], row[1], row[3]
-            return
-        distance = self._packing.distance
-        for c1, c2 in self.all_pairs():
-            if (
-                max_distance is None
-                or distance(c1.key, c2.key) < max_distance
-            ):
-                yield c1, c2, self._merged_cluster(c1, c2)
+        for row in self._pair_table().values():
+            if max_distance is None or row[2] < max_distance:
+                yield row[0], row[1], row[3]
 
     # -- the greedy step ---------------------------------------------------------
 
@@ -875,37 +773,23 @@ class MergeEngine:
     def best_violating_pair(
         self, D: int
     ) -> tuple[Cluster, Cluster] | None:
-        """The best pair at distance < D, or None when no pair violates D.
-
-        With the bitset kernel this works off the persistent pair table (no
-        list materialization, no distance or LCA recomputation) — a lazy
-        heap pop-and-refresh under ``argmax="heap"``, a full group scan
-        under ``argmax="scan"``; the python kernel falls back to the naive
-        enumeration.  All paths pick by the exact same key as
-        :meth:`best_pair`.
-        """
-        _budget_checkpoint()
-        if self._pair_table() is not None:
-            return self._best_group(D)
-        pairs = self.violating_pairs(D)
-        if not pairs:
-            return None
-        return self.best_pair(pairs)
+        """The best pair at distance < D, or None when no pair violates D."""
+        return self._best_group(D)
 
     def best_any_pair(self) -> tuple[Cluster, Cluster] | None:
         """The best pair over all pairs, or None when |O| < 2."""
-        _budget_checkpoint()
-        if self._pair_table() is not None:
-            return self._best_group(None)
-        pairs = self.all_pairs()
-        if not pairs:
-            return None
-        return self.best_pair(pairs)
+        return self._best_group(None)
 
     def _best_group(
         self, max_distance: int | None
     ) -> tuple[Cluster, Cluster] | None:
-        """Dispatch the per-round LCA-group argmax to heap or scan."""
+        """The per-round LCA-group argmax over the persistent pair table
+        (no list materialization, no distance or LCA recomputation): a
+        lazy heap pop-and-refresh under ``argmax="heap"``, a full group
+        scan under ``argmax="scan"``.  Both pick by the exact key of
+        :meth:`best_pair`."""
+        _budget_checkpoint()
+        self._pair_table()
         self.stats["argmax_rounds"] += 1.0
         if self._heap_argmax:
             return self._heap_best(max_distance)
@@ -926,10 +810,9 @@ class MergeEngine:
         O(|O|^2) evaluations.
         """
         by_lca = self._by_lca
-        assert by_lca is not None
         covered_sum = self._covered_sum
         covered_cnt = self._covered_mask.bit_count()
-        marginal = self._marginal_bitset
+        marginal = self._marginal
         best_group = None
         best_joined = None
         best_avg = float("-inf")
@@ -964,7 +847,6 @@ class MergeEngine:
         evaluates only its frontier, as later rounds do.
         """
         by_lca = self._by_lca
-        assert by_lca is not None
         covered_sum = self._covered_sum
         covered_cnt = self._covered_mask.bit_count()
         heap = _ArgmaxHeap(covered_sum)
@@ -1052,7 +934,6 @@ class MergeEngine:
         the number of LCA groups — where the scan touches all of them.
         """
         by_lca = self._by_lca
-        assert by_lca is not None
         covered_sum = self._covered_sum
         covered_cnt = self._covered_mask.bit_count()
         if len(self._heaps) > 1 or (
@@ -1079,7 +960,7 @@ class MergeEngine:
                 drift = 0.0
         entries = heap.entries
         meta = heap.meta
-        marginal = self._marginal_bitset
+        marginal = self._marginal
         best_group = None
         best_joined = None
         best_avg = float("-inf")
@@ -1152,15 +1033,15 @@ class MergeEngine:
 
     # -- pair table maintenance ------------------------------------------------
 
-    def _pair_table(self) -> dict[tuple[int, int], _PairRow] | None:
-        """The pair table (None on the python kernel), built on first use.
+    def _pair_table(self) -> dict[tuple[int, int], _PairRow]:
+        """The pair table, built on first use.
 
         Fixed-Order never reads the table, so engines build it only when
         a pair argmax or pair enumeration first asks: one pass pairing
         every current member with those before it.  From then on
         :meth:`add` and the merges maintain it in O(|O|) per step.
         """
-        if self._pairs is not None and not self._pairs_live:
+        if not self._pairs_live:
             self._pairs_live = True
             members = list(self._solution.values())
             for count, cluster in enumerate(members):
@@ -1174,7 +1055,6 @@ class MergeEngine:
         """Add table rows pairing *cluster* with each of *others*."""
         pairs = self._pairs
         by_lca = self._by_lca
-        assert pairs is not None and by_lca is not None
         keyed = self.pool.keyed
         lca = self._packing.lca
         level = self._packing.level
@@ -1229,7 +1109,6 @@ class MergeEngine:
         pairs = self._pairs
         if self._pairs_live:
             by_lca = self._by_lca
-            assert pairs is not None and by_lca is not None
 
             def drop(pair: tuple[int, int]) -> None:
                 row = pairs.pop(pair, None)
@@ -1268,57 +1147,48 @@ class MergeEngine:
         of growing with the engine's lifetime.
         """
         self.rounds += 1
-        if self._masked:
-            self._cover_log[self.rounds] = self._covered_mask
-            self._diff_since_cache.clear()
-            if self.rounds % 64 == 0 and len(self._cover_log) > 64:
-                cache = self._delta_cache
-                horizon = self.rounds - 64
-                for key in [
-                    k for k, state in cache.items() if state.stamp < horizon
-                ]:
-                    del cache[key]
-                floor = min(
-                    (state.stamp for state in cache.values()),
-                    default=self.rounds,
-                )
-                for stamp in [r for r in self._cover_log if r < floor]:
-                    del self._cover_log[stamp]
+        self._cover_log[self.rounds] = self._covered_mask
+        self._diff_since_cache.clear()
+        if self.rounds % 64 == 0 and len(self._cover_log) > 64:
+            cache = self._delta_cache
+            horizon = self.rounds - 64
+            for key in [
+                k for k, state in cache.items() if state.stamp < horizon
+            ]:
+                del cache[key]
+            floor = min(
+                (state.stamp for state in cache.values()),
+                default=self.rounds,
+            )
+            for stamp in [r for r in self._cover_log if r < floor]:
+                del self._cover_log[stamp]
 
     def _absorb_coverage(self, merged: Cluster) -> None:
-        """Fold cov(*merged*) into T, recording the per-round difference.
+        """Fold cov(*merged*) into T and its values into the covered sum.
 
-        A mask engine whose round priced *merged* (its delta state is
-        stamped this round: Fixed-Order's target, every Bottom-Up winner)
-        adds that marginal, which is cov(*merged*) \\ T, instead of
-        summing it again.  On exact (dyadic) values that is the same
-        float; otherwise the objective is the one the round compared.
+        A round that priced *merged* (its delta state is stamped this
+        round: Fixed-Order's target, every Bottom-Up winner) adds that
+        marginal, which is cov(*merged*) \\ T, instead of summing it
+        again.  On exact (dyadic) values that is the same float;
+        otherwise the objective is the one the round compared.
         """
-        if self._masked:
-            state = self._delta_cache.get(merged.key)
-            if state is not None and state.stamp == self.rounds:
-                if state.delta_cnt:
-                    self._covered_mask |= merged.mask
-                    self._covered_sum += state.delta_sum
-                return
-            fresh = merged.mask & ~self._covered_mask
-            if fresh:
-                self._covered_mask |= fresh
-                self._covered_sum += self.answers.mask_value_sum(fresh)
-        else:
-            values = self.answers.values
-            diff = [i for i in merged.covered if i not in self._covered]
-            for index in diff:
-                self._covered.add(index)
-                self._covered_sum += values[index]
-            self._last_diff = diff
+        state = self._delta_cache.get(merged.key)
+        if state is not None and state.stamp == self.rounds:
+            if state.delta_cnt:
+                self._covered_mask |= merged.mask
+                self._covered_sum += state.delta_sum
+            return
+        fresh = merged.mask & ~self._covered_mask
+        if fresh:
+            self._covered_mask |= fresh
+            self._covered_sum += self.answers.mask_value_sum(fresh)
 
     def merge(self, c1: Cluster, c2: Cluster) -> Cluster:
         """Apply Merge(O, c1, c2): replace by the LCA, drop covered clusters.
 
         Returns the new cluster.  Updates the covered union, the round
-        counter, the difference list/mask that delta judgment consumes, and
-        (bitset kernel) the pair table.
+        counter and coverage log that delta judgment consumes, and the
+        pair table.
         """
         if c1.key not in self._solution or c2.key not in self._solution:
             raise ValueError("merge() on clusters not in the current solution")
@@ -1368,8 +1238,4 @@ class MergeEngine:
         """Minimum pairwise distance in O (m+1 when |O| < 2)."""
         if len(self._solution) < 2:
             return self.answers.m + 1
-        pairs = self._pair_table()
-        if pairs is not None:
-            return min(row[2] for row in pairs.values())
-        distance = self._packing.distance
-        return min(distance(c1.key, c2.key) for c1, c2 in self.all_pairs())
+        return min(row[2] for row in self._pair_table().values())

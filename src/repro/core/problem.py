@@ -31,11 +31,8 @@ from repro.common.errors import InvalidParameterError
 from repro.core import bottom_up, brute_force, fixed_order, hybrid  # noqa
 from repro.core.answers import AnswerSet
 from repro.core.registry import validate_algorithm_kwargs
-from repro.core.semilattice import (
-    ClusterPool,
-    MappingStrategy,
-    mask_representation,
-)
+from repro.core.bitset import resolve_kernel
+from repro.core.semilattice import ClusterPool, MappingStrategy
 from repro.core.solution import Solution
 
 AlgorithmName = Literal[
@@ -102,10 +99,10 @@ class ProblemInstance:
         return self.pool_for(None)
 
     def pool_for(self, kernel: str | None) -> ClusterPool:
-        """The cluster pool whose mask representation *kernel* runs on
-        (:func:`~repro.core.semilattice.mask_representation`), built on
-        first use and rebuilt once ``L`` has changed."""
-        representation = mask_representation(kernel, self.answers.n)
+        """The cluster pool in the mask representation *kernel* resolves
+        to (:func:`~repro.core.bitset.resolve_kernel`), built on first use
+        and rebuilt once ``L`` has changed."""
+        representation = resolve_kernel(kernel, n=self.answers.n)
         pool = self._pools.get(representation)
         if pool is None or pool.L != self.L:
             pool = self._pools[representation] = ClusterPool(

@@ -36,14 +36,14 @@ once both derive the same mask; the dict write is atomic, so either
 result may stay.
 
 Independently of the strategy, ``kernel=`` selects the pool's *mask
-representation*, which :attr:`ClusterPool.kernel` names: ``"bitset"``
-(int bitmasks, the default; a pool asked for the python kernel holds
-them too) or ``"dense"`` (packed uint64 blocks, the working
+representation*, which :attr:`ClusterPool.kernel` names: the kernel
+:func:`~repro.core.bitset.resolve_kernel` picks, ``"bitset"`` (int
+bitmasks, the default) or ``"dense"`` (packed uint64 blocks, the working
 representation of :mod:`repro.core.dense`; without numpy, ``"dense"``
 resolves to ``"bitset"``).  :meth:`ClusterPool.as_mask` is the one way
 to build a mask in that representation.  A
-:class:`~repro.core.merge.MergeEngine` on a mask kernel requires a pool
-whose representation matches its kernel.
+:class:`~repro.core.merge.MergeEngine` requires a pool whose
+representation matches its kernel.
 
 No coverage ``frozenset`` is built at initialization, and
 :meth:`~ClusterPool.cluster` builds none either: a cluster is its mask
@@ -71,12 +71,7 @@ from repro.common.budget import checkpoint as _budget_checkpoint
 from repro.common.errors import InvalidParameterError
 from repro.common.interning import STAR
 from repro.core.answers import AnswerSet
-from repro.core.bitset import (
-    BITSET_KERNEL,
-    DENSE_KERNEL,
-    bitset_of,
-    resolve_kernel,
-)
+from repro.core.bitset import DENSE_KERNEL, bitset_of, resolve_kernel
 from repro.core.cluster import (
     Cluster,
     Packing,
@@ -109,16 +104,6 @@ def normalize_mapping(strategy: str) -> str:
     return "eager" if strategy == "lazy" else strategy
 
 
-def mask_representation(kernel: str | None, n: int) -> str:
-    """The mask representation a pool for *kernel* holds at answer-set
-    size *n*: ``"dense"`` when the kernel resolves to the dense kernel
-    (:func:`~repro.core.bitset.resolve_kernel`), ``"bitset"`` for every
-    other kernel, python included."""
-    if resolve_kernel(kernel, n=n) == DENSE_KERNEL:
-        return DENSE_KERNEL
-    return BITSET_KERNEL
-
-
 class ClusterPool:
     """The clusters relevant to a (S, L) instance, with coverage maps.
 
@@ -143,7 +128,7 @@ class ClusterPool:
         self.L = L
         #: The mask representation the pool builds, ``"bitset"`` (int
         #: bitmasks) or ``"dense"`` (packed uint64 blocks).
-        self.kernel = mask_representation(kernel, answers.n)
+        self.kernel = resolve_kernel(kernel, n=answers.n)
         self._build(answers)
 
     # -- construction of the coverage maps -----------------------------------
@@ -259,7 +244,7 @@ class ClusterPool:
         are repacked and no pattern mask is carried or derived until read
         (``naive`` pools rescan S), so it is bit-identical to
         ``ClusterPool(new_answers, L, ...)`` with the same options
-        (property-tested across all three kernels).
+        (property-tested on both kernels).
         """
         appended = len(list(delta))
         if new_answers.n != self.answers.n + appended:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.common.errors import InvalidParameterError
+from repro.core.answers import AnswerSet
 from repro.core.bottom_up import run_distance_phase
 from repro.core.cluster import Cluster, Pattern
 from repro.core.hybrid import DEFAULT_POOL_FACTOR
@@ -34,6 +35,26 @@ from repro.core.merge import MergeEngine
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import Solution, floor_at_root
 from repro.interactive.interval_tree import Interval, IntervalTree
+
+
+def check_sweep_grid(
+    answers: AnswerSet, k_range: tuple[int, int], d_values: Sequence[int]
+) -> None:
+    """Reject a (k, D) grid a summary over *answers* would reject:
+    1 <= k_min <= k_max <= n, and every D in [0, m]."""
+    k_min, k_max = k_range
+    if not 1 <= k_min <= k_max <= answers.n:
+        raise InvalidParameterError(
+            "invalid k range [%d, %d]; need 1 <= k_min <= k_max <= n=%d"
+            % (k_min, k_max, answers.n)
+        )
+    if not d_values:
+        raise InvalidParameterError("d_values must be non-empty")
+    outside = sorted(d for d in set(d_values) if not 0 <= d <= answers.m)
+    if outside:
+        raise InvalidParameterError(
+            "d_values %r out of range [0, %d]" % (outside, answers.m)
+        )
 
 
 @dataclass(frozen=True)
@@ -76,12 +97,14 @@ class SolutionStore:
         Cluster pool for (S, L); its construction time is the paper's
         "Init" phase and is *not* included in ``timings.algo_seconds``.
     k_range:
-        Inclusive (k_min, k_max).
+        Inclusive (k_min, k_max), with 1 <= k_min <= k_max <= n: the
+        bounds a summary puts on k (:func:`check_sweep_grid`).
     d_values:
-        The D values to sweep (Figure 2 plots one curve per D).
+        The D values to sweep (Figure 2 plots one curve per D), each in
+        [0, m] as a summary's D.
     kernel:
-        The sweep engines' evaluation kernel (``"bitset"``/``"python"``/
-        ``"dense"``/``"auto"``; see :func:`repro.core.bitset.resolve_kernel`).
+        The sweep engines' mask kernel (``"bitset"``/``"dense"``/
+        ``"auto"``; see :func:`repro.core.bitset.resolve_kernel`).
         A kernel resolving to ``"dense"`` needs *pool* built with
         ``kernel="dense"`` (the merge engine validates); the service
         layer's :meth:`repro.service.Engine.checkout_store` pairs them
@@ -93,7 +116,10 @@ class SolutionStore:
     The shared Fixed-Order phase runs with Hybrid's candidate multiplier
     c (:data:`~repro.core.hybrid.DEFAULT_POOL_FACTOR`) and D = 0, the
     most permissive distance; each per-D Bottom-Up run then enforces its
-    own D.
+    own D.  No state has more than L clusters, so every k above
+    max(k_min, min(k_max, L)) holds the state the sweep starts from: the
+    sweeps record only k up to that bound, and their work and size do
+    not grow with k_max beyond L.
     """
 
     def __init__(
@@ -104,17 +130,13 @@ class SolutionStore:
         kernel: str | None = None,
         argmax: str | None = None,
     ) -> None:
+        check_sweep_grid(pool.answers, k_range, d_values)
         k_min, k_max = k_range
-        if not 1 <= k_min <= k_max:
-            raise InvalidParameterError(
-                "invalid k range [%d, %d]" % (k_min, k_max)
-            )
-        if not d_values:
-            raise InvalidParameterError("d_values must be non-empty")
         self.pool = pool
         self.k_min = k_min
         self.k_max = k_max
         self.d_values = tuple(sorted(set(d_values)))
+        self._k_top = max(k_min, min(k_max, pool.L))
         start = time.perf_counter()
         shared = fixed_order_engine(
             pool,
@@ -153,10 +175,10 @@ class SolutionStore:
             for cluster in engine.clusters():
                 pattern = cluster.pattern
                 if pattern not in first_k:
-                    first_k[pattern] = k
+                    first_k[pattern] = self.k_max if k == self._k_top else k
                 last_k[pattern] = k
 
-        for k in range(self.k_max, self.k_min - 1, -1):
+        for k in range(self._k_top, self.k_min - 1, -1):
             while engine.size > k:
                 pair = engine.best_any_pair()
                 if pair is None:
@@ -214,7 +236,7 @@ class SolutionStore:
 
         Root-floored, consistent with :meth:`retrieve`.
         """
-        recorded = self._sweep(D).avg_by_k[k]
+        recorded = self._sweep(D).avg_by_k[min(k, self._k_top)]
         root_avg = self.pool.root().avg
         return recorded if recorded >= root_avg else root_avg
 
@@ -225,6 +247,7 @@ class SolutionStore:
         the root floor, consistent with :meth:`retrieve`.
         """
         sweep = self._sweep(D)
+        k = min(k, self._k_top)
         if sweep.avg_by_k[k] < self.pool.root().avg:
             return 1
         return sweep.size_by_k[k]
@@ -241,7 +264,7 @@ class SolutionStore:
     def naive_storage_count(self) -> int:
         """Cluster references a per-(k, D) materialization would store."""
         return sum(
-            sweep.size_by_k[k]
+            sweep.size_by_k[min(k, self._k_top)]
             for sweep in self._sweeps.values()
             for k in range(self.k_min, self.k_max + 1)
         )

@@ -12,8 +12,8 @@ fail loudly):
     The concurrent run must match the single-threaded reference replay
     on every response (after normalization).
 ``append_identical: true``
-    The in-process append check must report bit-identical pools on all
-    three kernels.
+    The in-process append check must report bit-identical pools on
+    every kernel.
 ``max_error_rate: float``
     ``errors.total / requests`` must not exceed this.
 ``min_store_hit_rate`` / ``max_store_hit_rate: float``

@@ -20,7 +20,7 @@ The runner is the load-bearing half of the scenario harness:
 4. For append scenarios, additionally prove in-process that the
    incrementally maintained :class:`~repro.core.semilattice.ClusterPool`
    is *bit-identical* (patterns, masks, coverage) to a pool rebuilt from
-   scratch, on all three kernels.
+   scratch, on both kernels.
 
 The scored report (latency histograms per kind, error taxonomy, engine
 cache/coalesce rates, differential verdict, append check) is plain JSON —
@@ -35,7 +35,7 @@ import time
 from typing import Any
 
 from repro.core.answers import AnswerSet
-from repro.core.bitset import DENSE_KERNEL
+from repro.core.bitset import DENSE_KERNEL, KERNELS
 from repro.obs import Telemetry
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace import AppendEvent, Trace, compile_trace
@@ -433,12 +433,12 @@ def check_append_identity(
     :class:`~repro.core.semilattice.ClusterPool` through every append
     event via :meth:`~repro.core.semilattice.ClusterPool.extended`, then
     rebuilds from the final answer set and compares patterns, raw masks,
-    and coverage sets for bit-identity, on all three kernels.
+    and coverage sets for bit-identity, on every kernel.
     """
     from repro.core.semilattice import ClusterPool
 
     verdicts: dict[str, bool] = {}
-    for kernel in ("python", "bitset", "dense"):
+    for kernel in KERNELS:
         maintained = ClusterPool(answers, L, kernel=kernel)
         current = answers
         for event in events:

@@ -297,7 +297,7 @@ class SummaryResponse(_WireMessage):
     """Solution plus the paper's timing split and engine cache metadata.
 
     ``kernel`` names the evaluation substrate that produced the solution
-    (``"bitset"``, ``"python"`` or ``"dense"``; ``"none"`` for algorithms
+    (``"bitset"`` or ``"dense"``; ``"none"`` for algorithms
     with no kernelized path, e.g. lower-bound); ``phase_seconds`` is an
     *open* float map: a finer-grained breakdown of where *this request's*
     wall clock went (e.g. ``pool_build`` vs ``merge_loop`` vs ``serialize``;

@@ -18,8 +18,8 @@ Cache keys pin down everything that changes the cached object's content:
   :func:`~repro.core.semilattice.normalize_mapping` (``"lazy"`` and
   ``"eager"`` name one mapping, so they share one key), and the mask
   representation (:attr:`ClusterPool.kernel
-  <repro.core.semilattice.ClusterPool.kernel>`: ``"bitset"`` for the
-  bitset and python kernels, ``"dense"`` for packed uint64-block pools);
+  <repro.core.semilattice.ClusterPool.kernel>`: ``"bitset"`` for int
+  bitmask pools, ``"dense"`` for packed uint64-block pools);
 * stores are keyed by ``(dataset, version, L, mapping, k_range,
   d_values, kernel)`` — everything the pool key pins (the kernel fixes
   the mask representation) plus the precompute sweep's parameter grid
@@ -70,14 +70,10 @@ from repro.core.bitset import resolve_kernel
 from repro.core.dense import mask_indices
 from repro.core.problem import ProblemInstance
 from repro.core.registry import validate_algorithm_kwargs
-from repro.core.semilattice import (
-    ClusterPool,
-    mask_representation,
-    normalize_mapping,
-)
+from repro.core.semilattice import ClusterPool, normalize_mapping
 from repro.obs.tracing import record_span, span, trace_scope
 from repro.core.solution import Solution
-from repro.interactive.precompute import SolutionStore
+from repro.interactive.precompute import SolutionStore, check_sweep_grid
 from repro.service.api import (
     ClusterDTO,
     ExpandedElementDTO,
@@ -264,8 +260,7 @@ class Engine:
         ``(dataset, version, L, mapping, mask_repr)``.
     max_stores:
         LRU bound on cached :class:`SolutionStore`s, keyed by
-        ``(dataset, version, L, mapping, k_range, d_values, kernel,
-        argmax)``.
+        ``(dataset, version, L, mapping, k_range, d_values, kernel)``.
     durability:
         Optional :class:`~repro.durability.manager.DurabilityManager`.
         When set, ``register_dataset`` snapshots the dataset and
@@ -433,15 +428,15 @@ class Engine:
         *mapping* is normalized before it joins the key, so ``"lazy"``
         checks out the ``"eager"`` pool; an unknown name raises before
         either cache is touched.  *kernel* selects the pool's mask
-        representation (:func:`~repro.core.semilattice.mask_representation`):
-        the bitset and python kernels share int-bitmask pools, while
-        ``"dense"`` (or ``"auto"`` resolving to it at this dataset's size)
-        checks out a packed-block pool.  The representation is part of
-        the cache key, so kernels never alias each other's pools.
+        representation, the kernel it resolves to: ``"bitset"`` checks
+        out an int-bitmask pool, and ``"dense"`` (or ``"auto"`` resolving
+        to it at this dataset's size) a packed-block pool.  The
+        representation is part of the cache key, so kernels never alias
+        each other's pools.
         """
         answers, version = self._dataset_state(dataset)
         mapping = normalize_mapping(mapping)
-        representation = mask_representation(kernel, answers.n)
+        representation = resolve_kernel(kernel, n=answers.n)
         return self._pools.get_or_build(
             (dataset, version, L, mapping, representation),
             lambda: ClusterPool(
@@ -462,10 +457,12 @@ class Engine:
 
         ``init_seconds`` covers whatever this call actually built: pool
         construction (if cold) plus the precomputation sweep (if cold).
+        A grid the store would reject is rejected before either is built.
         """
         k_range = tuple(k_range)
         d_key = tuple(sorted(set(d_values)))
         answers, version = self._dataset_state(dataset)
+        check_sweep_grid(answers, k_range, d_key)
         mapping = normalize_mapping(mapping)
         kernel = resolve_kernel(kernel, n=answers.n)
         pool, pool_seconds, _pool_hit = self.checkout_pool(

@@ -8,10 +8,13 @@ hold along any merge trajectory.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import reference
 from repro.core.answers import AnswerSet
+from repro.core.bitset import KERNELS
 from repro.core.bottom_up import (
     bottom_up,
     bottom_up_level_start,
@@ -21,7 +24,7 @@ from repro.core.brute_force import brute_force, lower_bound
 from repro.core.cluster import distance, lca
 from repro.core.fixed_order import fixed_order
 from repro.core.hybrid import hybrid
-from repro.core.merge import MergeEngine
+from repro.core.merge import ARGMAX_MODES, MergeEngine
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import check_feasibility
 
@@ -56,25 +59,27 @@ def instances(draw):
 
 
 @st.composite
-def dyadic_instances(draw):
+def dyadic_instances(draw, max_n=24, max_domain=3, max_L=8):
     """Like :func:`instances` but with dyadic-rational values (k/4).
 
     Dyadic values make every partial sum exactly representable in binary
-    floating point, so value sums are independent of summation order and
-    the two kernels (which accumulate in different orders) are guaranteed
-    to compute *identical* floats — the cross-kernel equivalence tests can
-    then demand exact solution equality rather than approximate.
+    floating point, so value sums are independent of summation order:
+    the merge engine (which sums cached marginals, refreshed by
+    subtraction) and the reference engine (which sums each marginal
+    afresh) are guaranteed to compute *identical* floats, and the
+    equivalence tests can demand exact solution equality.
     """
     m = draw(st.integers(min_value=3, max_value=4))
-    domain = draw(st.integers(min_value=2, max_value=3))
-    n = draw(st.integers(min_value=8, max_value=24))
+    domain = draw(st.integers(min_value=2, max_value=max_domain))
+    n = draw(st.integers(min_value=8, max_value=max_n))
     n = min(n, domain ** m)
-    element_strategy = st.tuples(
-        *[st.integers(min_value=0, max_value=domain - 1)] * m
-    )
-    elements = draw(
-        st.lists(element_strategy, min_size=n, max_size=n, unique=True)
-    )
+    # n distinct elements as the first n codes of a shuffled domain: far
+    # cheaper to draw at large n than a unique list of tuples.
+    codes = draw(st.permutations(range(domain ** m)))[:n]
+    elements = [
+        tuple(code // domain ** attr % domain for attr in range(m))
+        for code in codes
+    ]
     values = [
         q / 4.0
         for q in draw(
@@ -87,7 +92,7 @@ def dyadic_instances(draw):
     ]
     answers = AnswerSet(elements, values)
     k = draw(st.integers(min_value=1, max_value=n))
-    L = draw(st.integers(min_value=1, max_value=min(n, 8)))
+    L = draw(st.integers(min_value=1, max_value=min(n, max_L)))
     D = draw(st.integers(min_value=0, max_value=m))
     return answers, k, L, D
 
@@ -178,26 +183,21 @@ def test_solution_clusters_come_from_pool(instance):
             assert cluster.pattern in pool
 
 
-# -- kernel equivalence (bitset vs python vs dense, pairwise) ----------------
-
-#: Every concrete kernel, each run on a pool in its own representation.
-ALL_KERNELS = ("bitset", "python", "dense")
+# -- kernel equivalence (bitset vs dense) ------------------------------------
 
 
 def _pools_per_kernel(answers, L):
-    """One pool per mask representation (python shares the int pool)."""
-    int_pool = ClusterPool(answers, L=L)
-    dense_pool = ClusterPool(answers, L=L, kernel="dense")
-    return {"bitset": int_pool, "python": int_pool, "dense": dense_pool}
+    """One pool per kernel, each in its own mask representation."""
+    return {kernel: ClusterPool(answers, L=L, kernel=kernel)
+            for kernel in KERNELS}
 
 
 @settings(max_examples=40, deadline=None)
 @given(dyadic_instances())
 def test_kernels_produce_identical_solutions(instance):
-    """The tentpole contract: ``kernel="bitset"``, ``kernel="python"``,
-    and ``kernel="dense"`` return bit-identical solutions for every
-    algorithm, on both the delta-judgment and the naive evaluation
-    paths — so the three kernels are pairwise interchangeable."""
+    """``kernel="bitset"`` and ``kernel="dense"`` return bit-identical
+    solutions for every algorithm, on both the delta-judgment and the
+    naive evaluation paths, so the kernels are interchangeable."""
     answers, k, L, D = instance
     pools = _pools_per_kernel(answers, L)
     runs = [
@@ -209,8 +209,8 @@ def test_kernels_produce_identical_solutions(instance):
         lambda kr: hybrid(pools[kr], k, D, kernel=kr),
     ]
     for run in runs:
-        reference = run(ALL_KERNELS[0])
-        for kernel in ALL_KERNELS[1:]:
+        reference = run(KERNELS[0])
+        for kernel in KERNELS[1:]:
             other = run(kernel)
             assert other.patterns() == reference.patterns(), kernel
             assert other.covered == reference.covered, kernel
@@ -220,14 +220,50 @@ def test_kernels_produce_identical_solutions(instance):
 @settings(max_examples=15, deadline=None)
 @given(dyadic_instances())
 def test_brute_force_kernels_agree(instance):
-    """The exact search finds the same optimum on all three kernels."""
+    """The exact search finds the same optimum on both kernels."""
     answers, _, L, D = instance
     L = min(L, 4)  # keep the exponential search tiny
     pools = _pools_per_kernel(answers, L)
     reference = brute_force(pools["bitset"], 2, D, kernel="bitset")
-    for kernel in ("python", "dense"):
-        other = brute_force(pools[kernel], 2, D, kernel=kernel)
-        assert other.patterns() == reference.patterns(), kernel
+    other = brute_force(pools["dense"], 2, D, kernel="dense")
+    assert other.patterns() == reference.patterns()
+
+
+# -- the reference engine is the oracle --------------------------------------
+
+
+def _check_against_reference(instance):
+    """Hybrid, Bottom-Up and Fixed-Order on both kernels, under every
+    argmax mode and with delta judgment on and off, return the literal
+    reference engine's patterns, covered set and value sum."""
+    answers, k, L, D = instance
+    pools = _pools_per_kernel(answers, L)
+    for run, oracle in ((hybrid, reference.hybrid),
+                        (bottom_up, reference.bottom_up),
+                        (fixed_order, reference.fixed_order)):
+        expected = oracle(pools["bitset"], k, D)
+        for kernel, pool in pools.items():
+            for argmax in ARGMAX_MODES:
+                for use_delta in (True, False):
+                    got = run(pool, k, D, kernel=kernel, argmax=argmax,
+                              use_delta=use_delta)
+                    label = (run.__name__, kernel, argmax, use_delta)
+                    assert got.patterns() == expected.patterns(), label
+                    assert got.covered == expected.covered, label
+                    assert got.value_sum == expected.value_sum, label
+
+
+@settings(max_examples=40, deadline=None)
+@given(dyadic_instances())
+def test_engine_matches_reference(instance):
+    _check_against_reference(instance)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(dyadic_instances(max_n=200, max_domain=5, max_L=24))
+def test_engine_matches_reference_slow(instance):
+    _check_against_reference(instance)
 
 
 # -- incremental pair cache vs full rescan -----------------------------------

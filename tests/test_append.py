@@ -3,9 +3,9 @@
 The append scenario's core guarantee: after any sequence of row appends,
 the incrementally maintained state — :meth:`AnswerSet.extended`'s grown
 set plus :meth:`ClusterPool.extended`'s carried-over pool — is *bit-identical*
-to rebuilding from scratch over the concatenated rows, across all three
-kernels (python/bitset share int masks; dense packs uint64 blocks) and
-all three mapping strategies.  On top sit the service-layer contracts: dataset versions key
+to rebuilding from scratch over the concatenated rows, on both kernels
+(bitset holds int masks; dense packs uint64 blocks) and all three
+mapping strategies.  On top sit the service-layer contracts: dataset versions key
 caches so stale pools/stores are unreachable, cached pools are carried
 over (not dropped) by an append, and the ``append_rows`` wire kind
 round-trips with typed errors for hostile input.
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import reference
 from repro.core.answers import AnswerSet
 from repro.core.bitset import DENSE_KERNEL
 from repro.core.bottom_up import bottom_up
@@ -130,7 +131,7 @@ def _assert_pools_identical(maintained, rebuilt):
 @settings(max_examples=60, deadline=None)
 @given(append_runs())
 def test_pool_after_appends_equals_rebuild_int_masks(run):
-    """python/bitset kernels (shared int-mask pools): maintenance ≡ rebuild."""
+    """bitset kernel (int-mask pools): maintenance ≡ rebuild."""
     elements, values, batches, L, strategy = run
     answers = AnswerSet(elements, values)
     pool = ClusterPool(answers, L, strategy=strategy)
@@ -159,7 +160,8 @@ def test_pool_after_appends_equals_rebuild_dense_numpy(run):
        st.integers(min_value=0, max_value=2))
 def test_solutions_identical_on_maintained_pools(run, k, D):
     """Solve-level equivalence: bottom-up on the maintained pool returns
-    the same clusters/objective as on a rebuilt pool, int and dense."""
+    the same clusters/objective as on a rebuilt pool, int and dense, and
+    so does the reference engine on the maintained coverage sets."""
     elements, values, batches, L, strategy = run
     answers = AnswerSet(elements, values)
     int_pool = ClusterPool(answers, L, strategy=strategy)
@@ -170,9 +172,9 @@ def test_solutions_identical_on_maintained_pools(run, k, D):
         dense_pool = dense_pool.extended(answers, delta)
     rebuilt = ClusterPool(answers, L, strategy=strategy)
     expected = bottom_up(rebuilt, k, D)
-    for pool, kernel in ((int_pool, "bitset"), (int_pool, "python"),
-                         (dense_pool, "dense")):
-        solution = bottom_up(pool, k, D, kernel=kernel)
+    for solution in (bottom_up(int_pool, k, D, kernel="bitset"),
+                     bottom_up(dense_pool, k, D, kernel="dense"),
+                     reference.bottom_up(int_pool, k, D)):
         assert solution.avg == expected.avg
         assert {c.pattern for c in solution.clusters} == {
             c.pattern for c in expected.clusters

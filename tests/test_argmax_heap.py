@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.common.errors import InvalidParameterError
+from repro.core import reference
 from repro.core.answers import AnswerSet
 from repro.core.bottom_up import bottom_up, bottom_up_level_start
 from repro.core.fixed_order import fixed_order
@@ -63,12 +64,13 @@ def test_heap_and_scan_bit_identical_hybrid_and_variants(instance):
 @settings(max_examples=30, deadline=None)
 @given(dyadic_instances())
 def test_heap_matches_python_kernel_scan(instance):
-    """Transitively: heap (bitset) == scan (bitset) == python kernel."""
+    """Transitively: heap (bitset) == scan (bitset) == the literal
+    reference engine, which replaced the python kernel as the baseline."""
     answers, k, L, D = instance
     pool = ClusterPool(answers, L=L)
     by_heap = bottom_up(pool, k, D, kernel="bitset", argmax="heap")
-    by_python = bottom_up(pool, k, D, kernel="python")
-    assert by_heap.patterns() == by_python.patterns()
+    by_reference = reference.bottom_up(pool, k, D)
+    assert by_heap.patterns() == by_reference.patterns()
 
 
 @settings(max_examples=20, deadline=None)
@@ -97,36 +99,39 @@ def test_heap_and_scan_identical_precompute_sweeps(instance):
 class TestArgmaxResolution:
     def test_auto_resolves_to_heap_on_bitset_nonnegative(self):
         answers = random_answer_set(n=20, m=3, domain=3, seed=1)
-        assert resolve_argmax(None, "bitset", answers) == HEAP_ARGMAX
-        assert resolve_argmax("auto", "bitset", answers) == HEAP_ARGMAX
+        assert resolve_argmax(None, answers) == HEAP_ARGMAX
+        assert resolve_argmax("auto", answers) == HEAP_ARGMAX
 
     def test_auto_falls_back_to_scan_on_python_kernel(self):
-        answers = random_answer_set(n=20, m=3, domain=3, seed=1)
-        assert resolve_argmax(None, "python", answers) == SCAN_ARGMAX
+        """The python kernel is gone (4.0.0): an engine asked for it
+        raises instead of falling back to the scan."""
+        pool = ClusterPool(random_answer_set(n=20, m=3, domain=3, seed=1), 4)
+        with pytest.raises(InvalidParameterError, match="unknown kernel"):
+            MergeEngine(pool, (), kernel="python")
 
     def test_auto_falls_back_to_scan_on_negative_values(self):
         answers = AnswerSet(
             [(0, 0), (0, 1), (1, 0)], [2.0, -1.0, 1.0]
         )
-        assert resolve_argmax(None, "bitset", answers) == SCAN_ARGMAX
+        assert resolve_argmax(None, answers) == SCAN_ARGMAX
         pool = ClusterPool(answers, L=2)
         engine = MergeEngine(pool, (pool.singleton(i) for i in range(2)))
         assert engine.argmax == SCAN_ARGMAX
 
     def test_explicit_heap_rejected_on_python_kernel(self):
-        answers = random_answer_set(n=20, m=3, domain=3, seed=1)
-        with pytest.raises(InvalidParameterError, match="bitset"):
-            resolve_argmax("heap", "python", answers)
+        pool = ClusterPool(random_answer_set(n=20, m=3, domain=3, seed=1), 4)
+        with pytest.raises(InvalidParameterError, match="unknown kernel"):
+            bottom_up(pool, 2, 1, kernel="python", argmax="heap")
 
     def test_explicit_heap_rejected_on_negative_values(self):
         answers = AnswerSet([(0, 0), (0, 1)], [2.0, -1.0])
         with pytest.raises(InvalidParameterError, match="non-negative"):
-            resolve_argmax("heap", "bitset", answers)
+            resolve_argmax("heap", answers)
 
     def test_unknown_mode_rejected(self):
         answers = random_answer_set(n=20, m=3, domain=3, seed=1)
         with pytest.raises(InvalidParameterError, match="argmax"):
-            resolve_argmax("bogus", "bitset", answers)
+            resolve_argmax("bogus", answers)
         assert set(ARGMAX_MODES) == {"auto", "heap", "scan"}
 
 

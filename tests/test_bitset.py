@@ -17,7 +17,6 @@ from repro.core.bitset import (
     BITSET_KERNEL,
     DEFAULT_KERNEL,
     DENSE_KERNEL,
-    PYTHON_KERNEL,
     bitset_of,
     iter_bits,
     mask_value_sum,
@@ -58,9 +57,10 @@ class TestBitsetPrimitives:
 
     def test_resolve_kernel(self):
         assert resolve_kernel(None) == DEFAULT_KERNEL == BITSET_KERNEL
-        assert resolve_kernel("python") == PYTHON_KERNEL
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
             resolve_kernel("numpy")
+        with pytest.raises(InvalidParameterError, match="unknown kernel"):
+            resolve_kernel("python")  # removed in 4.0.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(
@@ -295,11 +295,16 @@ class TestKernelWiring:
         # float dict (counts, not seconds).
         assert fast.phase_seconds["argmax_heap"] == 1.0
         assert fast.phase_seconds["argmax_evals"] >= 1.0
-        slow = engine.submit(SummaryRequest(
+        other = engine.submit(SummaryRequest(
             dataset="d", k=3, L=6, D=1, algorithm="bottom-up",
-            options={"kernel": "python"},
+            options={"kernel": "dense"},
         ))
-        assert slow.kernel == "python"
+        assert other.kernel == resolve_kernel("dense")
+        with pytest.raises(InvalidParameterError, match="unknown kernel"):
+            engine.submit(SummaryRequest(
+                dataset="d", k=3, L=6, D=1, algorithm="bottom-up",
+                options={"kernel": "python"},
+            ))
 
     def test_explore_kernel_choice_splits_store_cache(self):
         from repro.service import Engine, ExploreRequest
@@ -310,10 +315,12 @@ class TestKernelWiring:
         request = dict(dataset="d", k=3, L=6, D=1, k_range=(2, 4),
                        d_values=(1,))
         fast = engine.submit(ExploreRequest(**request, kernel="bitset"))
-        slow = engine.submit(ExploreRequest(**request, kernel="python"))
+        slow = engine.submit(ExploreRequest(**request, kernel="dense"))
         assert fast.kernel == "bitset"
-        assert slow.kernel == "python"
-        assert slow.cache_hit is False  # different kernel, different store
+        assert slow.kernel == resolve_kernel("dense")
+        # Different kernel, different store (without numpy, "dense"
+        # resolves to bitset and shares the first store).
+        assert slow.cache_hit is (slow.kernel == "bitset")
         assert fast.objective == pytest.approx(slow.objective)
         assert [c.pattern for c in fast.clusters] == [
             c.pattern for c in slow.clusters

@@ -7,7 +7,13 @@ import json
 
 import pytest
 
-from repro.cli import EXIT_IO_ERROR, build_parser, main, serve_main
+from repro.cli import (
+    EXIT_IO_ERROR,
+    EXIT_PARAM_ERROR,
+    build_parser,
+    main,
+    serve_main,
+)
 from repro.common.errors import SchemaError
 from repro.query.csv_io import infer_column_type, read_csv, write_csv
 from repro.query.relation import Relation
@@ -162,6 +168,14 @@ class TestCli:
         from repro import __version__
 
         assert __version__ in capsys.readouterr().out
+
+    def test_python_kernel_exits_2(self, answers_csv, capsys):
+        """``--kernel python`` (removed in 4.0.0) is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(answers_csv), "-k", "3", "-L", "4", "-D", "1",
+                  "--kernel", "python"])
+        assert excinfo.value.code == EXIT_PARAM_ERROR == 2
+        assert "python" in capsys.readouterr().err
 
     def test_algorithm_choices_come_from_registry(self):
         from repro.core.registry import algorithm_names

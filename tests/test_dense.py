@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.common.errors import InvalidParameterError
-from repro.core import dense
+from repro.core import dense, reference
 from repro.core.answers import AnswerSet
 from repro.core.bitset import (
     BITSET_KERNEL,
@@ -187,10 +187,13 @@ class TestKernelResolution:
 
     def test_pool_kernel_names_the_mask_representation(self, tiny_answers):
         """A pool reports the representation it holds: int masks read
-        ``"bitset"`` whichever int-mask kernel asked for them."""
-        for kernel in (None, "bitset", "python", "auto"):
+        ``"bitset"`` whichever request resolved to them, and a kernel
+        name that is not one (``"python"`` before 4.0.0) raises."""
+        for kernel in (None, "bitset", "auto"):
             pool = ClusterPool(tiny_answers, L=3, kernel=kernel)
             assert pool.kernel == BITSET_KERNEL
+        with pytest.raises(InvalidParameterError, match="unknown kernel"):
+            ClusterPool(tiny_answers, L=3, kernel="python")
 
     @needs_numpy
     def test_auto_policy(self):
@@ -281,11 +284,17 @@ class TestEnginePoolMatching:
             MergeEngine(pool, (), kernel="bitset")
 
     def test_python_kernel_tolerates_dense_pool(self, tiny_answers):
+        """The reference engine, which replaced the python kernel as the
+        ablation baseline, reads coverage sets, so it runs on a pool of
+        either representation; ``kernel="python"`` itself is gone."""
         dense_pool = ClusterPool(tiny_answers, L=4, kernel="dense")
         int_pool = ClusterPool(tiny_answers, L=4)
-        fast = bottom_up(dense_pool, 2, 1, kernel="python")
-        slow = bottom_up(int_pool, 2, 1, kernel="python")
-        assert fast.patterns() == slow.patterns()
+        on_dense = reference.bottom_up(dense_pool, 2, 1)
+        on_int = reference.bottom_up(int_pool, 2, 1)
+        assert on_dense.patterns() == on_int.patterns()
+        assert on_int.patterns() == bottom_up(int_pool, 2, 1).patterns()
+        with pytest.raises(InvalidParameterError, match="unknown kernel"):
+            bottom_up(dense_pool, 2, 1, kernel="python")
 
     def test_brute_force_requires_matching_pool(self, tiny_answers):
         pool = ClusterPool(tiny_answers, L=3)
@@ -335,8 +344,10 @@ class TestProblemInstancePools:
         assert dense_pool.kernel == DENSE_KERNEL
         assert instance.pool_for("bitset") is int_pool
         assert instance.pool_for("dense") is dense_pool
-        # The python kernel reuses whatever already exists.
-        assert instance.pool_for("python") in (int_pool, dense_pool)
+        # "auto" below the threshold resolves to the int-mask pool.
+        assert instance.pool_for("auto") is int_pool
+        with pytest.raises(InvalidParameterError, match="unknown kernel"):
+            instance.pool_for("python")
 
     def test_solve_with_dense_kernel(self, small_answers):
         from repro.core.problem import ProblemInstance

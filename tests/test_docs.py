@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.bitset import KERNELS
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = sorted((REPO_ROOT / "docs").glob("*.md"))
 LINKED_FILES = DOCS + [REPO_ROOT / "README.md", REPO_ROOT / "ROADMAP.md"]
@@ -136,6 +138,9 @@ def test_bench_server_is_a_full_run_and_floors_hold():
     labels = [s["label"] for s in document["scenarios"]]
     assert labels == ["baseline", "sharded+coalesce"]
     assert document["trace"]["clients"] >= 16
+    # The sharded scenario's two datasets were served on two shards.
+    sharded = document["scenarios"][1]
+    assert sum(1 for count in sharded["served_per_shard"] if count) >= 2
 
 
 def test_readme_cites_server_bench_numbers_verbatim():
@@ -234,8 +239,8 @@ def test_bench_chaos_is_a_full_run_and_floors_hold():
 def test_bench_recovery_is_a_full_run_and_floors_hold():
     """The committed BENCH_recovery.json must be a full run that
     satisfies the kill drill's own floors: every acked append batch
-    present after SIGKILL + recovery, bit-identical summaries on all
-    three kernels versus an uninterrupted reference, the prober's
+    present after SIGKILL + recovery, bit-identical summaries on every
+    kernel versus an uninterrupted reference, the prober's
     availability over the outage window at or above the floor, and
     byte-identical transports with durability off."""
     import sys
@@ -318,8 +323,8 @@ def test_bench_scenarios_is_a_full_run_and_floors_hold():
     """The committed BENCH_scenarios.json must be a full run of the
     declarative scenario matrix satisfying the harness's own floors: all
     three session shapes, at least two dataset sources, an append
-    scenario with bit-identical incremental pool maintenance on all
-    three kernels, and every per-scenario floor (differential identity,
+    scenario with bit-identical incremental pool maintenance on every
+    kernel, and every per-scenario floor (differential identity,
     error rate, cache rates) re-evaluated here from the committed
     document."""
     import sys
@@ -364,7 +369,7 @@ def test_bench_scenarios_is_a_full_run_and_floors_hold():
     for scenario in append_scenarios:
         check = scenario["append_check"]
         assert check["identical"] is True, scenario["name"]
-        assert set(check["kernels"]) == {"python", "bitset", "dense"}
+        assert set(check["kernels"]) == set(KERNELS)
         assert all(check["kernels"].values()), scenario["name"]
 
 

@@ -8,7 +8,7 @@ pins the deterministic contracts:
   recovers exactly the longest valid prefix of any byte soup;
 * snapshots round-trip the attribute codec (domains in code order), so
   recovery is bit-identical — same elements, ranks, versions, and the
-  same summary bytes on all three kernels;
+  same summary bytes on both kernels;
 * the ack contract: a WAL failure (injected ``short-write`` / ``ENOSPC``)
   aborts the append before anything is published, and the log stays
   replayable;
@@ -36,6 +36,7 @@ from repro.common.errors import (
     ShuttingDown,
 )
 from repro.core.answers import AnswerSet
+from repro.core.bitset import KERNELS
 from repro.durability import DurabilityManager, WriteAheadLog, scan
 from repro.durability.snapshot import (
     load_snapshot,
@@ -243,7 +244,7 @@ class TestRecovery:
         # Same wire bytes on every kernel, timings zeroed.
         reference = Dispatcher(engine)
         replayed = Dispatcher(recovered_engine)
-        for kernel in ("python", "bitset", "dense"):
+        for kernel in KERNELS:
             request = {
                 "schema_version": 2, "kind": "summary", "dataset": "paper",
                 "k": 3, "L": 5, "D": 1, "include_elements": True,

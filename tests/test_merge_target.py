@@ -196,11 +196,10 @@ def test_covered_sum_is_the_covered_value_sum_after_every_step(
     steps = []
 
     def checked(engine):
-        if engine._masked:
-            assert engine._covered_sum == answers.mask_value_sum(
-                engine._covered_mask
-            )
-            steps.append(engine.rounds)
+        assert engine._covered_sum == answers.mask_value_sum(
+            engine._covered_mask
+        )
+        steps.append(engine.rounds)
         real(engine)
 
     with mock.patch.object(MergeEngine, "_advance_round", checked):

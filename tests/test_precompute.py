@@ -112,6 +112,43 @@ class TestParameterValidation:
         with pytest.raises(InvalidParameterError):
             SolutionStore(pool, k_range=(2, 5), d_values=[])
 
+    def test_k_max_beyond_n_rejected(self, store_setup):
+        _, pool, _ = store_setup
+        n = pool.answers.n
+        with pytest.raises(InvalidParameterError, match="k_max <= n"):
+            SolutionStore(pool, k_range=(2, n + 1), d_values=[1])
+        assert SolutionStore(pool, k_range=(n - 1, n), d_values=[1]).k_max == n
+
+    def test_d_values_outside_0_m_rejected(self, store_setup):
+        _, pool, _ = store_setup
+        m = pool.answers.m
+        for bad in (-1, m + 1):
+            with pytest.raises(InvalidParameterError, match="out of range"):
+                SolutionStore(pool, k_range=(2, 5), d_values=[0, bad])
+        store = SolutionStore(pool, k_range=(2, 5), d_values=[0, m])
+        assert store.d_values == (0, m)
+
+
+def test_k_range_up_to_n_records_no_more_than_L():
+    """No state has more than L clusters, so a k_range reaching n (far
+    above L) serves every k > L from the k = L state, and the sweeps
+    record no k above L: their work and size stay bounded by L."""
+    answers = random_answer_set(n=2000, m=4, domain=8, seed=5)
+    pool = ClusterPool(answers, L=6)
+    wide = SolutionStore(pool, k_range=(1, answers.n), d_values=[0, 1, 4])
+    narrow = SolutionStore(pool, k_range=(1, 6), d_values=[0, 1, 4])
+    assert all(len(sweep.avg_by_k) == 6 for sweep in wide._sweeps.values())
+    for D in wide.d_values:
+        for k in (1, 2, 5, 6, 7, 100, answers.n):
+            expected = min(k, 6)
+            assert wide.retrieve(k, D) == narrow.retrieve(expected, D)
+            assert wide.objective(k, D) == narrow.objective(expected, D)
+            assert wide.solution_size(k, D) == narrow.solution_size(expected, D)
+        for cluster in narrow.retrieve(6, D).clusters:
+            low, high = narrow.cluster_lifetime(cluster.pattern, D)
+            assert high == 6
+            assert wide.cluster_lifetime(cluster.pattern, D) == (low, answers.n)
+
 
 def test_precompute_quality_close_to_dedicated_hybrid():
     """The sweep's per-(k, D) solutions track dedicated Hybrid runs.

@@ -129,9 +129,7 @@ class TestAppendIdentity:
         events = _append_events(spec, answers)
         verdict = check_append_identity(answers, events, L=3)
         assert verdict["identical"] is True
-        assert verdict["kernels"] == {
-            "python": True, "bitset": True, "dense": True,
-        }
+        assert verdict["kernels"] == {"bitset": True, "dense": True}
         assert verdict["batches"] == 3
         assert verdict["rows_appended"] == 12
 
@@ -173,9 +171,7 @@ class TestSmokeRuns:
     def test_append_smoke_maintains_pools_identically(self, smoke_reports):
         report = smoke_reports["smoke-append"]
         assert report["append_check"]["identical"] is True
-        assert set(report["append_check"]["kernels"]) == {
-            "python", "bitset", "dense",
-        }
+        assert set(report["append_check"]["kernels"]) == {"bitset", "dense"}
         assert report["differential"]["identical"] is True
         assert evaluate_floors(report) == []
 

@@ -323,6 +323,56 @@ class TestEngineValidation:
         stats = engine.stats()
         assert (stats.pools.size, stats.stores.size) == (0, 0)
 
+    def test_python_kernel_is_a_typed_error_on_every_kind(self, engine):
+        """The python kernel left the wire in 4.0.0: naming it in summary
+        options, an explore or a guidance request answers a typed error."""
+        for payload, error_type in (
+            ({"kind": "summary", "k": 2, "L": 4, "D": 1,
+              "algorithm": "bottom-up", "options": {"kernel": "python"}},
+             "InvalidParameterError"),
+            ({"kind": "explore", "k": 3, "L": 4, "D": 1, "k_range": [2, 4],
+              "d_values": [1], "kernel": "python"}, "SchemaError"),
+            ({"kind": "guidance", "L": 4, "k_range": [2, 4],
+              "d_values": [1], "kernel": "python"}, "SchemaError"),
+        ):
+            response = engine.submit_dict(
+                dict(payload, schema_version=2, dataset="paper")
+            )
+            assert response["kind"] == "error"
+            assert response["error_type"] == error_type
+            assert "python" in response["message"]
+        stats = engine.stats()
+        assert (stats.pools.size, stats.stores.size) == (0, 0)
+
+    def test_store_bounds_k_range_and_d_values_as_a_summary(self, engine):
+        """Explore and guidance reject k_max > n and any D outside
+        [0, m], as a summary rejects k and D, before any pool or sweep
+        is built: a k_max of 10^6 on an 8-row dataset used to record
+        10^6 k's."""
+        for bounds in (
+            {"k_range": [1, 1000000], "d_values": [1]},
+            {"k_range": [2, 9], "d_values": [1]},
+            {"k_range": [2, 4], "d_values": [-7, 0, 99]},
+            {"k_range": [2, 4], "d_values": [3]},
+        ):
+            for payload in (
+                {"kind": "explore", "k": 2, "L": 4, "D": 1},
+                {"kind": "guidance", "L": 4},
+            ):
+                response = engine.submit_dict(dict(
+                    payload, schema_version=2, dataset="paper", **bounds
+                ))
+                assert response["kind"] == "error", (payload, bounds)
+                assert response["error_type"] == "InvalidParameterError"
+        stats = engine.stats()
+        assert (stats.pools.size, stats.stores.size) == (0, 0)
+        # The bounds themselves are served: k_max = n = 8, D = m = 2.
+        response = engine.submit_dict({
+            "schema_version": 2, "kind": "explore", "dataset": "paper",
+            "k": 8, "L": 4, "D": 2, "k_range": [1, 8], "d_values": [0, 2],
+        })
+        assert response["kind"] == "summary_response"
+
     def test_bad_option_over_the_wire(self, engine):
         response = engine.submit_dict({
             "schema_version": 2, "kind": "summary", "dataset": "paper",
