@@ -64,7 +64,8 @@ KERNEL_SPEEDUP_FLOOR = 5.0
 #: machine noise and the per-L effect at L=100/200 is only a few percent,
 #: so each L gets a parity-within-noise floor while the *peak* speedup
 #: across the L sweep (1.8x at L=400 on the committed run) must clear a
-#: real margin.
+#: real margin.  The wall-clock statistic is the median of paired
+#: scan/heap ratios over alternating legs (see bench_rounds_vs_groups).
 HEAP_EVAL_RATIO_FLOOR = 2.5
 HEAP_ARGMAX_SPEEDUP_FLOOR = 0.95
 HEAP_ARGMAX_PEAK_FLOOR = 1.25
@@ -348,6 +349,12 @@ def bench_rounds_vs_groups(smoke: bool) -> dict:
     evaluate at most 1/:data:`HEAP_EVAL_RATIO_FLOOR` of the scan's
     marginals and must not be slower on argmax wall clock
     (:data:`HEAP_ARGMAX_SPEEDUP_FLOOR`).
+
+    The legs alternate (heap, scan, scan, heap, ...), each adjacent
+    heap/scan pair gives one scan/heap argmax ratio, and the wall-clock
+    floors gate on the median of those paired ratios, so host drift
+    between the two legs of a pair, not between two blocks of legs,
+    is all that can move a ratio.  Entries report each leg's best time.
     """
     n = 2000 if smoke else 10240
     l_values = (30, 60) if smoke else (100, 200, 400)
@@ -357,18 +364,21 @@ def bench_rounds_vs_groups(smoke: bool) -> dict:
     speedups = {}
     for L in l_values:
         pool = ClusterPool(answers, L=L)
-        results = {}
-        for mode in ("heap", "scan"):
-            best_argmax = float("inf")
-            best_total = float("inf")
-            solution = None
-            for _ in range(1 if smoke else 5):
+        results = {mode: (None, float("inf"), float("inf"))
+                   for mode in ("heap", "scan")}
+        paired = []
+        for pair in range(1 if smoke else 5):
+            argmax_of = {}
+            order = ("heap", "scan") if pair % 2 == 0 else ("scan", "heap")
+            for mode in order:
                 solution, argmax_seconds, total_seconds = _drive_merge_loop(
                     pool, k, D, mode
                 )
-                best_argmax = min(best_argmax, argmax_seconds)
-                best_total = min(best_total, total_seconds)
-            results[mode] = (solution, best_argmax, best_total)
+                argmax_of[mode] = argmax_seconds
+                _, best_argmax, best_total = results[mode]
+                results[mode] = (solution, min(best_argmax, argmax_seconds),
+                                 min(best_total, total_seconds))
+            paired.append(argmax_of["scan"] / max(argmax_of["heap"], 1e-9))
         heap_solution, heap_argmax, heap_total = results["heap"]
         scan_solution, scan_argmax, scan_total = results["scan"]
         assert heap_solution.patterns() == scan_solution.patterns(), (
@@ -380,9 +390,9 @@ def bench_rounds_vs_groups(smoke: bool) -> dict:
         groups_per_round = scan_solution.stats["argmax_groups"] / max(
             rounds, 1.0
         )
-        argmax_speedup = scan_argmax / max(heap_argmax, 1e-9)
+        argmax_speedup = statistics.median(paired)
         eval_ratio = scan_evals / max(heap_evals, 1.0)
-        speedups[L] = (argmax_speedup, eval_ratio)
+        speedups[L] = (argmax_speedup, eval_ratio, paired)
         for mode, argmax_seconds, total_seconds, evals in (
             ("heap", heap_argmax, heap_total, heap_evals),
             ("scan", scan_argmax, scan_total, scan_evals),
@@ -404,14 +414,14 @@ def bench_rounds_vs_groups(smoke: bool) -> dict:
                 )
             if argmax_speedup < HEAP_ARGMAX_SPEEDUP_FLOOR:
                 raise SystemExit(
-                    "heap argmax wall-clock regression at L=%d: %.2fx < "
-                    "%.2fx floor (heap %.4fs, scan %.4fs)"
+                    "heap argmax wall-clock regression at L=%d: median "
+                    "paired ratio %.2fx < %.2fx floor (pairs %s)"
                     % (L, argmax_speedup, HEAP_ARGMAX_SPEEDUP_FLOOR,
-                       heap_argmax, scan_argmax)
+                       ", ".join("%.2fx" % ratio for ratio in paired))
                 )
     if not smoke:
         peak = max(
-            speedup for L, (speedup, _) in speedups.items() if L >= 100
+            speedup for L, (speedup, _, _) in speedups.items() if L >= 100
         )
         if peak < HEAP_ARGMAX_PEAK_FLOOR:
             raise SystemExit(
@@ -424,10 +434,11 @@ def bench_rounds_vs_groups(smoke: bool) -> dict:
                    "D": D},
         "entries": entries,
         "argmax_speedups": {
-            str(L): {"argmax": spd, "eval_ratio": ratio}
-            for L, (spd, ratio) in speedups.items()
+            str(L): {"argmax": spd, "eval_ratio": ratio,
+                     "argmax_pairs": paired}
+            for L, (spd, ratio, paired) in speedups.items()
         },
-        "speedup": max(spd for spd, _ in speedups.values()),
+        "speedup": max(spd for spd, _, _ in speedups.values()),
     }
 
 

@@ -42,7 +42,7 @@ from repro.core.bitset import (
 )
 from repro.core.merge import ARGMAX_MODES, AUTO_ARGMAX
 from repro.core.registry import algorithm_names, get_algorithm
-from repro.query.csv_io import answer_set_from_relation, read_csv
+from repro.query.csv_io import CodeColumns, read_csv
 from repro.query.sql import execute_sql
 from repro.service.api import (
     SCHEMA_VERSION,
@@ -117,16 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _answers_from_csv(
     csv_path: Path, sql: str | None, name: str | None
 ) -> tuple[str, AnswerSet]:
-    """Load a CSV into a (dataset name, AnswerSet) pair."""
-    relation = read_csv(csv_path, name=name)
+    """Load a CSV into a (dataset name, AnswerSet) pair: through a typed
+    relation with *sql*, else straight into code columns."""
     if sql:
+        relation = read_csv(csv_path, name=name)
         return relation.name, execute_sql(sql, relation).to_answer_set()
-    if len(relation.columns) < 2:
+    table = CodeColumns(csv_path, name)
+    if len(table.columns) < 2:
         raise ReproError(
             "without --sql the CSV needs grouping columns plus a value "
             "column"
         )
-    return relation.name, answer_set_from_relation(relation)
+    return table.name, table.answer_set()
 
 
 def _describe_response(response, expand_all: bool = False) -> str:

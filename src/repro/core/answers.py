@@ -14,7 +14,10 @@ sorted by descending value, which is the representation every algorithm in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
+from math import isnan
+from operator import neg
 from typing import Any, Iterable, Sequence
 
 from repro.common.errors import InvalidParameterError, SchemaError
@@ -36,8 +39,11 @@ class AnswerSet:
         The :class:`AttributeCodec` used to encode elements; optional but
         required to decode patterns back to raw attribute values.
 
-    Elements are re-sorted by descending value on construction (stable, with
-    the element tuple as tie-break so the ranking is deterministic).
+    Elements are re-sorted by descending value on construction, with the
+    element tuple as tie-break so the ranking is deterministic: one sort
+    of the ``(-value, element)`` keys.  The checks (equal lengths, one
+    arity, distinct elements) and the sort run as C-level passes over
+    the rows.
     """
 
     def __init__(
@@ -53,36 +59,50 @@ class AnswerSet:
         if not elements:
             raise SchemaError("an AnswerSet needs at least one element")
         arity = len(elements[0])
-        for element in elements:
-            if len(element) != arity:
-                raise SchemaError("ragged element tuples in AnswerSet")
+        _check_arity(elements, arity)
         if codec is not None and codec.arity != arity:
             raise SchemaError(
                 "codec arity %d != element arity %d" % (codec.arity, arity)
             )
         if len(set(elements)) != len(elements):
-            raise SchemaError(
-                "duplicate elements in AnswerSet; group-by output tuples "
-                "must be distinct"
-            )
-        order = sorted(
-            range(len(elements)), key=lambda i: (-values[i], elements[i])
+            raise _duplicates()
+        keys = list(zip(map(neg, values), elements))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        del keys
+        self._set(
+            list(map(elements.__getitem__, order)),
+            list(map(float, map(values.__getitem__, order))),
+            codec,
         )
-        self.elements: list[tuple[int, ...]] = [elements[i] for i in order]
-        self.values: list[float] = [float(values[i]) for i in order]
+
+    def _set(
+        self,
+        elements: list[tuple[int, ...]],
+        values: list[float],
+        codec: AttributeCodec | None,
+        top_code: int | None = None,
+    ) -> None:
+        """Install the ranked rows and reset every derived cache."""
+        self.elements: list[tuple[int, ...]] = elements
+        self.values: list[float] = values
         self.codec = codec
         #: The largest code an attribute of this set holds, which sizes
         #: the cluster pools' packed pattern keys.  A codec bounds it in
-        #: O(m) (codes are dense and append-only); without one, one scan.
+        #: O(m) (codes are dense and append-only); without one, the
+        #: caller's bound or one scan.
         if codec is not None:
-            self.top_code = max(map(codec.domain_size, range(arity)),
-                                default=0) - 1
-        else:
-            self.top_code = max(chain.from_iterable(self.elements), default=-1)
+            top_code = max(map(codec.domain_size, range(codec.arity)),
+                           default=0) - 1
+        elif top_code is None:
+            top_code = max(chain.from_iterable(elements), default=-1)
+        self.top_code = top_code
         self._prefix_sums: list[float] | None = None
         self._avg_all: float | None = None
         self._min_value: float | None = None
         self._value_table = None
+        #: Whether no value is NaN, so the ranking is a total order that
+        #: :meth:`extended` may splice into; found on first need.
+        self._ordered: bool | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -214,12 +234,18 @@ class AnswerSet:
         interned through it — interning is append-only, so every existing
         code keeps its meaning and this set is untouched) or already-encoded
         int tuples otherwise.  The returned *delta* lists the rank positions
-        the appended elements occupy in the new set, ascending: the
-        constructor re-sorts by ``(-value, element)``, so an appended row
-        can land anywhere in the ranking, and every existing element's rank
-        shifts up by the number of new rows inserted before it.  Pool
-        maintenance (:meth:`repro.core.semilattice.ClusterPool.extended`)
-        checks the growth against *delta*.
+        the appended elements occupy in the new set, ascending: ranking is
+        by ``(-value, element)``, so an appended row can land anywhere, and
+        every existing element's rank shifts up by the number of new rows
+        inserted before it.  Pool maintenance
+        (:meth:`repro.core.semilattice.ClusterPool.extended`) checks the
+        growth against *delta*.
+
+        The sorted new rows are spliced into the existing ranking at their
+        ``bisect`` positions, so the cost is list copies, not a re-sort; the
+        result equals the constructor over the concatenated rows.  A NaN
+        value (existing or appended) has no place in a total order, so such
+        a set is rebuilt through the constructor instead.
 
         Duplicate elements — within *rows* or against the existing set —
         are rejected like everywhere else (group-by outputs are distinct);
@@ -237,17 +263,49 @@ class AnswerSet:
             encoded = self.codec.encode_many(rows)
         else:
             encoded = rows
-        bigger = AnswerSet(
-            self.elements + encoded,
-            self.values + [float(value) for value in values],
-            self.codec,
-        )
+        values = [float(value) for value in values]
+        if self._ordered is None:
+            self._ordered = not any(map(isnan, self.values))
+        if not self._ordered or any(map(isnan, values)):
+            # NaN keys make the sort's order input-dependent: rebuild.
+            bigger = AnswerSet(
+                self.elements + encoded, self.values + values, self.codec
+            )
+            fresh = set(encoded)
+            return bigger, [
+                index
+                for index, element in enumerate(bigger.elements)
+                if element in fresh
+            ]
+        _check_arity(encoded, self.m)
         fresh = set(encoded)
-        delta = [
-            index
-            for index, element in enumerate(bigger.elements)
-            if element in fresh
-        ]
+        if len(fresh) != len(encoded) or not fresh.isdisjoint(self.elements):
+            raise _duplicates()
+        old_elements, old_values = self.elements, self.values
+        elements: list[tuple[int, ...]] = []
+        ranked: list[float] = []
+        delta = []
+        start = 0
+        for offset, (negated, element, value) in enumerate(
+            sorted(zip(map(neg, values), encoded, values))
+        ):
+            position = bisect_left(
+                range(len(old_values)), (negated, element), lo=start,
+                key=lambda i: (-old_values[i], old_elements[i]),
+            )
+            elements += old_elements[start:position]
+            ranked += old_values[start:position]
+            elements.append(element)
+            ranked.append(value)
+            delta.append(position + offset)
+            start = position
+        elements += old_elements[start:]
+        ranked += old_values[start:]
+        bigger = AnswerSet.__new__(AnswerSet)
+        bigger._set(elements, ranked, self.codec, max(
+            self.top_code, max(chain.from_iterable(encoded), default=-1)
+        ))
+        bigger._ordered = True
         return bigger, delta
 
     @classmethod
@@ -273,3 +331,15 @@ class AnswerSet:
 
     def __repr__(self) -> str:
         return "AnswerSet(n=%d, m=%d)" % (self.n, self.m)
+
+
+def _check_arity(elements: Sequence[tuple[int, ...]], arity: int) -> None:
+    if not all(map(arity.__eq__, map(len, elements))):
+        raise SchemaError("ragged element tuples in AnswerSet")
+
+
+def _duplicates() -> SchemaError:
+    return SchemaError(
+        "duplicate elements in AnswerSet; group-by output tuples must be "
+        "distinct"
+    )

@@ -8,9 +8,13 @@ search below adds sound pruning that preserves exactness:
 * Branch on the highest-ranked still-uncovered top-L element; any feasible
   completion must include a cluster covering it, and only pool patterns
   cover top-L elements.
-* Prune partial solutions whose optimistic bound cannot beat the incumbent:
-  ``avg(A union B) <= max(avg(A), max cluster avg still addable)`` because
-  the average of a union never exceeds the max of its parts' averages.
+* Prune partial solutions whose optimistic bound cannot beat the incumbent.
+  A completion adds only elements not yet covered, and each of them is
+  worth at most the highest-ranked one (values descend with rank), so its
+  average is at most ``max(avg(covered), value of the first uncovered
+  rank)``.  A candidate cluster's own average bounds nothing here: when
+  coverage overlaps, its marginal (the part not yet covered) can average
+  more than the whole cluster.
 * Once coverage is complete, optional extra clusters are only explored in
   canonical (pattern-sorted) order to avoid enumerating permutations.
 
@@ -76,9 +80,6 @@ class _Search:
             (pool.cluster(p) for p in pool.patterns()),
             key=lambda c: (-c.avg, c.pattern),
         )
-        self.max_candidate_avg = (
-            max(c.avg for c in self.candidates) if self.candidates else 0.0
-        )
         self.by_element: dict[int, list[Cluster]] = {}
         for cluster in self.candidates:
             hits = cluster.mask & self.top_mask
@@ -107,6 +108,20 @@ class _Search:
             self.best_avg = avg
             self.best = list(chosen)
 
+    def bound(self, covered, total: float) -> float:
+        """An upper bound on the average of any completion of *covered*:
+        the larger of its average (none while it is empty) and the value
+        of its first uncovered rank (none once every rank is covered)."""
+        count = covered.bit_count()
+        bound = total / count if count else float("-inf")
+        if isinstance(covered, int):
+            first = (~covered & (covered + 1)).bit_length() - 1
+        else:
+            first = next(mask_indices(~covered), covered.nbits)
+        if first < self.answers.n:
+            bound = max(bound, self.answers.values[first])
+        return bound
+
     def extend(
         self,
         chosen: list[Cluster],
@@ -120,10 +135,8 @@ class _Search:
             self.record(chosen, covered, total)
             if len(chosen) >= self.k:
                 return
-            current_avg = (
-                total / covered.bit_count() if covered else float("-inf")
-            )
-            if max(current_avg, self.max_candidate_avg) <= self.best_avg + 1e-12:
+            # Same slack as record(): no branch it could record is cut.
+            if self.bound(covered, total) <= self.best_avg + 1e-12:
                 return
             for pos in range(next_candidate, len(self.candidates)):
                 cluster = self.candidates[pos]
@@ -133,10 +146,7 @@ class _Search:
             return
         if len(chosen) >= self.k:
             return
-        current_avg = (
-            total / covered.bit_count() if covered else self.max_candidate_avg
-        )
-        if max(current_avg, self.max_candidate_avg) <= self.best_avg + 1e-12:
+        if self.bound(covered, total) <= self.best_avg + 1e-12:
             return
         target = next(mask_indices(missing))
         for cluster in self.by_element.get(target, ()):

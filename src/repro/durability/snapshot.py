@@ -57,8 +57,10 @@ def snapshot_document(
             if codec is not None
             else None
         ),
-        "elements": [list(element) for element in answers.elements],
-        "values": list(answers.values),
+        # json writes a tuple as an array: the rank-ordered element
+        # list serializes as is, with no per-element copy.
+        "elements": answers.elements,
+        "values": answers.values,
     }
 
 
@@ -113,8 +115,8 @@ def load_snapshot(path: str) -> tuple[str, AnswerSet, int]:
         seq = int(document["seq"])
         attributes = document["attributes"]
         domains = document["domains"]
-        elements = [tuple(element) for element in document["elements"]]
-        values = [float(value) for value in document["values"]]
+        elements = list(map(tuple, document["elements"]))
+        values = list(map(float, document["values"]))
     except (KeyError, TypeError, ValueError) as error:
         raise SchemaError("malformed snapshot %r: %s" % (path, error))
     if not isinstance(name, str):

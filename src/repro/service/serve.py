@@ -447,25 +447,26 @@ class Dispatcher:
                 "scope": scope,
             }, scope
         if kind == "load_csv":
-            from repro.query.csv_io import answer_set_from_relation, read_csv
+            from repro.query.csv_io import load_answer_set, read_csv
             from repro.query.sql import execute_sql
 
             path = payload.get("path")
             if not isinstance(path, str):
                 raise SchemaError("load_csv needs a string 'path'")
             name = payload.get("name")
-            relation = read_csv(path, name=name)
             if payload.get("sql"):
+                relation = read_csv(path, name=name)
+                dataset = relation.name
                 answers = execute_sql(payload["sql"], relation).to_answer_set()
             else:
-                answers = answer_set_from_relation(relation)
+                dataset, answers = load_answer_set(path, name)
             self.engine.register_dataset(
-                relation.name, answers, replace=bool(payload.get("replace"))
+                dataset, answers, replace=bool(payload.get("replace"))
             )
             return {
                 "schema_version": SCHEMA_VERSION,
                 "kind": "dataset_loaded",
-                "dataset": relation.name,
+                "dataset": dataset,
                 "n": answers.n,
                 "m": answers.m,
             }, None

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import InvalidParameterError, SchemaError
 from repro.common.interning import STAR, AttributeCodec, ValueInterner
@@ -116,3 +118,110 @@ class TestAnswerSet:
     def test_generated_attribute_names(self):
         answers = AnswerSet.from_rows([("a", "b")], [1.0])
         assert answers.codec.attributes == ("A1", "A2")
+
+
+# -- AnswerSet.extended: a splice equal to a fresh build ----------------------
+
+
+def rebuilt(answers, rows, values):
+    """``extended`` as a rebuild: the constructor over the concatenated
+    rows, and the ranks the new rows land on."""
+    rows = [tuple(row) for row in rows]
+    if answers.codec is not None:
+        encoded = answers.codec.encode_many(rows)
+    else:
+        encoded = rows
+    bigger = AnswerSet(
+        answers.elements + encoded,
+        answers.values + [float(value) for value in values],
+        answers.codec,
+    )
+    fresh = set(encoded)
+    return bigger, [
+        index for index, element in enumerate(bigger.elements)
+        if element in fresh
+    ]
+
+
+def outcome(extend):
+    try:
+        bigger, delta = extend()
+    except Exception as error:  # noqa: BLE001 - compared, not handled
+        return ("error", type(error), str(error))
+    return ("ok", bigger.elements, repr(bigger.values), delta,
+            bigger.top_code)
+
+
+@st.composite
+def extensions(draw):
+    """A base set (with or without a codec, int or float values) and 1-3
+    batches whose values land above, below and among runs of equal
+    values; at times a batch repeats an element or is ragged, and at
+    times a value is NaN."""
+    m = draw(st.integers(1, 3))
+    universe = draw(st.lists(
+        st.tuples(*[st.integers(0, 3)] * m), min_size=2, max_size=30,
+        unique=True,
+    ))
+    if draw(st.booleans()):
+        value = st.integers(-2, 2)
+    else:
+        value = st.sampled_from([-1.0, 0.0, -0.0, 0.5, 0.5, 2.25, 9.0])
+    values = draw(st.lists(value, min_size=len(universe),
+                           max_size=len(universe)))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        values[draw(st.integers(0, len(values) - 1))] = float("nan")
+    base_n = draw(st.integers(1, len(universe) - 1))
+    batches, cursor = [], base_n
+    while cursor < len(universe):
+        size = draw(st.integers(1, len(universe) - cursor))
+        rows = universe[cursor:cursor + size]
+        if draw(st.sampled_from([False] * 9 + [True])):
+            rows = rows + [draw(st.sampled_from(universe[:cursor + size]))]
+        elif draw(st.sampled_from([False] * 9 + [True])):
+            rows = rows[:-1] + [rows[-1] + (0,)]
+        batches.append((rows, values[cursor:cursor + size]
+                        + [1.0] * (len(rows) - size)))
+        cursor += size
+    codec = draw(st.booleans())
+    return universe[:base_n], values[:base_n], batches, codec
+
+
+def _spelled(rows):
+    return [tuple("v%d" % code for code in row) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(extensions())
+def test_extended_equals_a_fresh_build(case):
+    rows, values, batches, with_codec = case
+    if with_codec:
+        answers = AnswerSet.from_rows(_spelled(rows), values)
+    else:
+        answers = AnswerSet(rows, values)
+    for batch_rows, batch_values in batches:
+        if with_codec:
+            batch_rows = _spelled(batch_rows)
+        got = outcome(lambda: answers.extended(batch_rows, batch_values))
+        assert got == outcome(
+            lambda: rebuilt(answers, batch_rows, batch_values)
+        )
+        if got[0] == "error":
+            return
+        answers, _ = answers.extended(batch_rows, batch_values)
+
+
+@pytest.mark.parametrize("value,delta", [
+    (10.0, [0]),      # above every value: rank 0
+    (-5.0, [4]),      # below every value: the end
+    (2.0, [2]),       # inside the run of 2.0s, by element code
+    (1.0, [3]),       # ties the last value with a smaller code
+])
+def test_extended_lands_where_the_constructor_ranks(value, delta):
+    answers = AnswerSet([(0,), (1,), (3,), (4,)], [3.0, 2.0, 2.0, 1.0])
+    bigger, got = answers.extended([(2,)], [value])
+    expected, expected_delta = rebuilt(answers, [(2,)], [value])
+    assert got == expected_delta == delta
+    assert (bigger.elements, bigger.values) == (
+        expected.elements, expected.values
+    )
