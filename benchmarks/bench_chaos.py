@@ -1,10 +1,11 @@
 """Chaos benchmark: availability of the serving tier under injected faults.
 
 Boots the real :class:`repro.server.tcp.TCPServer` in-process, arms the
-deterministic fault injector over the wire (worker crashes + compute
-latency spikes, seeded), and drives the server with a fleet of
-closed-loop :class:`repro.server.client.RetryingClient` instances.  Every
-response is classified:
+deterministic fault injector in that process (worker crashes + compute
+latency spikes, seeded; no wire request can arm faults), and drives the
+server with a fleet of closed-loop
+:class:`repro.server.client.RetryingClient` instances.  Every response
+is classified:
 
 ``ok``
     a successful analytical response;
@@ -56,6 +57,7 @@ sys.path.insert(0, str(REPO_ROOT))  # for tests.conftest (shared helpers)
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_server_load import check_transport_parity  # noqa: E402
+from repro.common import faults  # noqa: E402
 from repro.datasets.loader import synthetic_answer_set  # noqa: E402
 from repro.server import (  # noqa: E402
     BackgroundServer,
@@ -125,7 +127,7 @@ def run_chaos(smoke: bool, *, clients: int, rounds: int) -> dict:
     engine = make_engine(smoke)
     trace = make_trace(smoke)
     server = TCPServer(
-        engine, port=0, shards=2, workers_per_shard=1,
+        engine, port=0, shards=2,
         queue_depth=max(64, clients * len(trace)),
     )
     handle = BackgroundServer(server).start()
@@ -179,14 +181,11 @@ def run_chaos(smoke: bool, *, clients: int, rounds: int) -> dict:
                     if outcome == "ok":
                         latencies.append(seconds)
 
-    # Arm the fault plan over the wire — the same admin control an
-    # operator (or the chaos CI job) would use.
-    with LineClient(handle.host, handle.port) as admin:
-        armed = admin.request(
-            {"kind": "faults", "arm": FAULT_SPEC, "seed": FAULT_SEED}
-        )
-        if armed.get("kind") != "faults" or len(armed.get("armed", ())) != 2:
-            raise SystemExit("failed to arm fault plan: %r" % armed)
+    # Arm the fault plan in process: the server runs in this process,
+    # and no wire request can arm faults.
+    armed = faults.arm_from_spec(FAULT_SPEC, seed=FAULT_SEED)
+    if len(armed) != 2:
+        raise SystemExit("failed to arm fault plan: %r" % armed)
 
     threads = [
         threading.Thread(target=client_loop, args=(i,))
@@ -201,8 +200,8 @@ def run_chaos(smoke: bool, *, clients: int, rounds: int) -> dict:
     wall_seconds = time.perf_counter() - wall_start
     hung = sum(1 for thread in threads if thread.is_alive())
 
+    faults.clear()
     with LineClient(handle.host, handle.port) as admin:
-        admin.request({"kind": "faults", "clear": True})
         stats = admin.request({"kind": "stats"})
         ack = admin.request({"kind": "shutdown", "scope": "server"})
     if ack.get("kind") != "shutdown_ack":

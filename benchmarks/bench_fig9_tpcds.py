@@ -35,7 +35,7 @@ def test_fig9_tpcds_scalability(report, benchmark):
     store = None
     for L in L_VALUES:
         pool, init_seconds = measure(
-            lambda: ClusterPool(answers, L=L, strategy="lazy")
+            lambda: ClusterPool(answers, L=L)
         )
         solution, single_seconds = measure(lambda: hybrid(pool, 20, 2))
         single_rows.append([

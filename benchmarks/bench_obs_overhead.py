@@ -67,7 +67,7 @@ def run_leg(
     trace = make_trace(smoke)
     server = TCPServer(
         engine, port=0,
-        shards=4, workers_per_shard=1,
+        shards=4,
         queue_depth=max(64, clients * len(trace)),
         telemetry=telemetry,
     )

@@ -133,7 +133,6 @@ def run_scenario(
     clients: int,
     rounds: int,
     shards: int,
-    workers_per_shard: int,
     coalesce: bool,
 ) -> dict:
     """One server shape against the closed-loop client fleet."""
@@ -141,7 +140,7 @@ def run_scenario(
     trace = make_trace(smoke)
     server = TCPServer(
         engine, port=0,
-        shards=shards, workers_per_shard=workers_per_shard,
+        shards=shards,
         queue_depth=max(64, clients * len(trace)), coalesce=coalesce,
     )
     handle = BackgroundServer(server).start()
@@ -207,7 +206,6 @@ def run_scenario(
         "distinct_requests": len(trace),
         "total_requests": total,
         "shards": shards,
-        "workers_per_shard": workers_per_shard,
         "coalesce_enabled": coalesce,
         "wall_seconds": wall_seconds,
         "throughput_rps": total / wall_seconds,
@@ -326,9 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     parity = check_transport_parity()
 
     scenarios = []
-    for label, shards, workers, coalesce in (
-        ("baseline", 1, 1, False),
-        ("sharded+coalesce", 4, 1, True),
+    for label, shards, coalesce in (
+        ("baseline", 1, False),
+        ("sharded+coalesce", 4, True),
     ):
         print(
             "running %s (%d clients x %d rounds%s) ..."
@@ -338,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = run_scenario(
             label, args.smoke,
             clients=clients, rounds=rounds,
-            shards=shards, workers_per_shard=workers, coalesce=coalesce,
+            shards=shards, coalesce=coalesce,
         )
         print(
             "  %8.1f req/s  p50 %6.1f ms  p95 %6.1f ms  p99 %6.1f ms  "

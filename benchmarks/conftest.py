@@ -6,8 +6,8 @@ Every ``bench_*.py`` module regenerates one table or figure of the paper
 * each benchmark prints the figure/table series it reproduces *and* writes
   it to ``results/<experiment>.txt`` so EXPERIMENTS.md can cite the files;
 * the pytest-benchmark fixture times a representative kernel of the
-  experiment, while the full sweep is measured once with ``Stopwatch``
-  (re-running a multi-minute sweep many times would be pointless).
+  experiment, while the full sweep is measured once (re-running a
+  multi-minute sweep many times would be pointless).
 """
 
 from __future__ import annotations

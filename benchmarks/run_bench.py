@@ -199,7 +199,7 @@ def bench_kernel_core(smoke: bool) -> dict:
     answers = synthetic_answer_set(n, m=6, domain_size=10, seed=1)
     pool = ClusterPool(answers, L=L)
     bitset_solution, bitset_seconds = best_of(
-        lambda: bottom_up(pool, k, D, kernel="bitset"),
+        lambda: bottom_up(pool, k, D),
         repeats=1 if smoke else 3,
     )
     reference_solution, reference_seconds = best_of(
@@ -220,7 +220,7 @@ def bench_kernel_core(smoke: bool) -> dict:
             % (bitset_solution.avg, reference_solution.avg)
         )
     _, hybrid_bitset = best_of(
-        lambda: hybrid(pool, k, D, kernel="bitset"), repeats=1 if smoke else 3
+        lambda: hybrid(pool, k, D), repeats=1 if smoke else 3
     )
     _, hybrid_reference = best_of(
         lambda: reference.hybrid(pool, k, D), repeats=1 if smoke else 3
@@ -458,12 +458,12 @@ def _dense_scaling_leg(answers, kernel: str, L: int, k: int, D: int,
     pool = ClusterPool(answers, L=L, kernel=kernel)
     init_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    solution = bottom_up(pool, k, D, kernel=kernel)
+    solution = bottom_up(pool, k, D)
     cold_seconds = time.perf_counter() - start
     warm_seconds = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        solution = bottom_up(pool, k, D, kernel=kernel)
+        solution = bottom_up(pool, k, D)
         warm_seconds = min(warm_seconds, time.perf_counter() - start)
     return solution, init_seconds, cold_seconds, warm_seconds
 

@@ -76,7 +76,7 @@ from repro.service import (
     SummaryResponse,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AlgorithmInfo",

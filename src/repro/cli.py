@@ -178,15 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         engine.register_dataset(dataset, answers)
         L = min(args.L, answers.n)
         supported = get_algorithm(args.algorithm).kwargs
-        options = {}
-        if "kernel" in supported:
-            options["kernel"] = args.kernel
-        elif args.kernel != DEFAULT_KERNEL:
-            print(
-                "warning: --kernel %s ignored; algorithm %r has no "
-                "kernelized path" % (args.kernel, args.algorithm),
-                file=sys.stderr,
-            )
+        # Every algorithm runs on the pool --kernel picks.
+        options = {"kernel": args.kernel}
         if "argmax" in supported:
             options["argmax"] = args.argmax
         elif args.argmax != AUTO_ARGMAX:
@@ -241,11 +234,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    from repro.server.scheduler import (
-        DEFAULT_QUEUE_DEPTH,
-        DEFAULT_SHARDS,
-        DEFAULT_WORKERS_PER_SHARD,
-    )
+    from repro.server.scheduler import DEFAULT_QUEUE_DEPTH, DEFAULT_SHARDS
     from repro.service.serve import DEFAULT_MAX_LINE_BYTES
 
     parser = argparse.ArgumentParser(
@@ -321,11 +310,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", type=int, default=DEFAULT_SHARDS,
-        help="TCP mode: per-dataset worker shards (default %(default)s)",
-    )
-    parser.add_argument(
-        "--workers-per-shard", type=int, default=DEFAULT_WORKERS_PER_SHARD,
-        help="TCP mode: worker threads per shard (default %(default)s)",
+        help="TCP mode: per-dataset worker shards, one worker thread "
+        "each (default %(default)s)",
     )
     parser.add_argument(
         "--queue-depth", type=int, default=DEFAULT_QUEUE_DEPTH,
@@ -498,7 +484,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                 tcp[0],
                 tcp[1],
                 shards=args.shards,
-                workers_per_shard=args.workers_per_shard,
                 queue_depth=args.queue_depth,
                 max_line_bytes=args.max_line_bytes,
                 coalesce=not args.no_coalesce,
@@ -516,7 +501,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             http[0],
             http[1],
             shards=args.shards,
-            workers_per_shard=args.workers_per_shard,
             queue_depth=args.queue_depth,
             max_body_bytes=args.max_line_bytes,
             coalesce=not args.no_coalesce,
@@ -567,7 +551,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             host,
             port,
             shards=args.shards,
-            workers_per_shard=args.workers_per_shard,
             queue_depth=args.queue_depth,
             max_line_bytes=args.max_line_bytes,
             coalesce=not args.no_coalesce,

@@ -1,4 +1,4 @@
-"""Shared utilities: errors, value interning, timing, deterministic RNG.
+"""Shared utilities: errors, value interning, request budgets, faults.
 
 These modules are deliberately dependency-free so every other subpackage can
 import them without cycles.
@@ -12,7 +12,6 @@ from repro.common.errors import (
     QueryError,
 )
 from repro.common.interning import ValueInterner, AttributeCodec
-from repro.common.timing import Stopwatch, timed
 
 __all__ = [
     "ReproError",
@@ -22,6 +21,4 @@ __all__ = [
     "QueryError",
     "ValueInterner",
     "AttributeCodec",
-    "Stopwatch",
-    "timed",
 ]

@@ -25,17 +25,21 @@ wire-parity tests run with faults disarmed).
 
 Arming is deterministic: every rule rolls a seeded ``random.Random``,
 so a chaos run with the same seed and the same request interleaving
-fires the same faults.  Rules are armed three ways:
+fires the same faults.  Rules are armed in the process they fire in,
+two ways:
 
-* programmatically (:func:`arm`, :func:`clear` — what tests use),
+* programmatically (:func:`arm`, :func:`arm_from_spec`, :func:`clear` —
+  what the chaos tests and ``bench_chaos.py`` use, with the server in
+  their own process),
 * via the ``REPRO_FAULTS`` environment variable at import time
   (``site=behavior[:probability[:param[:times]]]`` joined by ``;``, with
-  ``REPRO_FAULTS_SEED`` seeding the RNG), e.g.::
+  ``REPRO_FAULTS_SEED`` seeding the RNG), for drills that start a
+  separate server process, e.g.::
 
       REPRO_FAULTS="scheduler.worker=crash:0.05;engine.compute=latency:1:25"
 
-* remotely over the wire through the ``{"kind": "faults"}`` admin
-  request (how ``bench_chaos.py`` arms a live server).
+No wire request arms or lists faults: on a shared server one client
+could otherwise fail every other client's requests.
 
 Behaviors:
 

@@ -14,9 +14,10 @@ sorted by descending value, which is the representation every algorithm in
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_left
 from itertools import chain
-from math import isnan
+from math import isfinite
 from operator import neg
 from typing import Any, Iterable, Sequence
 
@@ -42,8 +43,10 @@ class AnswerSet:
     Elements are re-sorted by descending value on construction, with the
     element tuple as tie-break so the ranking is deterministic: one sort
     of the ``(-value, element)`` keys.  The checks (equal lengths, one
-    arity, distinct elements) and the sort run as C-level passes over
-    the rows.
+    arity, distinct elements, finite values) and the sort run as C-level
+    passes over the rows.  A value that is not a finite number (NaN, an
+    infinity, an int past the float range) is a :class:`SchemaError`:
+    NaN has no rank, and no such value has a JSON spelling.
     """
 
     def __init__(
@@ -71,7 +74,7 @@ class AnswerSet:
         del keys
         self._set(
             list(map(elements.__getitem__, order)),
-            list(map(float, map(values.__getitem__, order))),
+            _finite_floats(list(map(values.__getitem__, order))),
             codec,
         )
 
@@ -100,9 +103,6 @@ class AnswerSet:
         self._avg_all: float | None = None
         self._min_value: float | None = None
         self._value_table = None
-        #: Whether no value is NaN, so the ranking is a total order that
-        #: :meth:`extended` may splice into; found on first need.
-        self._ordered: bool | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -243,9 +243,9 @@ class AnswerSet:
 
         The sorted new rows are spliced into the existing ranking at their
         ``bisect`` positions, so the cost is list copies, not a re-sort; the
-        result equals the constructor over the concatenated rows.  A NaN
-        value (existing or appended) has no place in a total order, so such
-        a set is rebuilt through the constructor instead.
+        result equals the constructor over the concatenated rows, errors
+        included.  Every value is finite, so the ranking is a total order;
+        only the batch's values are checked.
 
         Duplicate elements — within *rows* or against the existing set —
         are rejected like everywhere else (group-by outputs are distinct);
@@ -263,24 +263,11 @@ class AnswerSet:
             encoded = self.codec.encode_many(rows)
         else:
             encoded = rows
-        values = [float(value) for value in values]
-        if self._ordered is None:
-            self._ordered = not any(map(isnan, self.values))
-        if not self._ordered or any(map(isnan, values)):
-            # NaN keys make the sort's order input-dependent: rebuild.
-            bigger = AnswerSet(
-                self.elements + encoded, self.values + values, self.codec
-            )
-            fresh = set(encoded)
-            return bigger, [
-                index
-                for index, element in enumerate(bigger.elements)
-                if element in fresh
-            ]
         _check_arity(encoded, self.m)
         fresh = set(encoded)
         if len(fresh) != len(encoded) or not fresh.isdisjoint(self.elements):
             raise _duplicates()
+        values = _finite_floats(list(values))
         old_elements, old_values = self.elements, self.values
         elements: list[tuple[int, ...]] = []
         ranked: list[float] = []
@@ -305,7 +292,6 @@ class AnswerSet:
         bigger._set(elements, ranked, self.codec, max(
             self.top_code, max(chain.from_iterable(encoded), default=-1)
         ))
-        bigger._ordered = True
         return bigger, delta
 
     @classmethod
@@ -336,6 +322,29 @@ class AnswerSet:
 def _check_arity(elements: Sequence[tuple[int, ...]], arity: int) -> None:
     if not all(map(arity.__eq__, map(len, elements))):
         raise SchemaError("ragged element tuples in AnswerSet")
+
+
+def _finite_floats(values: list[Any]) -> list[float]:
+    """*values* as floats, in one ``float`` and one ``isfinite`` pass; a
+    value that is not a finite number raises a :class:`SchemaError`
+    naming the first such value."""
+    try:
+        floats = list(map(float, values))
+    except OverflowError:
+        floats = None
+    if floats is None or not all(map(isfinite, floats)):
+        raise SchemaError(
+            "answer values must be finite numbers; got %s"
+            % reprlib.repr(next(filter(_not_finite, values)))
+        )
+    return floats
+
+
+def _not_finite(value: Any) -> bool:
+    try:
+        return not isfinite(float(value))
+    except OverflowError:  # an int past the float range
+        return True
 
 
 def _duplicates() -> SchemaError:

@@ -19,12 +19,11 @@ also provided: seeding at semilattice level D-1 instead of singletons, and
 greedy selection by the merged *cluster's own* average instead of the
 solution average.
 
-All entry points accept ``kernel`` (``"bitset"``, the default, or
-``"dense"``) selecting the mask representation of
-:class:`~repro.core.merge.MergeEngine`, and ``argmax`` (``"auto"``,
-``"heap"``, ``"scan"``) selecting the per-round greedy argmax — the lazy
-upper-bound heap or the exhaustive LCA-group scan.  All combinations
-produce identical solutions (property-tested).
+Every entry point runs on the mask representation of its pool
+(``pool.kernel``, ``"bitset"`` or ``"dense"``), and ``argmax``
+(``"auto"``, ``"heap"``, ``"scan"``) selects the per-round greedy argmax
+— the lazy upper-bound heap or the exhaustive LCA-group scan.  All
+combinations produce identical solutions (property-tested).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def _validate(pool: ClusterPool, k: int, D: int) -> None:
     "bottom-up",
     cost="greedy",
     complexity="O(L^2) merge candidates per step",
-    kwargs=("use_delta", "kernel", "argmax"),
+    kwargs=("use_delta", "argmax"),
     summary="Algorithm 1: greedy pairwise merging from the top-L singletons",
 )
 def bottom_up(
@@ -58,7 +57,6 @@ def bottom_up(
     k: int,
     D: int,
     use_delta: bool = True,
-    kernel: str | None = None,
     argmax: str | None = None,
 ) -> Solution:
     """Run Algorithm 1 on the pool's (S, L) with parameters (k, D).
@@ -71,7 +69,6 @@ def bottom_up(
         pool,
         (pool.singleton(i) for i in pool.answers.top(pool.L)),
         use_delta=use_delta,
-        kernel=kernel,
         argmax=argmax,
     )
     run_distance_phase(engine, D)
@@ -101,7 +98,7 @@ def run_size_phase(engine: MergeEngine, k: int) -> None:
     "bottom-up-level",
     cost="greedy",
     complexity="O(L^2) after seeding at semilattice level D-1",
-    kwargs=("use_delta", "kernel", "argmax"),
+    kwargs=("use_delta", "argmax"),
     summary="Section 5.1 variant (i): seed at level D-1 ancestors",
 )
 def bottom_up_level_start(
@@ -109,7 +106,6 @@ def bottom_up_level_start(
     k: int,
     D: int,
     use_delta: bool = True,
-    kernel: str | None = None,
     argmax: str | None = None,
 ) -> Solution:
     """Variant (i) of Section 5.1: seed at semilattice level D-1.
@@ -136,8 +132,7 @@ def bottom_up_level_start(
         best = min(candidates, key=lambda c: (-c.avg, c.pattern))
         seeds[best.pattern] = best
     engine = MergeEngine(
-        pool, seeds.values(), use_delta=use_delta, kernel=kernel,
-        argmax=argmax,
+        pool, seeds.values(), use_delta=use_delta, argmax=argmax
     )
     # Seeding at a uniform level guarantees pairwise distance >= D and
     # incomparability, but phase 1 is still run defensively for D where the
@@ -151,23 +146,15 @@ def bottom_up_level_start(
     "bottom-up-pairwise",
     cost="greedy",
     complexity="O(L^2) with pairwise-LCA merge scoring",
-    kwargs=("kernel",),
     summary="Section 5.1 variant (ii): merge the pair with the best LCA avg",
 )
-def bottom_up_pairwise_avg(
-    pool: ClusterPool,
-    k: int,
-    D: int,
-    kernel: str | None = None,
-) -> Solution:
+def bottom_up_pairwise_avg(pool: ClusterPool, k: int, D: int) -> Solution:
     """Variant (ii) of Section 5.1: pick the pair whose *LCA cluster* has
     maximum average value, rather than maximizing the overall solution
     average after the merge."""
     _validate(pool, k, D)
     engine = MergeEngine(
-        pool,
-        (pool.singleton(i) for i in pool.answers.top(pool.L)),
-        kernel=kernel,
+        pool, (pool.singleton(i) for i in pool.answers.top(pool.L))
     )
 
     def best_by_lca_avg(

@@ -18,14 +18,13 @@ search below adds sound pruning that preserves exactness:
 * Once coverage is complete, optional extra clusters are only explored in
   canonical (pattern-sorted) order to avoid enumerating permutations.
 
-Like the greedy algorithms, the search runs on either mask kernel: the
-default ``"bitset"`` kernel keeps the covered set as an int mask — set
-difference and pruning become machine-word operations, the branching
-target is the lowest set bit of the uncovered top-L mask, and
-backtracking is free because masks are immutable values — and
-``"dense"`` runs the identical search on packed uint64-block masks
-(:mod:`repro.core.dense`; it needs a pool built with
-``kernel="dense"``).
+Like the greedy algorithms, the search runs on its pool's mask kernel
+(``pool.kernel``): the default ``"bitset"`` kernel keeps the covered set
+as an int mask — set difference and pruning become machine-word
+operations, the branching target is the lowest set bit of the uncovered
+top-L mask, and backtracking is free because masks are immutable values
+— and ``"dense"`` runs the identical search on packed uint64-block masks
+(:mod:`repro.core.dense`).
 
 The trivial **lower bound** baseline is the all-star cluster, feasible for
 every (k, L, D); its value is the global average of S.
@@ -34,7 +33,6 @@ every (k, L, D); its value is the global average of S.
 from __future__ import annotations
 
 from repro.common.errors import InvalidParameterError
-from repro.core.bitset import resolve_kernel
 from repro.core.cluster import Cluster, comparable, distance
 from repro.core.dense import mask_indices
 from repro.core.registry import register_algorithm
@@ -177,15 +175,9 @@ class _Search:
     "brute-force",
     cost="exact",
     complexity="exponential branch-and-bound over candidate clusters",
-    kwargs=("kernel",),
     summary="Section 5 baseline: exact optimum by exhaustive search",
 )
-def brute_force(
-    pool: ClusterPool,
-    k: int,
-    D: int,
-    kernel: str | None = None,
-) -> Solution:
+def brute_force(pool: ClusterPool, k: int, D: int) -> Solution:
     """Exact Max-Avg optimum for (k, L=pool.L, D).
 
     Exponential time: intended for the small instances of Figure 5 and for
@@ -195,13 +187,6 @@ def brute_force(
     """
     if k < 1:
         raise InvalidParameterError("k=%d must be >= 1" % k)
-    resolved = resolve_kernel(kernel, n=pool.answers.n)
-    if resolved != pool.kernel:
-        raise InvalidParameterError(
-            "kernel=%r needs cluster masks in its own representation, "
-            "but the pool was built with kernel=%r; construct "
-            "ClusterPool(..., kernel=%r)" % (resolved, pool.kernel, resolved)
-        )
     search = _Search(pool, k, pool.L, D)
     search.extend([], pool.as_mask(0), 0.0, 0)
     if search.best is None:

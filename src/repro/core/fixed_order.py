@@ -51,17 +51,12 @@ def _process_ranks(
 
 
 def _engine(
-    pool: ClusterPool,
-    use_delta: bool = True,
-    kernel: str | None = None,
-    argmax: str | None = None,
+    pool: ClusterPool, use_delta: bool = True, argmax: str | None = None
 ) -> MergeEngine:
     """An empty engine for one Fixed-Order stream, its merge-target
     counters (:data:`~repro.core.merge.TARGET_COUNTERS`) seeded at zero so
     the run reports them even when nothing merges."""
-    engine = MergeEngine(
-        pool, (), use_delta=use_delta, kernel=kernel, argmax=argmax
-    )
+    engine = MergeEngine(pool, (), use_delta=use_delta, argmax=argmax)
     engine.stats.update(dict.fromkeys(TARGET_COUNTERS, 0.0))
     return engine
 
@@ -74,7 +69,7 @@ def _engine(
     # which picks the same target in bound order ("heap", resolved per
     # instance) as in full (scan); the two differ only in the target_*
     # counters.  The ablation calls fixed_order(..., argmax="scan").
-    kwargs=("use_delta", "size_budget", "kernel"),
+    kwargs=("use_delta", "size_budget"),
     summary="Algorithm 3: stream the top-L in value order into <= k clusters",
 )
 def fixed_order(
@@ -83,7 +78,6 @@ def fixed_order(
     D: int,
     use_delta: bool = True,
     size_budget: int | None = None,
-    kernel: str | None = None,
     argmax: str | None = None,
 ) -> Solution:
     """Run Algorithm 3 on the pool's (S, L) with parameters (k, D).
@@ -96,7 +90,7 @@ def fixed_order(
     if budget < 1:
         raise InvalidParameterError("size budget must be >= 1")
     engine = fixed_order_engine(
-        pool, budget, D, use_delta=use_delta, kernel=kernel, argmax=argmax
+        pool, budget, D, use_delta=use_delta, argmax=argmax
     )
     return floor_at_root(engine.snapshot(), pool)
 
@@ -106,7 +100,6 @@ def fixed_order_engine(
     budget: int,
     D: int,
     use_delta: bool = True,
-    kernel: str | None = None,
     argmax: str | None = None,
 ) -> MergeEngine:
     """Like :func:`fixed_order` but return the live engine (Hybrid and the
@@ -118,7 +111,7 @@ def fixed_order_engine(
     sweeps) inherits it.
     """
     _validate(pool, max(budget, 1), D)
-    engine = _engine(pool, use_delta=use_delta, kernel=kernel, argmax=argmax)
+    engine = _engine(pool, use_delta=use_delta, argmax=argmax)
     _process_ranks(engine, pool.answers.top(pool.L), budget, D)
     return engine
 
@@ -127,15 +120,11 @@ def fixed_order_engine(
     "random-fixed-order",
     cost="heuristic",
     complexity="O(L * k), randomized prefix",
-    kwargs=("seed", "kernel"),
+    kwargs=("seed",),
     summary="Section 5.2: process k random top-L elements before the rest",
 )
 def random_fixed_order(
-    pool: ClusterPool,
-    k: int,
-    D: int,
-    seed: int = 0,
-    kernel: str | None = None,
+    pool: ClusterPool, k: int, D: int, seed: int = 0
 ) -> Solution:
     """random-Fixed-Order: process k random top-L elements first, then all
     top-L elements in descending-value order (Section 5.2)."""
@@ -143,7 +132,7 @@ def random_fixed_order(
     rng = _random.Random(seed)
     top = pool.answers.top(pool.L)
     chosen = rng.sample(top, min(k, len(top)))
-    engine = _engine(pool, kernel=kernel)
+    engine = _engine(pool)
     _process_ranks(engine, chosen, k, D)
     _process_ranks(engine, top, k, D)
     return floor_at_root(engine.snapshot(), pool)
@@ -159,7 +148,7 @@ def minimal_covering_pattern(elements: Sequence[Pattern]) -> Pattern:
     "kmeans-fixed-order",
     cost="heuristic",
     complexity="O(L * k) plus a k-modes clustering pass",
-    kwargs=("seed", "max_iterations", "kernel"),
+    kwargs=("seed", "max_iterations"),
     summary="Section 5.2: seed Fixed-Order with k-modes group patterns",
 )
 def kmeans_fixed_order(
@@ -168,7 +157,6 @@ def kmeans_fixed_order(
     D: int,
     seed: int = 0,
     max_iterations: int = 20,
-    kernel: str | None = None,
 ) -> Solution:
     """k-means-Fixed-Order: cluster the top-L elements with k-modes (random
     seeding), cover each resulting group with its minimal pattern, process
@@ -186,7 +174,7 @@ def kmeans_fixed_order(
     seed_patterns = sorted(
         minimal_covering_pattern(members) for members in groups.values()
     )
-    engine = _engine(pool, kernel=kernel)
+    engine = _engine(pool)
     for pattern in seed_patterns:
         seed_cluster = pool.cluster(pattern)
         if not engine.is_fully_covered(seed_cluster):

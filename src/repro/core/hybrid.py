@@ -27,7 +27,7 @@ DEFAULT_POOL_FACTOR = 2
     "hybrid",
     cost="greedy",
     complexity="Fixed-Order with budget c*k, then Bottom-Up",
-    kwargs=("pool_factor", "use_delta", "kernel", "argmax"),
+    kwargs=("pool_factor", "use_delta", "argmax"),
     summary="Algorithm 4: the paper's recommended two-phase algorithm",
 )
 def hybrid(
@@ -36,13 +36,11 @@ def hybrid(
     D: int,
     pool_factor: int = DEFAULT_POOL_FACTOR,
     use_delta: bool = True,
-    kernel: str | None = None,
     argmax: str | None = None,
 ) -> Solution:
     """Run Hybrid for (k, D) on the pool's (S, L)."""
     engine = hybrid_first_phase(
-        pool, k, D, pool_factor, use_delta=use_delta, kernel=kernel,
-        argmax=argmax,
+        pool, k, D, pool_factor, use_delta=use_delta, argmax=argmax
     )
     run_distance_phase(engine, D)
     run_size_phase(engine, k)
@@ -55,7 +53,6 @@ def hybrid_first_phase(
     D: int,
     pool_factor: int = DEFAULT_POOL_FACTOR,
     use_delta: bool = True,
-    kernel: str | None = None,
     argmax: str | None = None,
 ) -> MergeEngine:
     """The Fixed-Order phase with budget ``c * k``; returns the live engine.
@@ -70,5 +67,5 @@ def hybrid_first_phase(
         )
     budget = max(pool_factor * k, k)
     return fixed_order_engine(
-        pool, budget, D, use_delta=use_delta, kernel=kernel, argmax=argmax
+        pool, budget, D, use_delta=use_delta, argmax=argmax
     )

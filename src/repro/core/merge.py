@@ -15,11 +15,11 @@ Evaluation is the hot path, and two layers of optimization live here:
   instead of recomputing from scratch.  Controlled by ``use_delta``; the
   naive recompute path is kept for the Figure 8b ablation.
 
-* **The mask kernels + incremental pair cache** (``kernel="bitset"``, the
-  default, or ``kernel="dense"``): covered sets are bitmasks — arbitrary-
-  precision ints (:mod:`repro.core.bitset`) or packed uint64 blocks with
-  numpy-vectorized primitives (:mod:`repro.core.dense`, built for
-  n >= 10^5) — so marginal counts are one ``bit_count()`` and marginal
+* **The mask kernels + incremental pair cache** (the pool's ``kernel``,
+  ``"bitset"`` by default or ``"dense"``): covered sets are bitmasks —
+  arbitrary-precision ints (:mod:`repro.core.bitset`) or packed uint64
+  blocks with numpy-vectorized primitives (:mod:`repro.core.dense`,
+  built for n >= 10^5) — so marginal counts are one ``bit_count()`` and marginal
   sums run over set bits only; and the engine keeps a persistent
   *pair table* — for every unordered pair of solution clusters, its
   distance and its LCA cluster — updated in O(|O|) per merge instead of
@@ -41,8 +41,8 @@ Evaluation is the hot path, and two layers of optimization live here:
   adds the marginal its round priced to the covered sum instead of
   summing the newly covered elements again.  Both
   mask kernels share this entire code path (the mask objects expose the
-  same operators); a dense engine requires a pool built with
-  ``kernel="dense"`` so the cluster masks match its representation.
+  same operators); an engine runs on its pool's masks, so the pool's
+  ``kernel`` is the engine's.
   ``bitset`` and ``dense`` sum in the same ascending index order and are
   float-identical to each other always.  The unoptimized baseline is
   :mod:`repro.core.reference`, the algorithms written straight from
@@ -118,7 +118,6 @@ from typing import Iterable, Iterator, Sequence
 from repro.common.budget import checkpoint as _budget_checkpoint
 from repro.common.errors import InvalidParameterError
 from repro.core.answers import AnswerSet
-from repro.core.bitset import resolve_kernel
 from repro.core.cluster import Cluster
 from repro.core.dense import mask_has_bit, mask_indices
 from repro.core.semilattice import ClusterPool
@@ -288,21 +287,11 @@ class MergeEngine:
         pool: ClusterPool,
         clusters: Iterable[Cluster],
         use_delta: bool = True,
-        kernel: str | None = None,
         argmax: str | None = None,
     ) -> None:
         self.pool = pool
         self.answers: AnswerSet = pool.answers
         self.use_delta = use_delta
-        self.kernel = resolve_kernel(kernel, n=pool.answers.n)
-        if pool.kernel != self.kernel:
-            raise InvalidParameterError(
-                "kernel=%r needs cluster masks in its own "
-                "representation, but the pool was built with "
-                "kernel=%r; construct ClusterPool(..., kernel=%r) "
-                "(or go through ProblemInstance.pool_for)"
-                % (self.kernel, pool.kernel, self.kernel)
-            )
         self.argmax = resolve_argmax(argmax, self.answers)
         self._packing = pool.packing
         self._heap_argmax = self.argmax == HEAP_ARGMAX
@@ -393,7 +382,6 @@ class MergeEngine:
         twin.pool = self.pool
         twin.answers = self.answers
         twin.use_delta = self.use_delta
-        twin.kernel = self.kernel
         twin.argmax = self.argmax
         twin._packing = self._packing
         twin._heap_argmax = self._heap_argmax

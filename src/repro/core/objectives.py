@@ -16,7 +16,6 @@ that comparison reproducible:
 from __future__ import annotations
 
 from repro.common.errors import InvalidParameterError
-from repro.core.bottom_up import run_distance_phase
 from repro.core.cluster import Cluster, lca
 from repro.core.merge import MergeEngine
 from repro.core.semilattice import ClusterPool

@@ -17,8 +17,9 @@ The paper's nine algorithms are registered, as the functions that run
 them, with :func:`~repro.core.registry.register_algorithm` in their own
 modules, which this one imports; front ends resolve them through
 :mod:`repro.core.registry`.  Every runner takes the cluster pool for
-(S, L), then k and D: :meth:`ProblemInstance.solve` is the one place
-that picks that pool for a kernel.
+(S, L), then k and D, and runs on that pool's mask representation:
+:meth:`ProblemInstance.solve` takes the ``kernel`` that picks the pool,
+and no runner takes one.
 """
 
 from __future__ import annotations
@@ -116,10 +117,14 @@ class ProblemInstance:
         it instead of building a duplicate."""
         self._pools[pool.kernel] = pool
 
-    def solve(self, algorithm: AlgorithmName = "hybrid", **kwargs) -> Solution:
-        """Run the chosen algorithm on the pool for its ``kernel`` option;
-        see :func:`repro.core.registry.algorithm_names`."""
+    def solve(
+        self,
+        algorithm: AlgorithmName = "hybrid",
+        kernel: str | None = None,
+        **kwargs,
+    ) -> Solution:
+        """Run the chosen algorithm, with its keyword options *kwargs*, on
+        the pool for *kernel* (:meth:`pool_for`); see
+        :func:`repro.core.registry.algorithm_names`."""
         info = validate_algorithm_kwargs(algorithm, kwargs)
-        return info.runner(
-            self.pool_for(kwargs.get("kernel")), self.k, self.D, **kwargs
-        )
+        return info.runner(self.pool_for(kernel), self.k, self.D, **kwargs)

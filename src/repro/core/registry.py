@@ -22,9 +22,10 @@ The paper's nine algorithms are registered this way in their own modules
 (:mod:`repro.core.bottom_up`, :mod:`~repro.core.fixed_order`,
 :mod:`~repro.core.hybrid`, :mod:`~repro.core.brute_force`), which
 ``repro.core.problem`` imports; ``get_algorithm(name).runner(pool, k,
-D, ...)`` runs one directly, and
+D, ...)`` runs one directly, on the pool's mask representation, and
 :meth:`~repro.core.problem.ProblemInstance.solve` does the same after
-validating the options and picking the pool for the ``kernel`` option.
+validating the options and picking the pool for its ``kernel`` keyword.
+A runner takes no kernel: its pool is the kernel.
 """
 
 from __future__ import annotations

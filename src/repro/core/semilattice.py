@@ -17,23 +17,23 @@ one AND from the mask of its *parent* — the pattern with its last constant
 starred, itself a pool pattern; the all-star root covers all of S.  Two
 mappings share the pool:
 
-``"eager"`` (also accepted as ``"lazy"``)
+``"eager"``
     The build packs the value masks, O(n * m), and the root mask; a
     pattern's mask (with any ancestors not yet derived) is derived on
     first read.  A served pool therefore holds only the masks its
     requests touched; a caller that reads every pattern pays one AND per
     pattern, the same work an up-front pass would do.
-    :func:`normalize_mapping` turns ``"lazy"`` into ``"eager"`` before a
-    pool or a cache key sees it, so both names share one pool.
 
 ``"naive"``
     The unoptimized baseline of the Figure 8a ablation: for every pool
     pattern, scan all n elements and test coverage.  Cost O(|pool| * n * m).
 
 Both produce bit-identical masks, which property tests check against a
-direct coverage scan.  Two threads that first read the same pattern at
-once both derive the same mask; the dict write is atomic, so either
-result may stay.
+direct coverage scan.  Any other name is an
+:class:`~repro.common.errors.InvalidParameterError` before anything is
+built.  Two threads that first read the same pattern at once both
+derive the same mask; the dict write is atomic, so either result may
+stay.
 
 Independently of the strategy, ``kernel=`` selects the pool's *mask
 representation*, which :attr:`ClusterPool.kernel` names: the kernel
@@ -41,9 +41,10 @@ representation*, which :attr:`ClusterPool.kernel` names: the kernel
 bitmasks, the default) or ``"dense"`` (packed uint64 blocks, the working
 representation of :mod:`repro.core.dense`; without numpy, ``"dense"``
 resolves to ``"bitset"``).  :meth:`ClusterPool.as_mask` is the one way
-to build a mask in that representation.  A
-:class:`~repro.core.merge.MergeEngine` requires a pool whose
-representation matches its kernel.
+to build a mask in that representation.  The pool is the only place
+below the service that takes a kernel: the merge engine, the runners,
+brute force and the precompute store all run on their pool's
+representation.
 
 No coverage ``frozenset`` is built at initialization, and
 :meth:`~ClusterPool.cluster` builds none either: a cluster is its mask
@@ -81,27 +82,16 @@ from repro.core.cluster import (
 )
 from repro.core.dense import int_to_blocks, mask_indices
 
-MappingStrategy = Literal["eager", "naive", "lazy"]
+MappingStrategy = Literal["eager", "naive"]
 
-_VALID_STRATEGIES = ("eager", "naive", "lazy")
+#: Every mapping name a pool accepts.
+MAPPINGS = ("eager", "naive")
 
 #: LRU bound on cached coverage for patterns *outside* the pool.  Pool
 #: patterns are a fixed, finite set so their caches are naturally bounded,
 #: but baselines/hierarchy code may probe arbitrarily many out-of-pool
 #: patterns; without a bound a long-lived service Engine leaks memory.
 FALLBACK_CACHE_SIZE = 256
-
-
-def normalize_mapping(strategy: str) -> str:
-    """The canonical name of mapping *strategy*: ``"lazy"`` reads
-    ``"eager"`` (one mapping), so pools and cache keys never tell the two
-    names apart.  Unknown names raise :class:`InvalidParameterError`."""
-    if strategy not in _VALID_STRATEGIES:
-        raise InvalidParameterError(
-            "unknown mapping strategy %r; expected one of %r"
-            % (strategy, _VALID_STRATEGIES)
-        )
-    return "eager" if strategy == "lazy" else strategy
 
 
 class ClusterPool:
@@ -120,7 +110,12 @@ class ClusterPool:
         strategy: MappingStrategy = "eager",
         kernel: str | None = None,
     ) -> None:
-        self.strategy = normalize_mapping(strategy)
+        if strategy not in MAPPINGS:
+            raise InvalidParameterError(
+                "unknown mapping strategy %r; expected one of %r"
+                % (strategy, MAPPINGS)
+            )
+        self.strategy = strategy
         if not 1 <= L <= answers.n:
             raise InvalidParameterError(
                 "L=%d out of range [1, %d]" % (L, answers.n)

@@ -102,13 +102,6 @@ class SolutionStore:
     d_values:
         The D values to sweep (Figure 2 plots one curve per D), each in
         [0, m] as a summary's D.
-    kernel:
-        The sweep engines' mask kernel (``"bitset"``/``"dense"``/
-        ``"auto"``; see :func:`repro.core.bitset.resolve_kernel`).
-        A kernel resolving to ``"dense"`` needs *pool* built with
-        ``kernel="dense"`` (the merge engine validates); the service
-        layer's :meth:`repro.service.Engine.checkout_store` pairs them
-        automatically.
     argmax:
         The sweep engines' greedy argmax (``None`` = auto: the lazy heap
         whenever sound; ``"scan"`` is the ablation baseline).
@@ -116,10 +109,11 @@ class SolutionStore:
     The shared Fixed-Order phase runs with Hybrid's candidate multiplier
     c (:data:`~repro.core.hybrid.DEFAULT_POOL_FACTOR`) and D = 0, the
     most permissive distance; each per-D Bottom-Up run then enforces its
-    own D.  No state has more than L clusters, so every k above
-    max(k_min, min(k_max, L)) holds the state the sweep starts from: the
-    sweeps record only k up to that bound, and their work and size do
-    not grow with k_max beyond L.
+    own D.  The sweeps run on the pool's mask representation, which
+    :attr:`kernel` names.  No state has more than L clusters, so every k
+    above max(k_min, min(k_max, L)) holds the state the sweep starts
+    from: the sweeps record only k up to that bound, and their work and
+    size do not grow with k_max beyond L.
     """
 
     def __init__(
@@ -127,12 +121,12 @@ class SolutionStore:
         pool: ClusterPool,
         k_range: tuple[int, int],
         d_values: Sequence[int],
-        kernel: str | None = None,
         argmax: str | None = None,
     ) -> None:
         check_sweep_grid(pool.answers, k_range, d_values)
         k_min, k_max = k_range
         self.pool = pool
+        self.kernel = pool.kernel
         self.k_min = k_min
         self.k_max = k_max
         self.d_values = tuple(sorted(set(d_values)))
@@ -142,10 +136,8 @@ class SolutionStore:
             pool,
             budget=DEFAULT_POOL_FACTOR * k_max,
             D=0,
-            kernel=kernel,
             argmax=argmax,
         )
-        self.kernel = shared.kernel
         self.argmax = shared.argmax
         shared_done = time.perf_counter()
         self._sweeps: dict[int, _DSweep] = {}

@@ -137,25 +137,27 @@ class ExplorationSession:
         L: int,
         D: int,
         algorithm: str = "hybrid",
+        kernel: str | None = None,
         **kwargs,
     ) -> TimedSolution:
-        """One algorithm invocation with the Init/Algo timing split."""
+        """One algorithm invocation with the Init/Algo timing split.
+
+        *kernel* picks the pool's mask representation; *kwargs* are the
+        algorithm's options."""
         validate_algorithm_kwargs(algorithm, kwargs)
         instance = ProblemInstance(
             self.answers, k=k, L=L, D=D, mapping=self.mapping
         )
-        # Check out a pool in the requested kernel's mask representation
-        # (dense kernels get packed-block pools) so the engine cache is
-        # reused instead of the instance building its own.
+        # Check out the pool from the engine cache instead of letting the
+        # instance build its own.
         pool, init_seconds, cache_hit = self.engine.checkout_pool(
-            self.dataset, instance.L, self.mapping,
-            kernel=kwargs.get("kernel"),
+            self.dataset, instance.L, self.mapping, kernel=kernel
         )
         if not cache_hit:
             self._pool_seconds[instance.L] = init_seconds
         instance.adopt_pool(pool)
         start = time.perf_counter()
-        solution = instance.solve(algorithm, **kwargs)
+        solution = instance.solve(algorithm, kernel=pool.kernel, **kwargs)
         return TimedSolution(
             solution=solution,
             init_seconds=init_seconds,

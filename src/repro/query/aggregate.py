@@ -18,10 +18,11 @@ summarization framework).
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.common.errors import QueryError
+from repro.common.errors import QueryError, SchemaError
 from repro.core.answers import AnswerSet
 from repro.query.relation import Relation
 
@@ -102,6 +103,19 @@ def _matches(row: Mapping[str, Any], where: Sequence[tuple[str, str, Any]]) -> b
     return True
 
 
+def _target_value(column: str, value: Any) -> float:
+    """One field of the aggregate's target *column* as a float: text, an
+    empty field or an int past the float range is a :class:`SchemaError`
+    naming the column and the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(
+            "aggregate target column %r must be numeric; got %s"
+            % (column, reprlib.repr(value))
+        ) from None
+
+
 @dataclass
 class QueryResult:
     """Output of :func:`run_aggregate`: groups, values, and conversions."""
@@ -152,14 +166,24 @@ def run_aggregate(relation: Relation, query: AggregateQuery) -> QueryResult:
         rows = iter(relation.rows)
     for row in rows:
         key = tuple(row[i] for i in group_indices)
-        value = float(row[target_index]) if target_index is not None else 0.0
+        value = (
+            _target_value(query.target, row[target_index])
+            if target_index is not None else 0.0
+        )
         groups.setdefault(key, []).append(value)
     aggregate = AGGREGATES[query.aggregate]
     kept: list[tuple[tuple[Any, ...], float, int]] = []
     for key, values in groups.items():
         if len(values) <= query.having_count_gt:
             continue
-        kept.append((key, float(aggregate(values)), len(values)))
+        try:
+            value = float(aggregate(values))
+        except OverflowError:  # fsum's intermediate overflow
+            raise SchemaError(
+                "%s(%s) of group %r is past the float range"
+                % (query.aggregate, query.target, key)
+            ) from None
+        kept.append((key, value, len(values)))
     kept.sort(
         key=lambda item: (
             -item[1] if query.descending else item[1],

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import defaultdict
 from itertools import count, islice
 from pathlib import Path
@@ -137,6 +138,10 @@ def answer_set_from_relation(relation: Relation):
     for row in relation.rows:
         try:
             values.append(float(row[-1]))
+        except OverflowError:
+            # An int past the float range reads as infinite, as ``float``
+            # reads its text in the loader; the answer set rejects both.
+            values.append(math.copysign(math.inf, row[-1]))
         except (TypeError, ValueError):
             raise SchemaError(
                 "value column %r must be numeric; got %r"

@@ -39,7 +39,6 @@ from repro.server.metrics import LatencyHistogram, ServerMetrics
 from repro.server.scheduler import (
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_SHARDS,
-    DEFAULT_WORKERS_PER_SHARD,
     ShardedScheduler,
 )
 from repro.server.singleflight import SingleFlight, request_key
@@ -49,7 +48,6 @@ __all__ = [
     "BackgroundServer",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_SHARDS",
-    "DEFAULT_WORKERS_PER_SHARD",
     "LatencyHistogram",
     "LineClient",
     "Overloaded",

@@ -39,7 +39,7 @@ BUCKET_BOUNDS: tuple[float, ...] = (
 TRACKED_KINDS = frozenset({
     "summary", "explore", "guidance",
     "ping", "load_csv", "datasets", "algorithms", "stats", "shutdown",
-    "faults", "trace",
+    "trace",
     "session", "healthz", "metrics",
     "invalid",
 })

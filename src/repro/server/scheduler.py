@@ -2,7 +2,7 @@
 
 One heavy ``summary`` must not starve every other dataset: requests are
 routed to a *shard* chosen by a stable hash of their ``dataset`` field,
-and each shard owns its own worker threads and its own bounded queue.
+and each shard owns one worker thread and its own bounded queue.
 A flood against one dataset fills one shard's queue (new arrivals get
 ``kind="error", error_type="Overloaded"`` immediately — load shedding,
 not unbounded buffering) while the other shards keep serving.
@@ -19,7 +19,8 @@ always their own flight.
 Workers are threads because the kernels are CPU-bound pure Python — the
 GIL serializes compute, so throughput comes from coalescing and from
 never blocking the transport, while sharding buys isolation/fairness,
-not parallel CPU.  The executor is deliberately pluggable-shaped (one
+not parallel CPU.  A second worker per shard would add no CPU either,
+so each shard runs one.  The executor is deliberately pluggable-shaped (one
 ``submit -> Future`` seam) so a process pool can slot in later.
 
 Resilience (PR 7):
@@ -63,7 +64,6 @@ _STOP = object()
 
 #: Defaults for the TCP server and CLI.
 DEFAULT_SHARDS = 4
-DEFAULT_WORKERS_PER_SHARD = 1
 DEFAULT_QUEUE_DEPTH = 64
 
 #: A request whose worker dies this many times is quarantined.
@@ -95,8 +95,8 @@ class ShardedScheduler:
         The computation for one payload — normally
         :meth:`repro.service.engine.Engine.submit_dict`.  It runs on a
         shard worker thread; exceptions become ``kind="error"`` payloads.
-    shards / workers_per_shard / queue_depth:
-        Pool shape.  ``queue_depth`` bounds *waiting* requests per shard;
+    shards / queue_depth:
+        Pool shape: one worker thread per shard.  ``queue_depth`` bounds *waiting* requests per shard;
         in-service requests hold no slot.
     coalesce:
         Disable to measure the no-single-flight baseline (every request,
@@ -116,7 +116,6 @@ class ShardedScheduler:
         submit: Callable[..., dict[str, Any]],
         *,
         shards: int = DEFAULT_SHARDS,
-        workers_per_shard: int = DEFAULT_WORKERS_PER_SHARD,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         coalesce: bool = True,
         quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
@@ -124,10 +123,6 @@ class ShardedScheduler:
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1, got %d" % shards)
-        if workers_per_shard < 1:
-            raise ValueError(
-                "workers_per_shard must be >= 1, got %d" % workers_per_shard
-            )
         if queue_depth < 1:
             raise ValueError(
                 "queue_depth must be >= 1, got %d" % queue_depth
@@ -144,7 +139,6 @@ class ShardedScheduler:
         #: flight key -> the leader's trace_id, for follower linkage.
         self._flight_traces: dict[str, str] = {}
         self._shards = [_Shard(i, queue_depth) for i in range(shards)]
-        self._workers_per_shard = workers_per_shard
         self._overloaded = 0
         self._inflight = 0  # accepted (queued or in-service) leaders
         self._idle = threading.Condition(threading.Lock())
@@ -165,8 +159,7 @@ class ShardedScheduler:
         self._quarantine: OrderedDict[str, int] = OrderedDict()
         self._worker_serial = 0
         for shard in self._shards:
-            for _ in range(workers_per_shard):
-                self._spawn_worker(shard)
+            self._spawn_worker(shard)
 
     def _spawn_worker(self, shard: _Shard, delay: float = 0.0) -> None:
         """Start one worker thread for *shard* (optionally after backoff).
@@ -600,7 +593,6 @@ class ShardedScheduler:
         return {
             "inflight": inflight,
             "shards": len(self._shards),
-            "workers_per_shard": self._workers_per_shard,
             "queue_depth": self._shards[0].queue.maxsize,
             "queue_depths": self.queue_depths(),
             "served_per_shard": served,

@@ -52,7 +52,6 @@ from repro.server.metrics import ServerMetrics
 from repro.server.scheduler import (
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_SHARDS,
-    DEFAULT_WORKERS_PER_SHARD,
     ShardedScheduler,
 )
 
@@ -122,7 +121,6 @@ class TCPServer:
         port: int = 0,
         *,
         shards: int = DEFAULT_SHARDS,
-        workers_per_shard: int = DEFAULT_WORKERS_PER_SHARD,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
         coalesce: bool = True,
@@ -139,7 +137,6 @@ class TCPServer:
         self.host = host
         self.port = port
         self.shards = shards
-        self.workers_per_shard = workers_per_shard
         self.queue_depth = queue_depth
         self.max_line_bytes = max_line_bytes
         self.coalesce = coalesce
@@ -178,7 +175,6 @@ class TCPServer:
         self.scheduler = ShardedScheduler(
             self._submit,
             shards=self.shards,
-            workers_per_shard=self.workers_per_shard,
             queue_depth=self.queue_depth,
             coalesce=self.coalesce,
             telemetry=self.telemetry,

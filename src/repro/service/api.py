@@ -296,9 +296,9 @@ class ClusterDTO:
 class SummaryResponse(_WireMessage):
     """Solution plus the paper's timing split and engine cache metadata.
 
-    ``kernel`` names the evaluation substrate that produced the solution
-    (``"bitset"`` or ``"dense"``; ``"none"`` for algorithms
-    with no kernelized path, e.g. lower-bound); ``phase_seconds`` is an
+    ``kernel`` names the mask representation of the pool the solution
+    was computed on (``"bitset"`` or ``"dense"``), for every algorithm;
+    ``phase_seconds`` is an
     *open* float map: a finer-grained breakdown of where *this request's*
     wall clock went (e.g. ``pool_build`` vs ``merge_loop`` vs ``serialize``;
     cached phases report 0.0) plus the merge engine's ``argmax_*``

@@ -14,16 +14,17 @@ Cache keys pin down everything that changes the cached object's content:
 * pools are keyed by ``(dataset, version, L, mapping, representation)`` —
   the answer set *at a content version* (bumped by replace and append,
   so stale state is unreachable by key), the top-L slice the pool
-  generalizes, the coverage-mapping strategy after
-  :func:`~repro.core.semilattice.normalize_mapping` (``"lazy"`` and
-  ``"eager"`` name one mapping, so they share one key), and the mask
+  generalizes, the coverage-mapping strategy (``"eager"`` or
+  ``"naive"``; the pool rejects any other name), and the mask
   representation (:attr:`ClusterPool.kernel
   <repro.core.semilattice.ClusterPool.kernel>`: ``"bitset"`` for int
   bitmask pools, ``"dense"`` for packed uint64-block pools);
 * stores are keyed by ``(dataset, version, L, mapping, k_range,
-  d_values, kernel)`` — everything the pool key pins (the kernel fixes
-  the mask representation) plus the precompute sweep's parameter grid
-  and the merge-engine kernel the sweep ran on.
+  d_values, kernel)`` — everything the pool key pins plus the
+  precompute sweep's parameter grid.
+
+A request's ``kernel`` picks the pool and nothing else: every algorithm
+runs on its pool's representation and reports it.
 
 Appends (:meth:`Engine.append_rows`) do better than invalidation: each
 cached pool of the old version is *carried over* — rebuilt over the
@@ -70,7 +71,7 @@ from repro.core.bitset import resolve_kernel
 from repro.core.dense import mask_indices
 from repro.core.problem import ProblemInstance
 from repro.core.registry import validate_algorithm_kwargs
-from repro.core.semilattice import ClusterPool, normalize_mapping
+from repro.core.semilattice import ClusterPool
 from repro.obs.tracing import record_span, span, trace_scope
 from repro.core.solution import Solution
 from repro.interactive.precompute import SolutionStore, check_sweep_grid
@@ -233,10 +234,6 @@ class _LRUCache(Generic[T]):
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -425,9 +422,8 @@ class Engine:
     ) -> tuple[ClusterPool, float, bool]:
         """The cluster pool for (dataset, L) — ``(pool, init_seconds, hit)``.
 
-        *mapping* is normalized before it joins the key, so ``"lazy"``
-        checks out the ``"eager"`` pool; an unknown name raises before
-        either cache is touched.  *kernel* selects the pool's mask
+        An unknown *mapping* name raises from the pool's constructor, so
+        nothing is built or cached.  *kernel* selects the pool's mask
         representation, the kernel it resolves to: ``"bitset"`` checks
         out an int-bitmask pool, and ``"dense"`` (or ``"auto"`` resolving
         to it at this dataset's size) a packed-block pool.  The
@@ -435,7 +431,6 @@ class Engine:
         each other's pools.
         """
         answers, version = self._dataset_state(dataset)
-        mapping = normalize_mapping(mapping)
         representation = resolve_kernel(kernel, n=answers.n)
         return self._pools.get_or_build(
             (dataset, version, L, mapping, representation),
@@ -457,20 +452,19 @@ class Engine:
 
         ``init_seconds`` covers whatever this call actually built: pool
         construction (if cold) plus the precomputation sweep (if cold).
-        A grid the store would reject is rejected before either is built.
+        A grid the store would reject is rejected before either is built,
+        and so is an unknown *mapping* (by the pool's constructor).
         """
         k_range = tuple(k_range)
         d_key = tuple(sorted(set(d_values)))
         answers, version = self._dataset_state(dataset)
         check_sweep_grid(answers, k_range, d_key)
-        mapping = normalize_mapping(mapping)
-        kernel = resolve_kernel(kernel, n=answers.n)
         pool, pool_seconds, _pool_hit = self.checkout_pool(
             dataset, L, mapping, kernel=kernel
         )
         store, store_seconds, store_hit = self._stores.get_or_build(
-            (dataset, version, L, mapping, k_range, d_key, kernel),
-            lambda: SolutionStore(pool, k_range, d_key, kernel=kernel),
+            (dataset, version, L, mapping, k_range, d_key, pool.kernel),
+            lambda: SolutionStore(pool, k_range, d_key),
         )
         return store, pool_seconds + store_seconds, store_hit
 
@@ -526,16 +520,11 @@ class Engine:
 
     def _submit_summary(self, request: SummaryRequest) -> SummaryResponse:
         answers = self.dataset(request.dataset)
-        info = validate_algorithm_kwargs(request.algorithm, request.options)
-        # Algorithms without a kernelized path (e.g. lower-bound) report
-        # "none" rather than pretending a kernel ran.  "auto" resolves
-        # here (against this dataset's n) so the checked-out pool, the
-        # merge engine, and the reported kernel all agree.
-        kernel = (
-            resolve_kernel(request.options.get("kernel"), n=answers.n)
-            if "kernel" in info.kwargs
-            else "none"
-        )
+        # options.kernel picks the pool, which every algorithm runs on
+        # and reports; the other options are the algorithm's own.
+        options = dict(request.options)
+        kernel = options.pop("kernel", None)
+        validate_algorithm_kwargs(request.algorithm, options)
 
         def instance_over(answers: AnswerSet) -> ProblemInstance:
             return ProblemInstance(
@@ -548,10 +537,7 @@ class Engine:
 
         instance = instance_over(answers)
         pool, init_seconds, cache_hit = self.checkout_pool(
-            request.dataset,
-            instance.L,
-            request.mapping,
-            kernel=None if kernel == "none" else kernel,
+            request.dataset, instance.L, request.mapping, kernel=kernel
         )
         record_span("engine.pool_build", init_seconds, cache_hit=cache_hit)
         if pool.answers is not answers:
@@ -562,13 +548,15 @@ class Engine:
             instance = instance_over(answers)
         instance.adopt_pool(pool)
         start = time.perf_counter()
-        solution = instance.solve(request.algorithm, **request.options)
+        solution = instance.solve(
+            request.algorithm, kernel=pool.kernel, **options
+        )
         algo_seconds = time.perf_counter() - start
         record_span(
             "engine.solve",
             algo_seconds,
             algorithm=request.algorithm,
-            kernel=kernel,
+            kernel=pool.kernel,
             # The merge engine's argmax counters (heap-vs-scan pruning
             # evidence) ride as span attributes, same numbers as the
             # phase_seconds map below.
@@ -596,7 +584,7 @@ class Engine:
             init_seconds=init_seconds,
             algo_seconds=algo_seconds,
             include_elements=request.include_elements,
-            kernel=kernel,
+            kernel=pool.kernel,
             phases=phases,
         )
 
@@ -755,8 +743,3 @@ class Engine:
             requests=self._requests,
             datasets=tuple(self.dataset_names()),
         )
-
-    def clear_caches(self) -> None:
-        """Drop all cached pools and stores (datasets stay registered)."""
-        self._pools.clear()
-        self._stores.clear()

@@ -527,38 +527,6 @@ class Dispatcher:
                 "kind": "datasets",
                 "datasets": self.engine.dataset_names(),
             }, None
-        if kind == "faults":
-            # Remote fault-injection control (chaos tests and
-            # bench_chaos.py): {"kind": "faults"} lists the armed rules;
-            # "clear": true disarms everything; "arm": "<spec>" arms
-            # rules in the REPRO_FAULTS spec syntax, with an optional
-            # integer "seed" re-seeding the deterministic RNG first.
-            # On a token-secured server this kind requires auth like any
-            # other admin kind.
-            from repro.common import faults
-
-            if payload.get("clear"):
-                faults.clear()
-            spec = payload.get("arm")
-            if spec is not None:
-                if not isinstance(spec, str):
-                    raise SchemaError(
-                        "faults 'arm' must be a spec string "
-                        "(site=behavior[:probability[:param[:times]]])"
-                    )
-                seed = payload.get("seed")
-                if seed is not None and (
-                    isinstance(seed, bool) or not isinstance(seed, int)
-                ):
-                    raise SchemaError(
-                        "faults 'seed' must be an integer"
-                    )
-                faults.arm_from_spec(spec, seed=seed)
-            return {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "faults",
-                "armed": faults.describe(),
-            }, None
         if kind == "algorithms":
             return {
                 "schema_version": SCHEMA_VERSION,
@@ -618,15 +586,6 @@ class Dispatcher:
                 response["server"] = self._extra_stats()
             return response, None
         return None
-
-
-def serve_line(engine: Engine, line: str) -> dict[str, Any] | None:
-    """Serve one JSON line; None for blank lines (skipped, no response).
-
-    Compatibility wrapper over :class:`Dispatcher` for callers that do not
-    need shutdown control flow or transport counters.
-    """
-    return Dispatcher(engine).dispatch_line(line).response
 
 
 def serve(

@@ -58,7 +58,6 @@ from repro.server.metrics import ServerMetrics, prometheus_text
 from repro.server.scheduler import (
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_SHARDS,
-    DEFAULT_WORKERS_PER_SHARD,
     ShardedScheduler,
 )
 from repro.service.api import SCHEMA_VERSION, error_payload
@@ -150,7 +149,6 @@ class WebServer:
         port: int = 0,
         *,
         shards: int = DEFAULT_SHARDS,
-        workers_per_shard: int = DEFAULT_WORKERS_PER_SHARD,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         max_body_bytes: int = DEFAULT_MAX_LINE_BYTES,
         coalesce: bool = True,
@@ -184,7 +182,6 @@ class WebServer:
         self.scheduler = ShardedScheduler(
             submit if submit is not None else engine.submit_dict,
             shards=shards,
-            workers_per_shard=workers_per_shard,
             queue_depth=queue_depth,
             coalesce=coalesce,
             telemetry=telemetry,

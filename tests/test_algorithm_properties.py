@@ -195,18 +195,18 @@ def _pools_per_kernel(answers, L):
 @settings(max_examples=40, deadline=None)
 @given(dyadic_instances())
 def test_kernels_produce_identical_solutions(instance):
-    """``kernel="bitset"`` and ``kernel="dense"`` return bit-identical
-    solutions for every algorithm, on both the delta-judgment and the
-    naive evaluation paths, so the kernels are interchangeable."""
+    """Bitset and dense pools return bit-identical solutions for every
+    algorithm, on both the delta-judgment and the naive evaluation
+    paths, so the kernels are interchangeable."""
     answers, k, L, D = instance
     pools = _pools_per_kernel(answers, L)
     runs = [
-        lambda kr: bottom_up(pools[kr], k, D, kernel=kr),
-        lambda kr: bottom_up(pools[kr], k, D, use_delta=False, kernel=kr),
-        lambda kr: bottom_up_level_start(pools[kr], k, D, kernel=kr),
-        lambda kr: bottom_up_pairwise_avg(pools[kr], k, D, kernel=kr),
-        lambda kr: fixed_order(pools[kr], k, D, kernel=kr),
-        lambda kr: hybrid(pools[kr], k, D, kernel=kr),
+        lambda kr: bottom_up(pools[kr], k, D),
+        lambda kr: bottom_up(pools[kr], k, D, use_delta=False),
+        lambda kr: bottom_up_level_start(pools[kr], k, D),
+        lambda kr: bottom_up_pairwise_avg(pools[kr], k, D),
+        lambda kr: fixed_order(pools[kr], k, D),
+        lambda kr: hybrid(pools[kr], k, D),
     ]
     for run in runs:
         reference = run(KERNELS[0])
@@ -224,8 +224,8 @@ def test_brute_force_kernels_agree(instance):
     answers, _, L, D = instance
     L = min(L, 4)  # keep the exponential search tiny
     pools = _pools_per_kernel(answers, L)
-    reference = brute_force(pools["bitset"], 2, D, kernel="bitset")
-    other = brute_force(pools["dense"], 2, D, kernel="dense")
+    reference = brute_force(pools["bitset"], 2, D)
+    other = brute_force(pools["dense"], 2, D)
     assert other.patterns() == reference.patterns()
 
 
@@ -245,7 +245,7 @@ def _check_against_reference(instance):
         for kernel, pool in pools.items():
             for argmax in ARGMAX_MODES:
                 for use_delta in (True, False):
-                    got = run(pool, k, D, kernel=kernel, argmax=argmax,
+                    got = run(pool, k, D, argmax=argmax,
                               use_delta=use_delta)
                     label = (run.__name__, kernel, argmax, use_delta)
                     assert got.patterns() == expected.patterns(), label

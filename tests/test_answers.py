@@ -194,11 +194,17 @@ def _spelled(rows):
 @settings(max_examples=200, deadline=None)
 @given(extensions())
 def test_extended_equals_a_fresh_build(case):
+    """``extended`` equals a rebuild, errors included; a NaN value is
+    rejected by the constructor and by ``extended`` alike."""
     rows, values, batches, with_codec = case
+    build = AnswerSet.from_rows if with_codec else AnswerSet
     if with_codec:
-        answers = AnswerSet.from_rows(_spelled(rows), values)
-    else:
-        answers = AnswerSet(rows, values)
+        rows = _spelled(rows)
+    if any(value != value for value in values):
+        with pytest.raises(SchemaError, match="finite numbers; got nan"):
+            build(rows, values)
+        return
+    answers = build(rows, values)
     for batch_rows, batch_values in batches:
         if with_codec:
             batch_rows = _spelled(batch_rows)
@@ -206,6 +212,8 @@ def test_extended_equals_a_fresh_build(case):
         assert got == outcome(
             lambda: rebuilt(answers, batch_rows, batch_values)
         )
+        if any(value != value for value in batch_values):
+            assert got[0] == "error"  # a ragged batch fails earlier
         if got[0] == "error":
             return
         answers, _ = answers.extended(batch_rows, batch_values)

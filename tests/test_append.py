@@ -106,7 +106,7 @@ def append_runs(draw):
         )
         cursor += size
     L = draw(st.integers(min_value=1, max_value=min(base_n, 6)))
-    strategy = draw(st.sampled_from(["eager", "naive", "lazy"]))
+    strategy = draw(st.sampled_from(["eager", "naive"]))
     return universe[:base_n], values[:base_n], batches, L, strategy
 
 
@@ -172,8 +172,8 @@ def test_solutions_identical_on_maintained_pools(run, k, D):
         dense_pool = dense_pool.extended(answers, delta)
     rebuilt = ClusterPool(answers, L, strategy=strategy)
     expected = bottom_up(rebuilt, k, D)
-    for solution in (bottom_up(int_pool, k, D, kernel="bitset"),
-                     bottom_up(dense_pool, k, D, kernel="dense"),
+    for solution in (bottom_up(int_pool, k, D),
+                     bottom_up(dense_pool, k, D),
                      reference.bottom_up(int_pool, k, D)):
         assert solution.avg == expected.avg
         assert {c.pattern for c in solution.clusters} == {

@@ -18,6 +18,7 @@ from repro.core.answers import AnswerSet
 from repro.core.bottom_up import bottom_up, bottom_up_level_start
 from repro.core.fixed_order import fixed_order
 from repro.core.hybrid import hybrid
+from repro.core.problem import ProblemInstance
 from repro.core.merge import (
     ARGMAX_MODES,
     HEAP_ARGMAX,
@@ -68,7 +69,7 @@ def test_heap_matches_python_kernel_scan(instance):
     reference engine, which replaced the python kernel as the baseline."""
     answers, k, L, D = instance
     pool = ClusterPool(answers, L=L)
-    by_heap = bottom_up(pool, k, D, kernel="bitset", argmax="heap")
+    by_heap = bottom_up(pool, k, D, argmax="heap")
     by_reference = reference.bottom_up(pool, k, D)
     assert by_heap.patterns() == by_reference.patterns()
 
@@ -103,11 +104,15 @@ class TestArgmaxResolution:
         assert resolve_argmax("auto", answers) == HEAP_ARGMAX
 
     def test_auto_falls_back_to_scan_on_python_kernel(self):
-        """The python kernel is gone (4.0.0): an engine asked for it
-        raises instead of falling back to the scan."""
-        pool = ClusterPool(random_answer_set(n=20, m=3, domain=3, seed=1), 4)
+        """The python kernel is gone (4.0.0), and an engine takes no
+        kernel (5.0.0): it runs on its pool's, and a pool asked for the
+        python kernel raises instead of falling back to the scan."""
+        answers = random_answer_set(n=20, m=3, domain=3, seed=1)
+        engine = MergeEngine(ClusterPool(answers, 4), ())
+        assert engine.pool.kernel == "bitset"
+        assert engine.argmax == HEAP_ARGMAX
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            MergeEngine(pool, (), kernel="python")
+            ClusterPool(answers, 4, kernel="python")
 
     def test_auto_falls_back_to_scan_on_negative_values(self):
         answers = AnswerSet(
@@ -119,9 +124,12 @@ class TestArgmaxResolution:
         assert engine.argmax == SCAN_ARGMAX
 
     def test_explicit_heap_rejected_on_python_kernel(self):
-        pool = ClusterPool(random_answer_set(n=20, m=3, domain=3, seed=1), 4)
+        """Above the pool, ``ProblemInstance.solve`` takes the kernel that
+        picks the pool, and rejects the python kernel before any run."""
+        answers = random_answer_set(n=20, m=3, domain=3, seed=1)
+        instance = ProblemInstance(answers, k=2, L=4, D=1)
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            bottom_up(pool, 2, 1, kernel="python", argmax="heap")
+            instance.solve("bottom-up", kernel="python", argmax="heap")
 
     def test_explicit_heap_rejected_on_negative_values(self):
         answers = AnswerSet([(0, 0), (0, 1)], [2.0, -1.0])

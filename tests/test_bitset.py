@@ -176,11 +176,16 @@ class TestPoolMasksAndFallback:
     @pytest.mark.parametrize("strategy", ["eager", "naive", "lazy"])
     def test_pool_masks_match_coverage(self, strategy):
         """Every pattern's mask equals a direct covers() scan, on int and
-        dense pools, before and after extended()."""
+        dense pools, before and after extended().  ``"lazy"`` named the
+        eager mapping before 5.0.0; now the pool rejects it."""
         full = random_answer_set(n=56, m=4, domain=3, seed=6)
         rows = [full.decode(element) for element in full.elements]
         # Interleaved halves: the append lands rows inside the top-6.
         answers = AnswerSet.from_rows(rows[0::2], full.values[0::2])
+        if strategy == "lazy":
+            with pytest.raises(InvalidParameterError, match="unknown mapping"):
+                ClusterPool(answers, L=6, strategy=strategy)
+            return
         grown, delta = answers.extended(rows[1::2], full.values[1::2])
         for kernel in (None, "dense"):
             pool = ClusterPool(answers, L=6, strategy=strategy, kernel=kernel)
@@ -210,13 +215,12 @@ class TestPoolMasksAndFallback:
         packs its value masks in more than one slot group."""
         rows = [("r%d" % i, "c%d" % (i % 3)) for i in range(400)]
         answers = AnswerSet.from_rows(rows, [400.0 - i for i in range(400)])
-        for strategy in ("eager", "lazy"):
-            pool = ClusterPool(answers, L=300, strategy=strategy)
-            for pattern in pool.patterns():
-                assert pool.mask(pattern) == bitset_of(
-                    index for index, element in enumerate(answers.elements)
-                    if covers(pattern, element)
-                ), (strategy, pattern)
+        pool = ClusterPool(answers, L=300)
+        for pattern in pool.patterns():
+            assert pool.mask(pattern) == bitset_of(
+                index for index, element in enumerate(answers.elements)
+                if covers(pattern, element)
+            ), pattern
 
     def test_pool_cluster_carries_mask(self):
         answers = random_answer_set(n=30, m=4, domain=3, seed=6)
@@ -273,12 +277,18 @@ class TestPoolMasksAndFallback:
 
 class TestKernelWiring:
     def test_merge_engine_rejects_unknown_kernel(self):
+        """The engine takes no kernel: it runs on its pool's.  An unknown
+        name is rejected where a kernel is still an input, the pool."""
         from repro.core.merge import MergeEngine
 
         answers = random_answer_set(n=12, m=3, domain=3, seed=2)
-        pool = ClusterPool(answers, L=3)
+        for kernel in ("bitset", "dense"):
+            pool = ClusterPool(answers, L=3, kernel=kernel)
+            engine = MergeEngine(pool, (pool.singleton(0),))
+            assert engine.pool.kernel == resolve_kernel(kernel)
+            assert type(engine.snapshot().mask) is type(pool.as_mask(0))
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            MergeEngine(pool, (), kernel="bogus")
+            ClusterPool(answers, L=3, kernel="bogus")
 
     def test_service_reports_kernel_and_phases(self):
         from repro.service import Engine, SummaryRequest

@@ -1,8 +1,8 @@
 """Chaos tests: fault injection driven through the real serving stack.
 
 Where ``test_resilience.py`` exercises the resilience primitives in
-isolation, this suite arms :mod:`repro.common.faults` rules and drives
-the *assembled* system — scheduler worker pools, the TCP transport, the
+isolation, this suite arms :mod:`repro.common.faults` rules in process
+(no wire request can arm them) and drives the *assembled* system — scheduler worker pools, the TCP transport, the
 HTTP front door — asserting the failure is contained: workers restart,
 poisoned requests are quarantined, injected I/O errors become typed
 responses, and no client ever hangs.
@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.common import faults
+from repro.common.errors import InvalidParameterError
 from repro.server import (
     BackgroundServer,
     LineClient,
@@ -115,12 +116,8 @@ class TestWorkerCrashResilience:
         server = TCPServer(engine, shards=1)
         with BackgroundServer(server) as handle:
             with LineClient(handle.host, handle.port, timeout=15) as client:
-                armed = client.request(
-                    {"kind": "faults",
-                     "arm": "scheduler.worker=crash:1:0:1"}
-                )
-                assert armed["kind"] == "faults"
-                assert len(armed["armed"]) == 1
+                armed = faults.arm_from_spec("scheduler.worker=crash:1:0:1")
+                assert len(armed) == 1
                 response = client.request(dict(SUMMARY))
                 assert response["kind"] == "summary_response"
                 for k in (2, 3):
@@ -202,41 +199,49 @@ class TestInjectedFaults:
             handle.stop()
 
 
-# -- the faults admin kind over the wire --------------------------------------
+# -- arming is in process only -------------------------------------------------
+
+
+def assert_unknown_kind(response):
+    """A ``faults`` request is an unknown kind: it arms nothing."""
+    assert response["error_type"] == "SchemaError"
+    assert response["message"].startswith("unknown request kind 'faults'")
+    assert faults.describe() == []
 
 
 class TestFaultsAdminKind:
+    """The ``faults`` admin kind is gone: one client could arm faults
+    that every other client (every tenant) then hit."""
+
     def test_arm_describe_clear_round_trip(self):
         dispatcher = Dispatcher(make_engine())
-        armed = dispatcher.dispatch_payload({
-            "kind": "faults",
-            "arm": "engine.compute=latency:0.5:20", "seed": 9,
-        }).response
-        assert armed["kind"] == "faults"
-        assert armed["armed"][0]["site"] == "engine.compute"
-        listing = dispatcher.dispatch_payload({"kind": "faults"}).response
-        assert listing["armed"] == armed["armed"]
-        cleared = dispatcher.dispatch_payload(
-            {"kind": "faults", "clear": True}
-        ).response
-        assert cleared["armed"] == []
+        for request in (
+            {"kind": "faults", "arm": "engine.compute=latency:0.5:20",
+             "seed": 9},
+            {"kind": "faults"},
+            {"kind": "faults", "clear": True},
+        ):
+            assert_unknown_kind(dispatcher.dispatch_payload(request).response)
+        armed = faults.arm_from_spec("engine.compute=latency:0.5:20", seed=9)
+        assert [rule.site for rule in armed] == ["engine.compute"]
+        assert faults.describe()[0]["site"] == "engine.compute"
+        faults.clear()
+        assert faults.describe() == []
 
     def test_malformed_specs_are_schema_errors(self):
         dispatcher = Dispatcher(make_engine())
-        bad_arm = dispatcher.dispatch_payload(
-            {"kind": "faults", "arm": 7}
-        ).response
-        assert bad_arm["error_type"] == "SchemaError"
-        bad_seed = dispatcher.dispatch_payload(
-            {"kind": "faults", "arm": "tcp.write=error", "seed": "x"}
-        ).response
-        assert bad_seed["error_type"] == "SchemaError"
-        bad_site = dispatcher.dispatch_payload(
-            {"kind": "faults", "arm": "nope=error"}
-        ).response
-        assert bad_site["error_type"] == "InvalidParameterError"
+        for request in (
+            {"kind": "faults", "arm": 7},
+            {"kind": "faults", "arm": "tcp.write=error", "seed": "x"},
+            {"kind": "faults", "arm": "nope=error"},
+        ):
+            assert_unknown_kind(dispatcher.dispatch_payload(request).response)
+        with pytest.raises(InvalidParameterError):
+            faults.arm_from_spec("nope=error")
 
     def test_faults_kind_requires_auth_on_secured_server(self):
+        """On a token-secured server the kind still needs a token, like
+        every kind but ping, and then arms nothing for any tenant."""
         dispatcher = Dispatcher(
             make_engine(), auth=AuthService({"tok": "op"})
         )
@@ -245,12 +250,12 @@ class TestFaultsAdminKind:
         ).response
         assert denied["error_type"] == "AuthError"
         assert faults.describe() == []
-        allowed = dispatcher.dispatch_payload(
+        assert_unknown_kind(dispatcher.dispatch_payload(
             {"kind": "faults", "arm": "engine.compute=error",
              "auth": "tok"}
-        ).response
-        assert allowed["kind"] == "faults"
-        assert len(allowed["armed"]) == 1
+        ).response)
+        served = dispatcher.dispatch_payload(dict(SUMMARY, auth="tok"))
+        assert served.response["kind"] == "summary_response"
 
 
 # -- retrying client against a chaotic server ---------------------------------
@@ -266,12 +271,11 @@ class TestRetryingClientUnderChaos:
         engine = make_engine()
         server = TCPServer(engine, shards=2)
         with BackgroundServer(server) as handle:
-            with LineClient(handle.host, handle.port) as admin:
-                admin.request({
-                    "kind": "faults", "seed": 13,
-                    "arm": ("scheduler.worker=crash:0.2:0:2;"
-                            "engine.compute=latency:0.3:20"),
-                })
+            faults.arm_from_spec(
+                "scheduler.worker=crash:0.2:0:2;"
+                "engine.compute=latency:0.3:20",
+                seed=13,
+            )
             outcomes: list[str] = []
             lock = threading.Lock()
 

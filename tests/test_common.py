@@ -1,10 +1,6 @@
-"""Tests for the shared utilities (errors, timing)."""
+"""Tests for the shared utilities (errors)."""
 
 from __future__ import annotations
-
-import time
-
-import pytest
 
 from repro.common.errors import (
     InfeasibleError,
@@ -13,7 +9,6 @@ from repro.common.errors import (
     ReproError,
     SchemaError,
 )
-from repro.common.timing import Stopwatch, timed
 
 
 class TestErrors:
@@ -29,40 +24,3 @@ class TestErrors:
         assert issubclass(InvalidParameterError, ValueError)
         assert issubclass(SchemaError, ValueError)
         assert issubclass(QueryError, ValueError)
-
-
-class TestStopwatch:
-    def test_phases_accumulate(self):
-        watch = Stopwatch()
-        with watch.phase("a"):
-            time.sleep(0.01)
-        with watch.phase("a"):
-            time.sleep(0.01)
-        with watch.phase("b"):
-            pass
-        assert watch.seconds("a") >= 0.02
-        assert watch.seconds("b") >= 0.0
-        assert set(watch.totals()) == {"a", "b"}
-
-    def test_unknown_phase_is_zero(self):
-        assert Stopwatch().seconds("never") == 0.0
-
-    def test_reset(self):
-        watch = Stopwatch()
-        with watch.phase("a"):
-            pass
-        watch.reset()
-        assert watch.totals() == {}
-
-    def test_phase_records_on_exception(self):
-        watch = Stopwatch()
-        with pytest.raises(RuntimeError):
-            with watch.phase("x"):
-                raise RuntimeError("boom")
-        assert watch.seconds("x") >= 0.0
-
-
-def test_timed_returns_result_and_elapsed():
-    result, elapsed = timed(lambda: 41 + 1)
-    assert result == 42
-    assert elapsed >= 0.0

@@ -177,6 +177,21 @@ class TestCli:
         assert excinfo.value.code == EXIT_PARAM_ERROR == 2
         assert "python" in capsys.readouterr().err
 
+    def test_kernel_applies_to_every_algorithm(self, answers_csv, capsys):
+        """``--kernel`` picks the pool for every algorithm, lower-bound
+        included: no "--kernel ignored" warning, and the response
+        reports the pool's kernel."""
+        from repro.core.bitset import resolve_kernel
+
+        code = main([str(answers_csv), "-k", "3", "-L", "4", "-D", "1",
+                     "--algorithm", "lower-bound", "--kernel", "dense",
+                     "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        response = json.loads(captured.out)
+        assert response["kernel"] == resolve_kernel("dense")
+
     def test_algorithm_choices_come_from_registry(self):
         from repro.core.registry import algorithm_names
 

@@ -256,6 +256,10 @@ class TestKernelResolution:
 class TestDensePools:
     def test_masks_match_bitset_pool(self, backend, strategy):
         answers = random_answer_set(n=40, m=4, domain=3, seed=6)
+        if strategy == "lazy":  # the eager mapping's alias before 5.0.0
+            with pytest.raises(InvalidParameterError, match="unknown mapping"):
+                ClusterPool(answers, L=6, strategy=strategy, kernel="dense")
+            return
         reference = ClusterPool(answers, L=6, strategy=strategy)
         pool = ClusterPool(answers, L=6, strategy=strategy, kernel="dense")
         assert pool.kernel == DENSE_KERNEL
@@ -274,14 +278,18 @@ class TestDensePools:
 @needs_numpy
 class TestEnginePoolMatching:
     def test_dense_engine_rejects_int_pool(self, tiny_answers):
+        """An engine takes no kernel: over an int pool it runs bitset."""
         pool = ClusterPool(tiny_answers, L=4)
-        with pytest.raises(InvalidParameterError, match="representation"):
-            MergeEngine(pool, (), kernel="dense")
+        engine = MergeEngine(pool, (pool.singleton(0),))
+        assert engine.pool.kernel == BITSET_KERNEL
+        assert isinstance(engine.snapshot().mask, int)
 
     def test_bitset_engine_rejects_dense_pool(self, tiny_answers):
+        """... and over a dense pool it runs on packed blocks."""
         pool = ClusterPool(tiny_answers, L=4, kernel="dense")
-        with pytest.raises(InvalidParameterError, match="representation"):
-            MergeEngine(pool, (), kernel="bitset")
+        engine = MergeEngine(pool, (pool.singleton(0),))
+        assert engine.pool.kernel == DENSE_KERNEL
+        assert isinstance(engine.snapshot().mask, dense.BitBlocks)
 
     def test_python_kernel_tolerates_dense_pool(self, tiny_answers):
         """The reference engine, which replaced the python kernel as the
@@ -293,13 +301,20 @@ class TestEnginePoolMatching:
         on_int = reference.bottom_up(int_pool, 2, 1)
         assert on_dense.patterns() == on_int.patterns()
         assert on_int.patterns() == bottom_up(int_pool, 2, 1).patterns()
+        assert on_int.patterns() == bottom_up(dense_pool, 2, 1).patterns()
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            bottom_up(dense_pool, 2, 1, kernel="python")
+            ClusterPool(tiny_answers, L=4, kernel="python")
 
     def test_brute_force_requires_matching_pool(self, tiny_answers):
-        pool = ClusterPool(tiny_answers, L=3)
-        with pytest.raises(InvalidParameterError, match="representation"):
-            brute_force(pool, 2, 1, kernel="dense")
+        """Brute force runs on its pool's representation and finds the
+        same optimum on both."""
+        int_pool = ClusterPool(tiny_answers, L=3)
+        dense_pool = ClusterPool(tiny_answers, L=3, kernel="dense")
+        on_int = brute_force(int_pool, 2, 1)
+        on_dense = brute_force(dense_pool, 2, 1)
+        assert isinstance(on_int.mask, int)
+        assert isinstance(on_dense.mask, dense.BitBlocks)
+        assert on_dense.patterns() == on_int.patterns()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_engine_accessors_on_dense_masks(self, tiny_answers, backend):
@@ -307,9 +322,7 @@ class TestEnginePoolMatching:
         covered_indices, is_fully_covered) works on packed-block masks —
         regression test: is_covered used the int-only shift expression."""
         pool = ClusterPool(tiny_answers, L=4, kernel="dense")
-        engine = MergeEngine(
-            pool, (pool.singleton(i) for i in range(4)), kernel="dense"
-        )
+        engine = MergeEngine(pool, (pool.singleton(i) for i in range(4)))
         int_pool = ClusterPool(tiny_answers, L=4)
         reference = MergeEngine(
             int_pool, (int_pool.singleton(i) for i in range(4))
@@ -323,13 +336,10 @@ class TestEnginePoolMatching:
     def test_heap_argmax_allowed_on_dense(self, tiny_answers):
         pool = ClusterPool(tiny_answers, L=4, kernel="dense")
         engine = MergeEngine(
-            pool,
-            (pool.singleton(i) for i in range(4)),
-            kernel="dense",
-            argmax="heap",
+            pool, (pool.singleton(i) for i in range(4)), argmax="heap"
         )
         assert engine.argmax == "heap"
-        assert engine.kernel == DENSE_KERNEL
+        assert engine.pool.kernel == DENSE_KERNEL
 
 
 @needs_numpy

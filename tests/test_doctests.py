@@ -6,7 +6,6 @@ import doctest
 
 import pytest
 
-import repro.common.timing
 import repro.core.bitset
 import repro.core.dense
 import repro.core.merge
@@ -19,7 +18,6 @@ import repro.service.engine
     "module",
     [
         repro.core.problem,
-        repro.common.timing,
         repro.core.bitset,
         pytest.param(
             repro.core.dense,

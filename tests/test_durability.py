@@ -596,7 +596,7 @@ class TestHttpReadinessAndRetryAfter:
         lifecycle = ServerLifecycle()
         engine, manager = durable_engine(tmp_path)
         handle = BackgroundWebServer(WebServer(
-            engine, port=0, shards=1, workers_per_shard=1,
+            engine, port=0, shards=1,
             durability=manager, lifecycle=lifecycle,
         )).start()
         try:
@@ -620,7 +620,7 @@ class TestHttpReadinessAndRetryAfter:
         engine = Engine()
         engine.register_dataset("paper", paper_like_answers())
         handle = BackgroundWebServer(WebServer(
-            engine, port=0, shards=1, workers_per_shard=1,
+            engine, port=0, shards=1,
         )).start()
         try:
             status, _, payload = http_get_with_headers(handle, "/healthz")
@@ -632,7 +632,7 @@ class TestHttpReadinessAndRetryAfter:
     def test_shutting_down_is_503_with_retry_after(self, tmp_path):
         engine, manager = durable_engine(tmp_path)
         handle = BackgroundWebServer(WebServer(
-            engine, port=0, shards=1, workers_per_shard=1,
+            engine, port=0, shards=1,
             durability=manager,
         )).start()
         try:

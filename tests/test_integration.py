@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import InvalidParameterError
 from repro.core.problem import ProblemInstance
 from repro.core.semilattice import ClusterPool
 from repro.core.solution import check_feasibility
@@ -118,6 +119,9 @@ class TestStudyPipeline:
 
 class TestLazyStrategyEndToEnd:
     def test_lazy_pool_supports_full_pipeline(self, movielens_db):
+        """The eager mapping derives each mask on first read (it was also
+        named ``"lazy"`` before 5.0.0, a name the pool now rejects): it
+        runs the pipeline to the naive mapping's answer."""
         result = execute_sql(
             "SELECT hdec, agegrp, gender, avg(rating) AS val "
             "FROM RatingTable GROUP BY hdec, agegrp, gender "
@@ -127,7 +131,9 @@ class TestLazyStrategyEndToEnd:
         answers = result.to_answer_set()
         L = min(10, answers.n)
         eager = ClusterPool(answers, L=L, strategy="eager")
-        lazy = ClusterPool(answers, L=L, strategy="lazy")
+        naive = ClusterPool(answers, L=L, strategy="naive")
         from repro.core.hybrid import hybrid
 
-        assert hybrid(eager, 4, 2).patterns() == hybrid(lazy, 4, 2).patterns()
+        assert hybrid(eager, 4, 2).patterns() == hybrid(naive, 4, 2).patterns()
+        with pytest.raises(InvalidParameterError, match="unknown mapping"):
+            ClusterPool(answers, L=L, strategy="lazy")

@@ -93,8 +93,7 @@ def _check_every_pick(instance) -> None:
         return picked
 
     with mock.patch.object(MergeEngine, "best_merge_target", checked):
-        runs = [hybrid(pool, k, D, kernel=kernel),
-                fixed_order(pool, k, D, kernel=kernel)]
+        runs = [hybrid(pool, k, D), fixed_order(pool, k, D)]
     # Every pick went through the patched name: none bypassed the check.
     assert len(checks) == sum(run.stats["target_rounds"] for run in runs)
 
@@ -165,8 +164,8 @@ def test_place_adds_and_merges_as_the_two_pass_reference(instance):
     the same add-or-merge decision and the same target, step by step."""
     answers, budget, L, D, kernel = instance
     pool = ClusterPool(answers, L=L, kernel=kernel)
-    engine = MergeEngine(pool, (), kernel=kernel)
-    reference = MergeEngine(pool, (), kernel=kernel, argmax="scan")
+    engine = MergeEngine(pool, ())
+    reference = MergeEngine(pool, (), argmax="scan")
     for index in answers.top(L):
         incoming = pool.singleton(index)
         assert engine.is_covered(index) == reference.is_fully_covered(incoming)
@@ -203,12 +202,10 @@ def test_covered_sum_is_the_covered_value_sum_after_every_step(
         real(engine)
 
     with mock.patch.object(MergeEngine, "_advance_round", checked):
-        hybrid(pool, budget, D, kernel=kernel)
-        bottom_up(pool, budget, D, kernel=kernel)
-        fixed_order(pool, budget, D, kernel=kernel)
-        engine = MergeEngine(
-            pool, (pool.singleton(i) for i in answers.top(L)), kernel=kernel
-        )
+        hybrid(pool, budget, D)
+        bottom_up(pool, budget, D)
+        fixed_order(pool, budget, D)
+        engine = MergeEngine(pool, (pool.singleton(i) for i in answers.top(L)))
         while engine.size > 1:
             pairs = engine.all_pairs()
             for pair in rng.sample(pairs, min(3, len(pairs))):

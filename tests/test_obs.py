@@ -491,8 +491,7 @@ class TestSchedulerTracing:
             return engine.submit_dict(payload)
 
         scheduler = ShardedScheduler(
-            gated_submit, shards=1, workers_per_shard=1,
-            telemetry=telemetry,
+            gated_submit, shards=1, telemetry=telemetry,
         )
         try:
             dispatcher = Dispatcher(

@@ -62,6 +62,21 @@ class TestRegistryContents:
             for option in info.kwargs:
                 assert option in parameters, (info.name, option)
 
+    def test_no_runner_takes_a_kernel(self):
+        """The pool is the kernel: no runner declares or takes one, and
+        each runs on its pool's mask representation."""
+        answers = random_answer_set(n=25, m=4, domain=3, seed=9)
+        for kernel in ("bitset", "dense"):
+            pool = ClusterPool(answers, L=5, kernel=kernel)
+            for info in algorithm_infos():
+                assert "kernel" not in info.kwargs, info.name
+                parameters = inspect.signature(info.runner).parameters
+                assert "kernel" not in parameters, info.name
+                solution = info.runner(pool, 3, 1)
+                assert type(solution.mask) is type(pool.as_mask(0)), (
+                    info.name, kernel
+                )
+
     def test_describe_is_json_friendly(self):
         import json
 
@@ -157,6 +172,67 @@ class TestKwargsValidation:
             instance = ProblemInstance(answers, k=3, L=6, D=1)
             solution = instance.solve(name, **options)
             assert solution.size >= 1
+
+
+class TestKernelPicksThePool:
+    """``kernel`` is an input only where it picks a pool: ``ClusterPool``,
+    ``ProblemInstance.solve`` and, on the wire, ``options.kernel``,
+    which every algorithm accepts and whose pool it reports."""
+
+    @pytest.mark.parametrize("kernel", ["bitset", "dense"])
+    @pytest.mark.parametrize("name", sorted(PAPER_ALGORITHMS))
+    def test_every_algorithm_takes_options_kernel(self, name, kernel):
+        from repro.core.bitset import resolve_kernel
+        from repro.service import Engine
+
+        answers = random_answer_set(n=25, m=4, domain=3, seed=9)
+        engine = Engine()
+        engine.register_dataset("d", answers)
+        response = engine.submit_dict({
+            "schema_version": 2, "kind": "summary", "dataset": "d",
+            "k": 3, "L": 5, "D": 1, "algorithm": name,
+            "options": {"kernel": kernel},
+        })
+        assert response["kind"] == "summary_response", response
+        assert response["kernel"] == resolve_kernel(kernel)
+        pool, _, hit = engine.checkout_pool("d", 5, kernel=kernel)
+        assert hit and pool.kernel == response["kernel"]
+        direct = ProblemInstance(answers, k=3, L=5, D=1).solve(
+            name, kernel=kernel
+        )
+        assert response["objective"] == direct.avg
+
+    @pytest.mark.parametrize("kernel", ["python", "bogus"])
+    def test_unknown_kernel_rejected_where_it_is_an_input(self, kernel):
+        from repro.service import Engine
+
+        answers = random_answer_set(n=25, m=4, domain=3, seed=9)
+        with pytest.raises(InvalidParameterError, match="unknown kernel"):
+            ClusterPool(answers, L=5, kernel=kernel)
+        instance = ProblemInstance(answers, k=3, L=5, D=1)
+        for name in ("hybrid", "lower-bound"):
+            with pytest.raises(InvalidParameterError,
+                               match="unknown kernel"):
+                instance.solve(name, kernel=kernel)
+        engine = Engine()
+        engine.register_dataset("d", answers)
+        response = engine.submit_dict({
+            "schema_version": 2, "kind": "summary", "dataset": "d",
+            "k": 3, "L": 5, "D": 1, "algorithm": "lower-bound",
+            "options": {"kernel": kernel},
+        })
+        assert response["error_type"] == "InvalidParameterError"
+        assert engine.stats().pools.size == 0
+
+    def test_kernel_is_not_an_algorithm_option(self):
+        """``kernel`` passed as a runner option (not the pool's keyword)
+        is unsupported, and the message no longer lists it."""
+        with pytest.raises(InvalidParameterError) as excinfo:
+            validate_algorithm_kwargs("hybrid", {"kernel": "bitset"})
+        assert str(excinfo.value) == (
+            "algorithm 'hybrid' got unsupported option(s) ['kernel']; "
+            "supported: ['argmax', 'pool_factor', 'use_delta']"
+        )
 
 
 class TestProblemInstanceDefaults:

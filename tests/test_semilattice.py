@@ -53,6 +53,10 @@ class TestGeneration:
 class TestCoverageMapping:
     @pytest.mark.parametrize("strategy", ["eager", "naive", "lazy"])
     def test_coverage_matches_definition(self, small_answers, strategy):
+        if strategy == "lazy":  # the eager mapping's alias before 5.0.0
+            with pytest.raises(InvalidParameterError, match="unknown mapping"):
+                ClusterPool(small_answers, L=5, strategy=strategy)
+            return
         pool = ClusterPool(small_answers, L=5, strategy=strategy)
         for pattern in pool.patterns():
             expected = frozenset(
@@ -66,10 +70,8 @@ class TestCoverageMapping:
         answers = random_answer_set(n=40, m=4, domain=3, seed=11)
         eager = ClusterPool(answers, L=6, strategy="eager")
         naive = ClusterPool(answers, L=6, strategy="naive")
-        lazy = ClusterPool(answers, L=6, strategy="lazy")
         for pattern in eager.patterns():
             assert eager.coverage(pattern) == naive.coverage(pattern)
-            assert eager.coverage(pattern) == lazy.coverage(pattern)
 
     @pytest.mark.parametrize("kernel", [None, "dense"])
     def test_racing_first_reads_derive_correct_masks(self, kernel):

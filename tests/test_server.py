@@ -91,7 +91,7 @@ class TestScheduler:
             return {"kind": "x", "echo": payload["k"]}
 
         scheduler = ShardedScheduler(
-            slow_submit, shards=1, workers_per_shard=1, queue_depth=4
+            slow_submit, shards=1, queue_depth=4
         )
         try:
             payload = dict(SUMMARY)
@@ -119,7 +119,7 @@ class TestScheduler:
             return {"kind": "x"}
 
         scheduler = ShardedScheduler(
-            slow_submit, shards=1, workers_per_shard=1, queue_depth=1
+            slow_submit, shards=1, queue_depth=1
         )
         try:
             scheduler.submit({"kind": "summary", "dataset": "a", "k": 1})
@@ -152,7 +152,7 @@ class TestScheduler:
             return {"kind": "x"}
 
         scheduler = ShardedScheduler(
-            submit, shards=1, workers_per_shard=1, queue_depth=8,
+            submit, shards=1, queue_depth=8,
             coalesce=False,
         )
         try:

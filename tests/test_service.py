@@ -24,12 +24,7 @@ from repro.service import (
     parse_response,
     serve,
 )
-from repro.service.serve import serve_line
-from tests.conftest import (
-    paper_like_answers,
-    random_answer_set,
-    zero_timings,
-)
+from tests.conftest import paper_like_answers, random_answer_set
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -225,28 +220,35 @@ class TestEngineCaching:
         assert first is second
 
     def test_eager_and_lazy_share_cached_state(self, engine):
-        """``lazy`` names the ``eager`` mapping: the second name hits the
-        pool and store the first built, an append carries one pool, and
-        the answers match once timings are zeroed."""
+        """``lazy`` named the ``eager`` mapping before 5.0.0; now it is an
+        unknown mapping on every kind, answered before any pool or store
+        is built, and the eager requests after it build one of each."""
         summary = {"schema_version": 2, "kind": "summary",
                    "dataset": "paper", "k": 2, "L": 4, "D": 1}
         explore = {"schema_version": 2, "kind": "explore",
                    "dataset": "paper", "k": 3, "L": 4, "D": 1,
                    "k_range": [2, 4], "d_values": [1, 2]}
+        guidance = {"schema_version": 2, "kind": "guidance",
+                    "dataset": "paper", "L": 4, "k_range": [2, 4],
+                    "d_values": [1, 2]}
+        for payload in (summary, explore, guidance):
+            lazy = engine.submit_dict(dict(payload, mapping="lazy"))
+            assert lazy["error_type"] == "InvalidParameterError"
+            assert lazy["message"] == (
+                "unknown mapping strategy 'lazy'; expected one of "
+                "('eager', 'naive')"
+            )
+        stats = engine.stats()
+        assert (stats.pools.size, stats.pools.misses) == (0, 0)
+        assert (stats.stores.size, stats.stores.misses) == (0, 0)
         for payload in (summary, explore):
             eager = engine.submit_dict(dict(payload, mapping="eager"))
-            lazy = engine.submit_dict(dict(payload, mapping="lazy"))
-            assert (eager.pop("cache_hit"), lazy.pop("cache_hit")) == (
-                False, True
-            )
-            assert zero_timings(lazy) == zero_timings(eager)
+            assert eager["kind"] == "summary_response"
         stats = engine.stats()
         assert (stats.pools.size, stats.pools.misses) == (1, 1)
         assert (stats.stores.size, stats.stores.misses) == (1, 1)
-        pool, _, hit = engine.checkout_pool("paper", 4, "lazy")
-        assert hit and pool.strategy == "eager"
-        appended = engine.append_rows("paper", [("2000s", "poet")], [1.0])
-        assert appended["pools_maintained"] == 1
+        with pytest.raises(InvalidParameterError, match="unknown mapping"):
+            engine.checkout_pool("paper", 4, "lazy")
 
     def test_lru_eviction_bounds_pool_cache(self):
         eng = Engine(max_pools=2)
@@ -318,7 +320,7 @@ class TestEngineValidation:
             assert response["error_type"] == "InvalidParameterError"
             assert response["message"] == (
                 "unknown mapping strategy 'bogus'; expected one of "
-                "('eager', 'naive', 'lazy')"
+                "('eager', 'naive')"
             )
         stats = engine.stats()
         assert (stats.pools.size, stats.stores.size) == (0, 0)
@@ -606,10 +608,6 @@ class TestServeLoopTermination:
             "auth": 0, "quota": 0, "deadline": 0, "draining": 0,
         }
         assert "coalesced" in stats["pools"]
-
-    def test_serve_line_compat_wrapper(self, engine):
-        assert serve_line(engine, "\n") is None
-        assert serve_line(engine, '{"kind": "ping"}')["kind"] == "pong"
 
 
 class TestSessionEngineSharing:

@@ -613,8 +613,7 @@ class TestTCPDrain:
         admitted before the shutdown still gets its real response."""
         import threading
 
-        server = TCPServer(make_engine(), port=0, shards=1,
-                           workers_per_shard=1)
+        server = TCPServer(make_engine(), port=0, shards=1)
         handle = BackgroundServer(server).start()
         slow = {"schema_version": 2, "kind": "summary", "dataset": "other",
                 "k": 4, "L": 30, "D": 1}
