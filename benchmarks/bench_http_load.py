@@ -54,10 +54,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))  # for tests.conftest (shared helpers)
 
 from repro.datasets.loader import synthetic_answer_set  # noqa: E402
+from repro.server import BackgroundServer  # noqa: E402
 from repro.service import Engine, serve  # noqa: E402
 from repro.web import (  # noqa: E402
     AuthService,
-    BackgroundWebServer,
     QuotaService,
     WebServer,
 )
@@ -149,7 +149,7 @@ def run_scenario(
         engine, port=0, auth=auth, quota=quota,
         queue_depth=max(64, quota_capacity * 2),
     )
-    handle = BackgroundWebServer(server).start()
+    handle = BackgroundServer(server).start()
     base = "http://%s:%d" % (handle.host, handle.port)
     trace = analyst_trace(smoke)
 
@@ -304,7 +304,7 @@ def check_transport_parity() -> dict:
         for line in stdio_out.getvalue().splitlines()
     ]
 
-    handle = BackgroundWebServer(WebServer(fresh_engine(), port=0)).start()
+    handle = BackgroundServer(WebServer(fresh_engine(), port=0)).start()
     base = "http://%s:%d" % (handle.host, handle.port)
     http_responses = []
     try:

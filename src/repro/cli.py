@@ -324,11 +324,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "error_type=LineTooLong (default %(default)s)",
     )
     parser.add_argument(
-        "--no-coalesce", action="store_true",
-        help="TCP mode: disable single-flight coalescing of identical "
-        "in-flight requests (baseline/debugging)",
-    )
-    parser.add_argument(
         "--trace", action="store_true",
         help="arm end-to-end request tracing: every analytical request "
         "builds a span tree (queue wait, compute, engine phases) kept in "
@@ -380,8 +375,6 @@ def _parse_host_port(value: str, flag: str = "--tcp") -> tuple[str, int]:
 
 
 def serve_main(argv: list[str] | None = None) -> int:
-    import asyncio
-
     from repro.service.serve import serve
 
     from repro.server.lifecycle import ServerLifecycle
@@ -469,106 +462,55 @@ def serve_main(argv: list[str] | None = None) -> int:
     except ReproError as error:
         print("error: %s" % error, file=sys.stderr)
         return EXIT_PARAM_ERROR
-    if http is not None:
-        from repro.server.tcp import BackgroundServer, TCPServer
-        from repro.web.http import WebServer
+    if tcp is not None or http is not None:
+        from repro.server.network import BackgroundServer
+
+        # Each transport builds its own serving stack over the shared
+        # engine; the services below are shared, so the quota budget
+        # spans both transports.
+        options = dict(
+            shards=args.shards,
+            queue_depth=args.queue_depth,
+            auth=auth,
+            quota=quota,
+            drain_timeout=args.drain_timeout,
+            default_deadline_ms=deadline_ms,
+            telemetry=telemetry,
+            durability=durability,
+            lifecycle=lifecycle,
+        )
+
+        def _announce(server) -> None:
+            print(json.dumps(server.ready_banner(), sort_keys=True),
+                  flush=True)
 
         background = None
-        if tcp is not None:
-            # HTTP is the foreground transport; TCP rides on a daemon
-            # thread sharing the engine (each transport has its own
-            # scheduler — auth/quota services are shared, so the quota
-            # budget spans both transports).
-            tcp_server = TCPServer(
-                engine,
-                tcp[0],
-                tcp[1],
-                shards=args.shards,
-                queue_depth=args.queue_depth,
-                max_line_bytes=args.max_line_bytes,
-                coalesce=not args.no_coalesce,
-                auth=auth,
-                quota=quota,
-                drain_timeout=args.drain_timeout,
-                default_deadline_ms=deadline_ms,
-                telemetry=telemetry,
-                durability=durability,
-                lifecycle=lifecycle,
-            )
-            background = BackgroundServer(tcp_server)
-        web = WebServer(
-            engine,
-            http[0],
-            http[1],
-            shards=args.shards,
-            queue_depth=args.queue_depth,
-            max_body_bytes=args.max_line_bytes,
-            coalesce=not args.no_coalesce,
-            auth=auth,
-            quota=quota,
-            session_dir=(
-                str(args.session_dir) if args.session_dir else None
-            ),
-            drain_timeout=args.drain_timeout,
-            default_deadline_ms=deadline_ms,
-            telemetry=telemetry,
-            durability=durability,
-            lifecycle=lifecycle,
-        )
-
-        def _announce_web(running: WebServer) -> None:
-            print(json.dumps(running.ready_banner(), sort_keys=True),
-                  flush=True)
-
         try:
-            if background is not None:
-                background.start()
-                print(
-                    json.dumps(
-                        background.server.ready_banner(), sort_keys=True
-                    ),
-                    flush=True,
+            if tcp is not None:
+                from repro.server.tcp import TCPServer
+
+                tcp_server = TCPServer(
+                    engine, *tcp, max_line_bytes=args.max_line_bytes,
+                    **options,
                 )
-            web.run(ready=_announce_web)
-        except KeyboardInterrupt:
-            pass
-        except OSError as error:
-            print("error: %s" % error, file=sys.stderr)
-            return EXIT_IO_ERROR
-        except (ReproError, ValueError) as error:
-            print("error: %s" % error, file=sys.stderr)
-            return EXIT_PARAM_ERROR
-        finally:
-            if background is not None:
-                background.stop()
-        return 0
-    if tcp is not None:
-        from repro.server.tcp import TCPServer
+            if http is None:
+                tcp_server.serve(ready=_announce)
+            else:
+                from repro.web.http import WebServer
 
-        host, port = tcp
-        server = TCPServer(
-            engine,
-            host,
-            port,
-            shards=args.shards,
-            queue_depth=args.queue_depth,
-            max_line_bytes=args.max_line_bytes,
-            coalesce=not args.no_coalesce,
-            auth=auth,
-            quota=quota,
-            drain_timeout=args.drain_timeout,
-            default_deadline_ms=deadline_ms,
-            telemetry=telemetry,
-            durability=durability,
-            lifecycle=lifecycle,
-        )
-
-        def _announce(running: TCPServer) -> None:
-            print(json.dumps(running.ready_banner(), sort_keys=True),
-                  flush=True)
-
-        try:
-            asyncio.run(server.run(ready=_announce))
+                web = WebServer(
+                    engine, *http, max_body_bytes=args.max_line_bytes,
+                    session_dir=(
+                        str(args.session_dir) if args.session_dir else None
+                    ),
+                    **options,
+                )
+                if tcp is not None:
+                    # HTTP is the foreground transport; TCP rides on a
+                    # daemon thread.
+                    background = BackgroundServer(tcp_server).start()
+                    _announce(tcp_server)
+                web.serve(ready=_announce)
         except KeyboardInterrupt:
             pass
         except OSError as error:  # bind failure: port in use, privileged...
@@ -577,6 +519,9 @@ def serve_main(argv: list[str] | None = None) -> int:
         except (ReproError, ValueError) as error:  # bad knob values
             print("error: %s" % error, file=sys.stderr)
             return EXIT_PARAM_ERROR
+        finally:
+            if background is not None:
+                background.stop()
         return 0
     banner = {
         "schema_version": SCHEMA_VERSION,

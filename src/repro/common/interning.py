@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable, Sequence
 
+from repro.common.errors import SchemaError
+
 #: Integer code reserved for the don't-care value ``*`` in cluster patterns.
 STAR = -1
 
@@ -97,9 +99,10 @@ class AttributeCodec:
         return len(self._interners[index])
 
     def encode(self, row: Sequence[Any]) -> tuple[int, ...]:
-        """Intern every value of *row* and return the code tuple."""
+        """Intern every value of *row* and return the code tuple; a row
+        of another arity is a :class:`SchemaError`."""
         if len(row) != self.arity:
-            raise ValueError(
+            raise SchemaError(
                 "row arity %d != codec arity %d" % (len(row), self.arity)
             )
         return tuple(

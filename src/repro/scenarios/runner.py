@@ -5,13 +5,14 @@ The runner is the load-bearing half of the scenario harness:
 1. Build the dataset and compile the trace (:mod:`repro.scenarios.trace`).
 2. Execute it over the spec's transport — stdio (in-process
    :class:`~repro.service.serve.Dispatcher`), TCP
-   (:class:`~repro.server.tcp.BackgroundServer` + one
+   (:class:`~repro.server.tcp.TCPServer` on a
+   :class:`~repro.server.network.BackgroundServer` + one
    :class:`~repro.server.client.LineClient` per client thread), or HTTP
-   (:class:`~repro.web.http.BackgroundWebServer` + one connection per
-   client thread).  Clients run concurrently within an epoch; epochs are
-   separated by barriers so append batches land *between* traffic bursts
-   with every client quiesced — the live-update scenario of the paper's
-   interactive setting.
+   (:class:`~repro.web.http.WebServer` on a ``BackgroundServer`` + one
+   connection per client thread).  Clients run concurrently within an
+   epoch; epochs are separated by barriers so append batches land
+   *between* traffic bursts with every client quiesced — the live-update
+   scenario of the paper's interactive setting.
 3. Replay the identical trace single-threaded on a fresh engine and
    compare every response (timings zeroed, cache-hit flags dropped):
    concurrency, coalescing, and incremental append maintenance must be
@@ -239,7 +240,7 @@ def _run_tcp(
     trace: Trace, engine, telemetry: Telemetry
 ) -> tuple[_Recorder, dict[str, Any]]:
     from repro.server.client import LineClient
-    from repro.server.tcp import BackgroundServer, TCPServer
+    from repro.server import BackgroundServer, TCPServer
 
     recorder = _Recorder(trace.spec.clients)
     with BackgroundServer(
@@ -278,10 +279,11 @@ def _run_http(
 ) -> tuple[_Recorder, dict[str, Any]]:
     import http.client
 
-    from repro.web.http import BackgroundWebServer, WebServer
+    from repro.server import BackgroundServer
+    from repro.web.http import WebServer
 
     recorder = _Recorder(trace.spec.clients)
-    server = BackgroundWebServer(
+    server = BackgroundServer(
         WebServer(engine, port=0, telemetry=telemetry)
     ).start()
     try:

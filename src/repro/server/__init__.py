@@ -1,14 +1,18 @@
-"""Server subsystem: the concurrent TCP serving tier over the engine.
+"""Server subsystem: the concurrent network serving tier over the engine.
 
 The paper's system is interactive and multi-user — many analysts issuing
 summarize/explore requests against shared precomputed state.  This
 package is that serving tier, layered strictly on top of
 :mod:`repro.service` (which stays transport-free):
 
+``repro.server.network``
+    :class:`NetworkServer`: the serving stack every network transport
+    shares (scheduler, dispatcher, metrics, telemetry registry, drain,
+    stats, banner), plus :class:`BackgroundServer` for running any
+    transport from synchronous code.
 ``repro.server.tcp``
-    :class:`TCPServer`: asyncio transport speaking the schema-v2
-    JSON-lines wire protocol to many concurrent clients, plus
-    :class:`BackgroundServer` for running it from synchronous code.
+    :class:`TCPServer`: asyncio framing of the schema-v2 JSON-lines
+    wire protocol for many concurrent clients.
 ``repro.server.scheduler``
     :class:`ShardedScheduler`: per-dataset shard worker pools with
     bounded queues and ``Overloaded`` admission control.
@@ -36,13 +40,14 @@ Quickstart::
 from repro.common.errors import Overloaded, TransportError
 from repro.server.client import LineClient, RetryingClient
 from repro.server.metrics import LatencyHistogram, ServerMetrics
+from repro.server.network import BackgroundServer, NetworkServer
 from repro.server.scheduler import (
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_SHARDS,
     ShardedScheduler,
 )
 from repro.server.singleflight import SingleFlight, request_key
-from repro.server.tcp import BackgroundServer, TCPServer
+from repro.server.tcp import TCPServer
 
 __all__ = [
     "BackgroundServer",
@@ -50,6 +55,7 @@ __all__ = [
     "DEFAULT_SHARDS",
     "LatencyHistogram",
     "LineClient",
+    "NetworkServer",
     "Overloaded",
     "RetryingClient",
     "ServerMetrics",

@@ -19,7 +19,6 @@ under a lock.
 from __future__ import annotations
 
 import bisect
-import re
 import threading
 from typing import Any, Mapping
 
@@ -128,10 +127,6 @@ class ServerMetrics:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
-    def counter(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
-
     def observe(self, kind: str, seconds: float) -> None:
         if kind not in TRACKED_KINDS:
             kind = "other"
@@ -182,56 +177,6 @@ def _escape_label(value: str) -> str:
     )
 
 
-def label_suffix(**labels: Any) -> str:
-    """Build an escaped ``{name="value",...}`` suffix for an extra-gauge
-    key, so callers never hand-format label values.
-
-    >>> label_suffix(shard=3)
-    '{shard="3"}'
-    """
-    return "{%s}" % ",".join(
-        '%s="%s"' % (_sanitize_metric_name(name), _escape_label(value))
-        for name, value in sorted(labels.items())
-    )
-
-
-#: A whole suffix body that is already well-escaped: comma-joined
-#: ``name="value"`` pairs whose values contain no raw quote, backslash,
-#: or newline (only ``\\``-escape sequences).  :func:`label_suffix`
-#: output and the historical digit-only ``shard="0"`` keys both match,
-#: so they are emitted verbatim and the scrape contract is unchanged.
-_WELL_ESCAPED_SUFFIX = re.compile(
-    r'^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"'
-    r'(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*")*$'
-)
-
-#: One ``name="raw value"`` pair inside a legacy string label suffix.
-#: The value is everything up to a quote that closes the pair (followed
-#: by ``,`` or the end), so common raw values round-trip even when they
-#: contain quotes or newlines; raw values containing the exact sequence
-#: ``",`` need the structured :func:`label_suffix` path.
-_LABEL_PAIR = re.compile(
-    r'([a-zA-Z_][a-zA-Z0-9_]*)="(.*?)"(?=,|$)', re.DOTALL
-)
-
-
-def _reescape_label_suffix(labels: str) -> str:
-    """Render a caller-supplied ``{...}`` suffix body safely escaped.
-
-    Already well-escaped suffixes (the :func:`label_suffix` path, plain
-    legacy keys) pass through verbatim; anything else is treated as raw
-    label values and escaped pair by pair, so a hostile value can never
-    inject fake sample lines into the exposition."""
-    if _WELL_ESCAPED_SUFFIX.match(labels):
-        return labels
-    pairs = _LABEL_PAIR.findall(labels)
-    if not pairs:
-        return labels  # not label-shaped; emit verbatim (legacy behavior)
-    return ",".join(
-        '%s="%s"' % (name, _escape_label(value)) for name, value in pairs
-    )
-
-
 def _format_value(value: float) -> str:
     # Integral values print without an exponent or trailing zeros; repr
     # keeps full float precision for the rest.
@@ -252,9 +197,11 @@ def prometheus_text(
     histogram becomes one ``<ns>_request_latency_seconds`` histogram
     series labelled ``{kind="..."}`` with the standard cumulative
     ``_bucket{le=...}`` / ``_sum`` / ``_count`` triplet.  *extra* adds
-    flat gauges (the caller may embed its own ``{label="..."}`` suffix
-    in a key); it is how the HTTP front door folds in scheduler queue
-    depths, quota counters, and session-store health.
+    flat gauges; it is how the HTTP front door folds in scheduler queue
+    depths, quota counters, and session-store health.  A key may carry
+    a ``{label="..."}`` suffix, emitted as given: every key is built by
+    :meth:`~repro.obs.TelemetryRegistry.prometheus_extra` from fixed
+    names and a shard index, never from client input.
     """
     lines: list[str] = []
     snapshot_counters = metrics.snapshot()["counters"]
@@ -294,10 +241,6 @@ def prometheus_text(
         if base not in typed:  # one TYPE line per family, not per label
             typed.add(base)
             lines.append("# TYPE %s gauge" % base)
-        if brace:
-            # Caller-supplied {label="..."} suffix: label values arrive
-            # raw, so escape them here before they hit the exposition.
-            labels = _reescape_label_suffix(labels.rstrip("}")) + "}"
         lines.append(
             "%s%s%s %s" % (base, brace, labels, _format_value(extra[key]))
         )

@@ -52,7 +52,12 @@ from concurrent.futures import Future
 from typing import Any, Callable
 
 from repro.common.budget import Budget, budget_scope
-from repro.common.errors import DeadlineExceeded, Overloaded, PoisonedRequest
+from repro.common.errors import (
+    DeadlineExceeded,
+    Overloaded,
+    PoisonedRequest,
+    ShuttingDown,
+)
 from repro.common.faults import fault_point
 from repro.obs.tracing import RequestTrace, span, trace_scope
 from repro.service.api import error_payload
@@ -73,6 +78,12 @@ QUARANTINE_CAPACITY = 128
 #: Supervisor restart backoff: base * 2^(deaths-1), capped.
 RESTART_BACKOFF_BASE = 0.01
 RESTART_BACKOFF_MAX = 1.0
+
+
+def _shutting_down() -> dict[str, Any]:
+    return error_payload(ShuttingDown(
+        "server is shutting down; retry against its replacement"
+    ))
 
 
 class _Shard:
@@ -267,24 +278,30 @@ class ShardedScheduler:
         trace: RequestTrace | None = None,
     ) -> None:
         shard = self._shards[self.shard_index(payload)]
+        item = (key, payload, future, budget, trace, time.perf_counter())
+        # The stop check and the put share stop()'s lock, so nothing is
+        # queued behind the sweep that answers what the workers left.
         with self._idle:
-            self._inflight += 1
-        try:
-            shard.queue.put_nowait(
-                (key, payload, future, budget, trace, time.perf_counter())
-            )
-        except queue.Full:
-            with self._idle:
-                self._inflight -= 1
-                self._idle.notify_all()
-            with self._stats_lock:
-                self._overloaded += 1
-            if trace is not None:
-                trace.annotate("overloaded", shard.index)
-            self._resolve(key, future, error_payload(Overloaded(
-                "shard %d queue full (depth %d); retry later"
-                % (shard.index, shard.queue.maxsize)
-            )))
+            stopped = self._stopped
+            if not stopped:
+                try:
+                    shard.queue.put_nowait(item)
+                except queue.Full:
+                    pass
+                else:
+                    self._inflight += 1
+                    return
+        if stopped:
+            self._resolve(key, future, _shutting_down())
+            return
+        with self._stats_lock:
+            self._overloaded += 1
+        if trace is not None:
+            trace.annotate("overloaded", shard.index)
+        self._resolve(key, future, error_payload(Overloaded(
+            "shard %d queue full (depth %d); retry later"
+            % (shard.index, shard.queue.maxsize)
+        )))
 
     def _resolve(
         self, key: str | None, future: Future, response: dict[str, Any]
@@ -528,6 +545,10 @@ class ShardedScheduler:
     def stop(self, timeout: float | None = 10.0) -> None:
         """Drain queued work, then stop every worker thread.
 
+        From the moment it begins, :meth:`submit` answers
+        ``ShuttingDown`` at once, and anything still queued once the
+        workers are gone is answered the same way.
+
         Honors *timeout* end to end: enqueuing the stop sentinels uses
         non-blocking puts with a deadline (a wedged worker behind a full
         queue must not hang shutdown forever — the workers are daemon
@@ -535,9 +556,10 @@ class ShardedScheduler:
         Workers still alive past the deadline are *counted* (the
         ``workers_leaked`` stat) and logged, not silently abandoned.
         """
-        if self._stopped:
-            return
-        self._stopped = True
+        with self._idle:
+            if self._stopped:
+                return
+            self._stopped = True
         deadline = None if timeout is None else time.monotonic() + timeout
         for shard in self._shards:
             for _ in shard.threads:
@@ -557,6 +579,21 @@ class ShardedScheduler:
                     else max(0.0, deadline - time.monotonic())
                 )
                 thread.join(remaining)
+        # Whatever is still queued (stranded by a wedged worker, or a
+        # crash retry behind the sentinels) is answered now: no future
+        # outlives stop().  A wedged worker gets a fresh sentinel, so it
+        # still exits if it comes unstuck.
+        for shard in self._shards:
+            while True:
+                try:
+                    item = shard.queue.get_nowait()
+                except queue.Empty:
+                    break
+                if item is not _STOP:
+                    self._finish(item[0], item[2], _shutting_down())
+            for thread in shard.threads:
+                if thread.is_alive():
+                    shard.queue.put_nowait(_STOP)
         leaked = [
             thread
             for shard in self._shards

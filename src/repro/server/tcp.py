@@ -33,27 +33,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from concurrent.futures import Future
 from typing import Any, AsyncIterator, Callable
 
 from repro.common.faults import fault_point
-from repro.obs import Telemetry, TelemetryRegistry
-from repro.service.api import SCHEMA_VERSION
-from repro.service.engine import Engine
-from repro.service.serve import (
-    DEFAULT_MAX_LINE_BYTES,
-    DispatchOutcome,
-    Dispatcher,
-    SERVER_SCOPE,
-)
-from repro.server.metrics import ServerMetrics
-from repro.server.scheduler import (
-    DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SHARDS,
-    ShardedScheduler,
-)
+from repro.server.network import NetworkServer
+from repro.service.serve import DispatchOutcome, SERVER_SCOPE
 
 _READ_CHUNK = 1 << 16
 
@@ -102,145 +88,54 @@ async def _iter_wire_lines(
             buffer = b""
 
 
-class TCPServer:
+class TCPServer(NetworkServer):
     """Serve the JSON-lines protocol to many concurrent TCP clients.
 
     Usage (blocking)::
 
-        server = TCPServer(engine, "127.0.0.1", 9037)
-        asyncio.run(server.run())
+        TCPServer(engine, "127.0.0.1", 9037).serve()
 
-    or from synchronous code via :class:`BackgroundServer`.  ``port=0``
-    binds an ephemeral port; ``bound_port`` reports it once running.
+    or from synchronous code via
+    :class:`~repro.server.network.BackgroundServer`.  The serving stack
+    behind the framing and its options are
+    :class:`~repro.server.network.NetworkServer`'s.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        shards: int = DEFAULT_SHARDS,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-        coalesce: bool = True,
-        submit: Callable[[dict[str, Any]], dict[str, Any]] | None = None,
-        auth=None,
-        quota=None,
-        drain_timeout: float = 5.0,
-        default_deadline_ms: float | None = None,
-        telemetry: Telemetry | None = None,
-        durability=None,
-        lifecycle=None,
-    ) -> None:
-        self.engine = engine
-        self.host = host
-        self.port = port
-        self.shards = shards
-        self.queue_depth = queue_depth
-        self.max_line_bytes = max_line_bytes
-        self.coalesce = coalesce
-        self.auth = auth
-        self.quota = quota
-        self.drain_timeout = drain_timeout
-        self.default_deadline_ms = default_deadline_ms
-        self.telemetry = telemetry
-        self._submit = submit if submit is not None else engine.submit_dict
-        self.durability = durability
-        self.lifecycle = lifecycle
-        self.metrics = ServerMetrics()
-        self.registry = TelemetryRegistry(telemetry)
-        self.registry.register("metrics", self.metrics.snapshot)
-        self.registry.register("engine", engine.stats)
-        if durability is not None:
-            self.registry.register("durability", durability.stats)
-        if lifecycle is not None:
-            self.registry.register("lifecycle", lifecycle.describe)
-        self.scheduler: ShardedScheduler | None = None
-        self.dispatcher: Dispatcher | None = None
-        self.bound_port: int | None = None
-        self.started_at: float | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
+    transport = "tcp"
+    _loop: asyncio.AbstractEventLoop | None = None
+    _stop_event: asyncio.Event | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def run(
-        self, ready: Callable[["TCPServer"], None] | None = None
-    ) -> None:
-        """Bind, serve until :meth:`request_stop`, then tear down cleanly."""
+    def _serve(self, ready: Callable[[Any], None] | None) -> None:
+        asyncio.run(self.run(ready))
+
+    async def run(self, ready: Callable[[Any], None] | None = None) -> None:
+        """Bind, serve until :meth:`request_stop`, then drain and close
+        every connection."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self.scheduler = ShardedScheduler(
-            self._submit,
-            shards=self.shards,
-            queue_depth=self.queue_depth,
-            coalesce=self.coalesce,
-            telemetry=self.telemetry,
+        self._writers: set[asyncio.StreamWriter] = set()
+        server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
         )
-        self.registry.register("scheduler", self.scheduler.stats)
-        # From here on the scheduler's worker threads exist; every exit
-        # path (including a failed bind) must run scheduler.stop().
         try:
-            self.dispatcher = Dispatcher(
-                self.engine,
-                max_line_bytes=self.max_line_bytes,
-                submit=self.scheduler.submit,
-                extra_stats=self.server_stats,
-                auth=self.auth,
-                quota=self.quota,
-                default_deadline_ms=self.default_deadline_ms,
-                telemetry=self.telemetry,
-                durability=self.durability,
-                lifecycle=self.lifecycle,
-            )
-            server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
-            self.bound_port = server.sockets[0].getsockname()[1]
-            self.started_at = time.time()
-            try:
-                if ready is not None:
-                    ready(self)
-                await self._stop_event.wait()
-            finally:
-                if self.lifecycle is not None:
-                    self.lifecycle.to_draining()
-                server.close()
-                await server.wait_closed()
-                # Graceful drain: requests already admitted to shard
-                # queues have clients awaiting their futures — let them
-                # resolve (bounded) before tearing the connections down,
-                # so a server-scope shutdown never abandons queued work.
-                drained = await self._loop.run_in_executor(
-                    None, self.scheduler.drain, self.drain_timeout
-                )
-                if self.telemetry is not None:
-                    self.telemetry.event(
-                        "drain", transport="tcp", drained=drained,
-                        timeout_seconds=self.drain_timeout,
-                    )
-                if drained:
-                    # The futures are resolved but handlers still need
-                    # loop turns to write the responses; give them a
-                    # short, bounded grace before closing writers.
-                    for _ in range(100):
-                        await asyncio.sleep(0)
-                    await asyncio.sleep(0.05)
-                if self.durability is not None:
-                    # After the scheduler drain (no more appends can be
-                    # in flight) and before the process exits: final
-                    # flush + fsync, then the WAL refuses stragglers.
-                    await self._loop.run_in_executor(
-                        None, self.durability.seal
-                    )
-                for writer in list(self._writers):
-                    writer.close()
-                # Give connection handlers a beat to observe EOF and finish.
-                await asyncio.sleep(0)
+            self._bound(server.sockets[0].getsockname()[1], ready)
+            await self._stop_event.wait()
         finally:
-            self.scheduler.stop()
+            server.close()
+            await server.wait_closed()
+            if await self._loop.run_in_executor(None, self.drain):
+                # The futures are resolved but handlers still need loop
+                # turns to write the responses; give them a short,
+                # bounded grace before closing writers.
+                for _ in range(100):
+                    await asyncio.sleep(0)
+                await asyncio.sleep(0.05)
+            for writer in list(self._writers):
+                writer.close()
+            # Give connection handlers a beat to observe EOF and finish.
+            await asyncio.sleep(0)
 
     def request_stop(self) -> None:
         """Stop the server; safe from any thread (and from handlers)."""
@@ -254,7 +149,6 @@ class TCPServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        assert self.dispatcher is not None
         loop = asyncio.get_running_loop()
         self.metrics.incr("connections_opened")
         self._writers.add(writer)
@@ -304,87 +198,3 @@ class TCPServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
             self.metrics.incr("connections_closed")
-
-    # -- introspection -------------------------------------------------------
-
-    def server_stats(self) -> dict[str, Any]:
-        """The ``"server"`` section of the ``stats`` admin response
-        (assembled by the telemetry registry; key shapes are stable)."""
-        return self.registry.server_stats({
-            "transport": "tcp",
-            "host": self.host,
-            "port": self.bound_port,
-            "max_line_bytes": self.max_line_bytes,
-            "uptime_seconds": (
-                time.time() - self.started_at if self.started_at else 0.0
-            ),
-        })
-
-    def ready_banner(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "ready",
-            "transport": "tcp",
-            "host": self.host,
-            "port": self.bound_port,
-            "datasets": self.engine.dataset_names(),
-        }
-
-
-class BackgroundServer:
-    """Run a :class:`TCPServer` on a daemon thread (tests, benchmarks,
-    embedding in synchronous programs).
-
-    ``start()`` blocks until the port is bound; ``stop()`` requests a
-    clean shutdown and joins the thread, returning ``True`` when the
-    server actually wound down within the timeout.
-    """
-
-    def __init__(self, server: TCPServer) -> None:
-        self.server = server
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-tcp-server", daemon=True
-        )
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self.server.run(ready=lambda _: self._ready.set()))
-        except BaseException as error:  # surface startup failures to start()
-            self._error = error
-        finally:
-            self._ready.set()
-
-    def start(self, timeout: float = 30.0) -> "BackgroundServer":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise TimeoutError("TCP server did not start within %gs" % timeout)
-        if self._error is not None:
-            raise RuntimeError("TCP server failed to start") from self._error
-        return self
-
-    @property
-    def port(self) -> int:
-        port = self.server.bound_port
-        if port is None:
-            raise RuntimeError("server is not running")
-        return port
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    def is_alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def stop(self, timeout: float = 30.0) -> bool:
-        self.server.request_stop()
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
-
-    def __enter__(self) -> "BackgroundServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -2,11 +2,11 @@
 
 One request object per input line, one response object per output line,
 in order.  :class:`Dispatcher` turns a raw line (``str`` or ``bytes``)
-into a response payload plus control flow, and is shared by both
-transports: the stdio loop (:func:`serve`) and the concurrent TCP server
-(:mod:`repro.server.tcp`).  Besides the three analytical kinds from
-:mod:`repro.service.api` it answers a few admin kinds so a client can
-drive a cold server end to end:
+into a response payload plus control flow, and is shared by every
+transport: the stdio loop (:func:`serve`) and the network servers
+(:mod:`repro.server.network`, framed by TCP and HTTP).  Besides the
+three analytical kinds from :mod:`repro.service.api` it answers a few
+admin kinds so a client can drive a cold server end to end:
 
 ``{"kind": "ping"}``
     -> ``{"kind": "pong", ...}`` (liveness / version probe).
@@ -19,12 +19,12 @@ drive a cold server end to end:
     stale cached state is unreachable.
 ``{"kind": "datasets"}`` / ``{"kind": "algorithms"}`` / ``{"kind": "stats"}``
     Introspection: registered datasets, the algorithm registry with
-    metadata, engine cache counters (plus transport counters and — on the
-    TCP server — scheduler/latency metrics).
+    metadata, engine cache counters (plus, on a network server, the
+    transport counters and scheduler/latency metrics).
 ``{"kind": "shutdown", "scope"?: "session" | "server"}``
     Deterministic termination: the loop (or TCP connection) answers
     ``shutdown_ack`` and ends the session; ``scope="server"`` also stops
-    the whole TCP server.
+    the whole network server.
 
 Hostile input never kills the loop: malformed JSON, lines longer than
 ``max_line_bytes`` (``error_type="LineTooLong"``), and undecodable bytes
@@ -122,14 +122,15 @@ class Dispatcher:
     submit:
         Hook for the analytical kinds (summary/explore/guidance).  Defaults
         to ``engine.submit_dict`` (synchronous, in-order — the stdio loop);
-        the TCP server passes its sharded scheduler's ``submit``, which
+        a network server passes its sharded scheduler's ``submit``, which
         returns a :class:`~concurrent.futures.Future` the transport awaits.
         Admin kinds are always handled synchronously inside ``dispatch``
         (the TCP server therefore runs the whole dispatch on an executor
         thread — ``load_csv`` does real I/O and parsing).
     extra_stats:
         Optional callable merged into ``stats`` responses under the
-        ``"server"`` key (the TCP server's scheduler/latency metrics).
+        ``"server"`` key (a network server's transport, scheduler and
+        latency metrics).
     auth:
         Optional :class:`repro.web.auth.AuthService`.  When set, every
         request except ``ping`` (the liveness probe, mirroring the open
@@ -247,6 +248,21 @@ class Dispatcher:
         with self._counts_lock:
             self.malformed += 1
         return error_payload(error)
+
+    def rejected(self) -> dict[str, int]:
+        """The rejections served so far, by cause: the ``stats``
+        response's ``rejected`` map and the telemetry registry's
+        ``dispatcher`` section."""
+        with self._counts_lock:
+            return {
+                "oversized": self.oversized,
+                "undecodable": self.undecodable,
+                "malformed": self.malformed,
+                "auth": self.auth_rejected,
+                "quota": self.quota_rejected,
+                "deadline": self.deadline_exceeded,
+                "draining": self.draining_rejected,
+            }
 
     # -- dispatch ------------------------------------------------------------
 
@@ -499,6 +515,13 @@ class Dispatcher:
                     "append_rows needs a non-empty list of row lists "
                     "in 'rows'"
                 )
+            if any(
+                isinstance(cell, (list, dict)) for row in rows for cell in row
+            ):
+                raise SchemaError(
+                    "append_rows cells must be strings, numbers, booleans "
+                    "or null, not JSON arrays or objects"
+                )
             values = payload.get("values")
             if (
                 not isinstance(values, list)
@@ -557,16 +580,6 @@ class Dispatcher:
             }, None
         if kind == "stats":
             stats = self.engine.stats()
-            with self._counts_lock:
-                rejected = {
-                    "oversized": self.oversized,
-                    "undecodable": self.undecodable,
-                    "malformed": self.malformed,
-                    "auth": self.auth_rejected,
-                    "quota": self.quota_rejected,
-                    "deadline": self.deadline_exceeded,
-                    "draining": self.draining_rejected,
-                }
             response: dict[str, Any] = {
                 "schema_version": SCHEMA_VERSION,
                 "kind": "stats",
@@ -574,7 +587,7 @@ class Dispatcher:
                 "datasets": list(stats.datasets),
                 "pools": _cache_stats_dict(stats.pools),
                 "stores": _cache_stats_dict(stats.stores),
-                "rejected": rejected,
+                "rejected": self.rejected(),
             }
             if self.durability is not None:
                 # Present only on a durable server: in-memory stats
@@ -592,8 +605,6 @@ def serve(
     input_stream: IO[str],
     output_stream: IO[str],
     engine: Engine | None = None,
-    on_response: Callable[[dict[str, Any]], None] | None = None,
-    max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
     dispatcher: Dispatcher | None = None,
 ) -> int:
     """Run the loop until EOF or ``shutdown``; returns responses written.
@@ -604,16 +615,14 @@ def serve(
     returns, so clients that cannot close the stream (or want a positive
     acknowledgement) can still terminate the session deterministically.
 
-    Reads are bounded: lines are pulled in chunks of at most
-    ``max_line_bytes`` + 1 characters, so an oversized line is answered
-    with ``LineTooLong`` and *discarded as it streams* — never buffered
-    whole — matching the TCP transport's framing guarantee.
+    Reads are bounded: lines are pulled in chunks of at most the
+    dispatcher's ``max_line_bytes`` + 1 characters, so an oversized line
+    is answered with ``LineTooLong`` and *discarded as it streams* —
+    never buffered whole — matching the TCP transport's framing
+    guarantee.
     """
     if dispatcher is None:
-        dispatcher = Dispatcher(
-            engine if engine is not None else Engine(),
-            max_line_bytes=max_line_bytes,
-        )
+        dispatcher = Dispatcher(engine if engine is not None else Engine())
     # Every character is at least one UTF-8 byte, so a full chunk of
     # budget characters without a newline is already over the byte limit;
     # dispatch_line re-checks exact bytes for shorter lines.
@@ -654,8 +663,6 @@ def serve(
             response = response.result()
         output_stream.write(json.dumps(response, sort_keys=True) + "\n")
         output_stream.flush()
-        if on_response is not None:
-            on_response(response)
         written += 1
         if outcome.shutdown is not None:
             break

@@ -24,14 +24,13 @@ from repro.web.auth import (
     validate_name,
     write_token_file,
 )
-from repro.web.http import BackgroundWebServer, WebServer, status_for
+from repro.web.http import WebServer, status_for
 from repro.web.quota import QuotaService, parse_quota_spec
 from repro.web.sessions import SessionRecord, SessionService, SessionStore
 
 __all__ = [
     "ANONYMOUS_USER",
     "AuthService",
-    "BackgroundWebServer",
     "QuotaService",
     "SessionRecord",
     "SessionService",

@@ -52,24 +52,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
 
 from repro.common.errors import ReproError, SchemaError
-from repro.obs import Telemetry, TelemetryRegistry
-from repro.server.lifecycle import READY, ServerLifecycle
-from repro.server.metrics import ServerMetrics, prometheus_text
-from repro.server.scheduler import (
-    DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SHARDS,
-    ShardedScheduler,
-)
+from repro.server.lifecycle import READY
+from repro.server.metrics import prometheus_text
+from repro.server.network import NetworkServer
 from repro.service.api import SCHEMA_VERSION, error_payload
 from repro.service.engine import Engine
 from repro.service.serve import (
     ANALYTIC_KINDS,
     DEFAULT_MAX_LINE_BYTES,
-    Dispatcher,
     SERVER_SCOPE,
 )
-from repro.web.auth import ANONYMOUS_USER, AuthService, parse_bearer
-from repro.web.quota import QuotaService
+from repro.web.auth import ANONYMOUS_USER, parse_bearer
 from repro.web.sessions import SessionService, SessionStore
 
 #: error_type -> HTTP status; anything else that is ``kind="error"``
@@ -131,16 +124,20 @@ class _Route:
         self.kind_label = kind_label
 
 
-class WebServer:
-    """The HTTP front door: routers -> services -> the shared engine.
+class WebServer(NetworkServer):
+    """The HTTP front door: routes over the shared serving stack.
 
-    Construction wires the full service stack: a sharded scheduler over
-    *engine*, a :class:`Dispatcher` with the optional auth and quota
-    services, and a :class:`SessionService` over *session_dir*.  Run it
-    blocking via :meth:`run`, or from synchronous tests/benchmarks via
-    :class:`BackgroundWebServer`.  ``port=0`` binds an ephemeral port;
-    ``bound_port`` reports it once running.
+    The stack (scheduler, dispatcher with the optional auth and quota
+    services, metrics, telemetry registry) and its options are
+    :class:`~repro.server.network.NetworkServer`'s; the byte bound is
+    named ``max_body_bytes`` here.  On top of it this tier keeps a
+    :class:`SessionService` over *session_dir*.  Run it blocking via
+    :meth:`serve`, or from synchronous tests/benchmarks via
+    :class:`~repro.server.network.BackgroundServer`.
     """
+
+    transport = "http"
+    bound_key = "max_body_bytes"
 
     def __init__(
         self,
@@ -148,55 +145,12 @@ class WebServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        shards: int = DEFAULT_SHARDS,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
         max_body_bytes: int = DEFAULT_MAX_LINE_BYTES,
-        coalesce: bool = True,
-        auth: AuthService | None = None,
-        quota: QuotaService | None = None,
         session_dir: str | None = None,
-        drain_timeout: float = 5.0,
-        submit: Callable[[dict[str, Any]], dict[str, Any]] | None = None,
-        default_deadline_ms: float | None = None,
-        telemetry: Telemetry | None = None,
-        durability=None,
-        lifecycle=None,
+        **options: Any,
     ) -> None:
-        self.engine = engine
-        self.host = host
-        self.port = port
-        self.max_body_bytes = max_body_bytes
-        self.drain_timeout = drain_timeout
-        self.auth = auth
-        self.quota = quota
-        self.telemetry = telemetry
-        self.durability = durability
-        # Servers constructed without an explicit lifecycle (tests,
-        # embedding) are born ready — identical readiness behavior to
-        # the pre-lifecycle builds.
-        self.lifecycle = (
-            lifecycle if lifecycle is not None
-            else ServerLifecycle(initial=READY)
-        )
-        self.metrics = ServerMetrics()
-        self.scheduler = ShardedScheduler(
-            submit if submit is not None else engine.submit_dict,
-            shards=shards,
-            queue_depth=queue_depth,
-            coalesce=coalesce,
-            telemetry=telemetry,
-        )
-        self.dispatcher = Dispatcher(
-            engine,
-            max_line_bytes=max_body_bytes,
-            submit=self.scheduler.submit,
-            extra_stats=self.server_stats,
-            auth=auth,
-            quota=quota,
-            default_deadline_ms=default_deadline_ms,
-            telemetry=telemetry,
-            durability=durability,
-            lifecycle=self.lifecycle,
+        super().__init__(
+            engine, host, port, max_line_bytes=max_body_bytes, **options
         )
         if session_dir is None:
             import tempfile
@@ -204,84 +158,46 @@ class WebServer:
             # Ephemeral store: sessions work but do not survive restart;
             # pass --session-dir for durability.
             session_dir = tempfile.mkdtemp(prefix="repro-sessions-")
-        self.session_dir = session_dir
         self.sessions = SessionService(
             SessionStore(session_dir), self.dispatcher
         )
-        # Every telemetry source this tier owns, unified: /metrics and
-        # the stats "server" section both render from this registry.
-        self.registry = TelemetryRegistry(telemetry)
-        self.registry.register("metrics", self.metrics.snapshot)
-        self.registry.register("scheduler", self.scheduler.stats)
-        self.registry.register("engine", engine.stats)
-        self.registry.register("dispatcher", self._dispatcher_counts)
         self.registry.register("sessions", self.sessions.store.stats)
-        if durability is not None:
-            self.registry.register("durability", durability.stats)
-        self.registry.register("lifecycle", self.lifecycle.describe)
-        if auth is not None:
-            self.registry.register("auth", auth.stats)
-        if quota is not None:
-            self.registry.register("quota", quota.stats)
         # Per-handler-thread request context (the X-Request-Id header);
         # each HTTP request runs entirely on one handler thread.
         self._request_context = threading.local()
-        self.bound_port: int | None = None
-        self.started_at: float | None = None
         self._httpd: ThreadingHTTPServer | None = None
-        self._stop_thread: threading.Thread | None = None
-        self._stopping = threading.Event()
+        # Held from the first request_stop on: one drain per server.
+        self._stopping = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------------
 
-    def run(self, ready: Callable[["WebServer"], None] | None = None) -> None:
-        """Bind, serve until shutdown, then stop the worker pool."""
-        web = self
-
+    def _serve(self, ready: Callable[[Any], None] | None) -> None:
         class _Server(ThreadingHTTPServer):
             daemon_threads = True  # a wedged client cannot block exit
 
-        try:
-            self._httpd = _Server((self.host, self.port), _Handler)
-            self._httpd.web = self  # type: ignore[attr-defined]
-            self.bound_port = self._httpd.server_address[1]
-            self.started_at = time.time()
-            if ready is not None:
-                ready(web)
-            self._httpd.serve_forever(poll_interval=0.05)
-            self._httpd.server_close()
-        finally:
-            self.scheduler.stop()
+        self._httpd = _Server((self.host, self.port), _Handler)
+        self._httpd.web = self  # type: ignore[attr-defined]
+        self._bound(self._httpd.server_address[1], ready)
+        self._httpd.serve_forever(poll_interval=0.05)
+        self._httpd.server_close()
 
     def request_stop(self) -> None:
-        """Drain the shard queues (bounded), then stop the listener.
+        """Drain, then stop the listener.
 
-        Safe from handler threads: the actual ``shutdown()`` runs on a
-        helper thread because it blocks until ``serve_forever`` exits.
+        Safe from handler threads: the sequence runs on a helper thread
+        because ``shutdown()`` blocks until ``serve_forever`` exits.
         """
-        if self._stopping.is_set():
+        if not self._stopping.acquire(blocking=False):
             return
-        self._stopping.set()
-        self.lifecycle.to_draining()
 
         def _stop() -> None:
-            drained = self.scheduler.drain(self.drain_timeout)
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "drain", transport="http", drained=drained,
-                    timeout_seconds=self.drain_timeout,
-                )
-            if self.durability is not None:
-                # After the worker drain, before the listener dies: the
-                # WAL's final flush + fsync, then it refuses stragglers.
-                self.durability.seal()
+            self.drain()
             if self._httpd is not None:
                 self._httpd.shutdown()
 
-        self._stop_thread = threading.Thread(
+        threading.Thread(
             target=_stop, name="repro-web-stop", daemon=True
-        )
-        self._stop_thread.start()
+        ).start()
 
     # -- routing -------------------------------------------------------------
 
@@ -345,9 +261,7 @@ class WebServer:
             "state": state,
             "schema_version": SCHEMA_VERSION,
             "transport": "http",
-            "uptime_seconds": (
-                time.time() - self.started_at if self.started_at else 0.0
-            ),
+            "uptime_seconds": self.uptime_seconds(),
             "datasets": self.engine.dataset_names(),
             "auth_required": self.auth is not None,
         }
@@ -359,20 +273,6 @@ class WebServer:
         # engine_*) are defined once, in the telemetry registry.
         text = prometheus_text(self.metrics, self.registry.prometheus_extra())
         return 200, text, "text/plain; version=0.0.4; charset=utf-8"
-
-    def _dispatcher_counts(self) -> dict[str, int]:
-        """The dispatcher's rejection counters, registry-shaped (keys
-        match the ``stats`` response's ``rejected`` map)."""
-        dispatcher = self.dispatcher
-        return {
-            "oversized": dispatcher.oversized,
-            "undecodable": dispatcher.undecodable,
-            "malformed": dispatcher.malformed,
-            "auth": dispatcher.auth_rejected,
-            "quota": dispatcher.quota_rejected,
-            "deadline": dispatcher.deadline_exceeded,
-            "draining": dispatcher.draining_rejected,
-        }
 
     def _identify(self, token) -> str:
         """The session/tenant identity of a request (may raise AuthError)."""
@@ -459,32 +359,6 @@ class WebServer:
         )
         return status_for(response), response, None
 
-    # -- introspection -------------------------------------------------------
-
-    def server_stats(self) -> dict[str, Any]:
-        """The ``"server"`` section of the ``stats`` admin response
-        (assembled by the telemetry registry; key shapes are stable)."""
-        return self.registry.server_stats({
-            "transport": "http",
-            "host": self.host,
-            "port": self.bound_port,
-            "max_body_bytes": self.max_body_bytes,
-            "uptime_seconds": (
-                time.time() - self.started_at if self.started_at else 0.0
-            ),
-        })
-
-    def ready_banner(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "ready",
-            "transport": "http",
-            "host": self.host,
-            "port": self.bound_port,
-            "datasets": self.engine.dataset_names(),
-            "auth_required": self.auth is not None,
-        }
-
 
 class _Handler(BaseHTTPRequestHandler):
     """Thin per-request adapter: read body, resolve route, write JSON."""
@@ -548,7 +422,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise SchemaError("invalid Content-Length header")
         if length == 0:
             return None
-        if length > self.web.max_body_bytes:
+        if length > self.web.max_line_bytes:
             # Counted like an oversized wire line; the connection closes
             # (we never read the body) so framing cannot desync.
             raise _BodyTooLarge()
@@ -641,63 +515,3 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _BodyTooLarge(Exception):
     """Internal: Content-Length exceeded max_body_bytes (HTTP 413)."""
-
-
-class BackgroundWebServer:
-    """Run a :class:`WebServer` on a daemon thread (tests, benchmarks).
-
-    ``start()`` blocks until the port is bound; ``stop()`` requests the
-    drain-then-shutdown sequence and joins, returning ``True`` when the
-    server wound down within the timeout.
-    """
-
-    def __init__(self, server: WebServer) -> None:
-        self.server = server
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-web-server", daemon=True
-        )
-
-    def _run(self) -> None:
-        try:
-            self.server.run(ready=lambda _: self._ready.set())
-        except BaseException as error:  # surface startup failures to start()
-            self._error = error
-        finally:
-            self._ready.set()
-
-    def start(self, timeout: float = 30.0) -> "BackgroundWebServer":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise TimeoutError(
-                "HTTP server did not start within %gs" % timeout
-            )
-        if self._error is not None:
-            raise RuntimeError("HTTP server failed to start") from self._error
-        return self
-
-    @property
-    def port(self) -> int:
-        port = self.server.bound_port
-        if port is None:
-            raise RuntimeError("server is not running")
-        return port
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    def base_url(self) -> str:
-        return "http://%s:%d" % (self.host, self.port)
-
-    def stop(self, timeout: float = 30.0) -> bool:
-        self.server.request_stop()
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
-
-    def __enter__(self) -> "BackgroundWebServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

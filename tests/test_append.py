@@ -13,17 +13,24 @@ round-trips with typed errors for hostile input.
 
 from __future__ import annotations
 
+import http.client
+import io
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import serve_main
 from repro.core import reference
 from repro.core.answers import AnswerSet
 from repro.core.bitset import DENSE_KERNEL
 from repro.core.bottom_up import bottom_up
 from repro.core.semilattice import ClusterPool
+from repro.server import BackgroundServer, LineClient, TCPServer
 from repro.service import Engine
 from repro.service.serve import Dispatcher
+from repro.web import WebServer
 
 pytestmark = pytest.mark.tier1
 
@@ -427,3 +434,85 @@ class TestEngineAppend:
             "rows": [["c", "y"]], "values": [8.0], "auth": "tok",
         }).response
         assert allowed["kind"] == "rows_appended"
+
+
+# -- malformed rows on every transport ----------------------------------------
+
+#: Rows the dispatcher must refuse with a SchemaError before the engine
+#: sees them (the toy dataset has two grouping columns).
+MALFORMED_ROWS = {
+    "short-row": [["x"]],
+    "array-cell": [[["x"], "y"]],
+    "object-cell": [[{"x": 1}, "y"]],
+}
+
+
+def _append_payload(rows: list) -> dict:
+    return {
+        "kind": "append_rows", "dataset": "toy",
+        "rows": rows, "values": [1.0] * len(rows),
+    }
+
+
+def _session(rows: list) -> list[dict]:
+    """The malformed append, a ping and a good append, in order."""
+    return [
+        _append_payload(rows), {"kind": "ping"},
+        _append_payload([["d", "x"]]),
+    ]
+
+
+def _assert_refused_and_unchanged(responses: list[dict]) -> None:
+    refused, pong, appended = responses
+    assert (refused["kind"], refused["error_type"]) == ("error", "SchemaError")
+    assert pong["kind"] == "pong"
+    # The refused batch did not move the dataset version.
+    assert (appended["kind"], appended["version"]) == ("rows_appended", 1)
+
+
+@pytest.mark.parametrize("rows", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS)
+class TestMalformedRowsOnEveryTransport:
+    def test_stdio(self, rows, tmp_path, monkeypatch, capsys):
+        csv = tmp_path / "toy.csv"
+        csv.write_text("a,b,v\na,x,9\na,y,7\nb,x,5\nb,y,3\nc,x,1\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(
+            json.dumps(payload) + "\n" for payload in _session(rows)
+        )))
+        assert serve_main([str(csv)]) == 0
+        _banner, *responses = map(
+            json.loads, capsys.readouterr().out.splitlines()
+        )
+        _assert_refused_and_unchanged(responses)
+
+    def test_tcp(self, rows):
+        engine, _ = _paper_engine()
+        with BackgroundServer(TCPServer(engine, shards=1)) as handle:
+            with LineClient(handle.host, handle.port, timeout=30) as client:
+                responses = [
+                    client.request(payload) for payload in _session(rows)
+                ]
+        _assert_refused_and_unchanged(responses)
+        assert engine.dataset_version("toy") == 1
+
+    def test_http(self, rows, tmp_path):
+        engine, _ = _paper_engine()
+        server = WebServer(engine, shards=1, session_dir=str(tmp_path))
+        with BackgroundServer(server) as handle:
+            connection = http.client.HTTPConnection(
+                handle.host, handle.port, timeout=30
+            )
+            statuses, responses = [], []
+            try:
+                for payload in _session(rows):
+                    connection.request(
+                        "POST", "/v2/admin/" + payload["kind"],
+                        body=json.dumps(payload),
+                    )
+                    reply = connection.getresponse()
+                    statuses.append(reply.status)
+                    responses.append(json.loads(reply.read()))
+            finally:
+                connection.close()
+        assert statuses == [400, 200, 200]
+        _assert_refused_and_unchanged(responses)
+        assert engine.dataset_version("toy") == 1

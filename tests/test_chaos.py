@@ -26,7 +26,7 @@ from repro.server import (
 )
 from repro.service import Engine
 from repro.service.serve import Dispatcher
-from repro.web import AuthService, BackgroundWebServer, WebServer
+from repro.web import AuthService, WebServer
 from tests.conftest import paper_like_answers
 from tests.test_web import http_call
 
@@ -178,7 +178,7 @@ class TestInjectedFaults:
             make_engine(), port=0,
             session_dir=str(tmp_path / "sessions"),
         )
-        handle = BackgroundWebServer(server).start()
+        handle = BackgroundServer(server).start()
         try:
             faults.arm("sessions.write", "error", times=1)
             base = {**SUMMARY}

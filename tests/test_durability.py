@@ -51,9 +51,10 @@ from repro.server.lifecycle import (
     STARTING,
     ServerLifecycle,
 )
+from repro.server import BackgroundServer
 from repro.service import Engine
 from repro.service.serve import Dispatcher
-from repro.web import BackgroundWebServer, WebServer
+from repro.web import WebServer
 from tests.conftest import paper_like_answers, zero_timings
 
 
@@ -595,7 +596,7 @@ class TestHttpReadinessAndRetryAfter:
     def test_healthz_tracks_lifecycle_states(self, tmp_path):
         lifecycle = ServerLifecycle()
         engine, manager = durable_engine(tmp_path)
-        handle = BackgroundWebServer(WebServer(
+        handle = BackgroundServer(WebServer(
             engine, port=0, shards=1,
             durability=manager, lifecycle=lifecycle,
         )).start()
@@ -619,7 +620,7 @@ class TestHttpReadinessAndRetryAfter:
     def test_healthz_defaults_to_ready_without_lifecycle(self):
         engine = Engine()
         engine.register_dataset("paper", paper_like_answers())
-        handle = BackgroundWebServer(WebServer(
+        handle = BackgroundServer(WebServer(
             engine, port=0, shards=1,
         )).start()
         try:
@@ -631,7 +632,7 @@ class TestHttpReadinessAndRetryAfter:
 
     def test_shutting_down_is_503_with_retry_after(self, tmp_path):
         engine, manager = durable_engine(tmp_path)
-        handle = BackgroundWebServer(WebServer(
+        handle = BackgroundServer(WebServer(
             engine, port=0, shards=1,
             durability=manager,
         )).start()

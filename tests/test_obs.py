@@ -461,7 +461,7 @@ class TestDispatcherArmed:
         assert granted["armed"] is True
 
     def test_stats_grows_tracing_section_when_armed(self, engine):
-        from repro.server.tcp import BackgroundServer, TCPServer
+        from repro.server import BackgroundServer, TCPServer
 
         telemetry = armed_telemetry()
         server = TCPServer(engine, telemetry=telemetry)
@@ -546,13 +546,13 @@ class TestSlowRequestInvestigation:
         admin kind *and* ``POST /v2/admin/trace``, and the structured
         log must carry the same trace_id."""
         from repro.server.client import LineClient
-        from repro.server.tcp import BackgroundServer, TCPServer
-        from repro.web.http import BackgroundWebServer, WebServer
+        from repro.server import BackgroundServer, TCPServer
+        from repro.web.http import WebServer
 
         sink = io.StringIO()
         telemetry = armed_telemetry(logger=StructuredLogger(sink))
         tcp = TCPServer(engine, shards=1, telemetry=telemetry)
-        web = BackgroundWebServer(
+        web = BackgroundServer(
             WebServer(engine, port=0, telemetry=telemetry)
         ).start()
         try:
@@ -626,10 +626,11 @@ class TestSlowRequestInvestigation:
 
 class TestHttpRequestIds:
     def test_x_request_id_becomes_the_trace_id(self, engine):
-        from repro.web.http import BackgroundWebServer, WebServer
+        from repro.server import BackgroundServer
+        from repro.web.http import WebServer
 
         telemetry = armed_telemetry()
-        web = BackgroundWebServer(
+        web = BackgroundServer(
             WebServer(engine, port=0, telemetry=telemetry)
         ).start()
         try:

@@ -20,7 +20,6 @@ from repro.server.metrics import (
     BUCKET_BOUNDS,
     LatencyHistogram,
     ServerMetrics,
-    label_suffix,
     prometheus_text,
     _escape_label,
 )
@@ -138,33 +137,6 @@ class TestLabelEscaping:
         assert _escape_label("a\\b") == "a\\\\b"
         assert _escape_label("a\nb") == "a\\nb"
         assert _escape_label("plain") == "plain"
-
-    def test_label_suffix_builds_escaped_sorted_pairs(self):
-        assert label_suffix(shard=3) == '{shard="3"}'
-        assert label_suffix(b="x", a='q"uote') == '{a="q\\"uote",b="x"}'
-
-    def test_hostile_extra_label_value_round_trips(self):
-        metrics = ServerMetrics()
-        hostile = 'evil"} 9999\nfake_metric 1'
-        text = prometheus_text(metrics, {
-            'dataset_rows{name="%s"}' % hostile: 42,
-        })
-        types, samples = _parse(text)  # must stay parseable line-by-line
-        assert types == {"repro_dataset_rows": "gauge"}
-        [(name, labels, value)] = samples
-        assert name == "repro_dataset_rows"
-        assert value == 42
-        assert labels["name"] == hostile  # byte round-trip after unescape
-
-    def test_structured_label_suffix_round_trips(self):
-        metrics = ServerMetrics()
-        hostile = 'with "quotes", \\slashes\\ and\nnewlines'
-        text = prometheus_text(metrics, {
-            "dataset_rows%s" % label_suffix(name=hostile): 7,
-        })
-        _, samples = _parse(text)
-        [(_name, labels, _value)] = samples
-        assert labels["name"] == hostile
 
     def test_histogram_kind_labels_are_escaped(self):
         # TRACKED_KINDS bounds real kinds, but the escaping contract is

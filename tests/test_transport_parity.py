@@ -22,9 +22,9 @@ import pytest
 
 from repro.service.engine import Engine
 from repro.service.serve import Dispatcher, serve
-from repro.server.tcp import BackgroundServer, TCPServer
+from repro.server import BackgroundServer, TCPServer
 from repro.web.auth import AuthService
-from repro.web.http import BackgroundWebServer, WebServer
+from repro.web.http import WebServer
 
 pytestmark = pytest.mark.tier1
 
@@ -82,7 +82,7 @@ def _tcp_body(probe: bytes) -> bytes:
 
 
 def _http_body(probe: bytes) -> bytes:
-    server = BackgroundWebServer(
+    server = BackgroundServer(
         WebServer(Engine(), port=0, max_body_bytes=LIMIT, auth=_auth())
     ).start()
     try:

@@ -19,7 +19,6 @@ from repro.server import BackgroundServer, LineClient, TCPServer
 from repro.service import Engine, serve
 from repro.web import (
     AuthService,
-    BackgroundWebServer,
     QuotaService,
     WebServer,
     status_for,
@@ -58,7 +57,7 @@ def web_server(tmp_path):
             session_dir=str(session_dir or tmp_path / "sessions"),
             **kwargs,
         )
-        handle = BackgroundWebServer(server).start()
+        handle = BackgroundServer(server).start()
         handles.append(handle)
         return handle
 
