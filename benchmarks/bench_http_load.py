@@ -297,8 +297,8 @@ def check_transport_parity() -> dict:
         engine.register_dataset("paper", paper_like_answers())
         return engine
 
-    stdio_out = io.StringIO()
-    serve(io.StringIO(lines), stdio_out, engine=fresh_engine())
+    stdio_out = io.BytesIO()
+    serve(io.BytesIO(lines.encode()), stdio_out, engine=fresh_engine())
     stdio_responses = [
         json.dumps(zero_timings(json.loads(line)), sort_keys=True)
         for line in stdio_out.getvalue().splitlines()

@@ -67,10 +67,10 @@ def main() -> None:
         json.dumps(request),
         json.dumps({"kind": "stats"}),
     ]
-    stdout = io.StringIO()
-    served = serve(io.StringIO("\n".join(lines) + "\n"), stdout,
+    stdout = io.BytesIO()
+    served = serve(io.BytesIO(("\n".join(lines) + "\n").encode()), stdout,
                    engine=engine)
-    for line in stdout.getvalue().splitlines():
+    for line in stdout.getvalue().decode().splitlines():
         print("  " + line[:120])
     print("served %d responses" % served)
 

@@ -76,7 +76,7 @@ from repro.service import (
     SummaryResponse,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AlgorithmInfo",

@@ -29,7 +29,6 @@ Exit codes: 0 success, 2 parameter/query errors, 3 I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -50,6 +49,7 @@ from repro.service.api import (
     SummaryRequest,
 )
 from repro.service.engine import Engine
+from repro.service.serve import Dispatcher, serve, wire_line
 
 #: Parameter, schema, or query errors — the request itself was wrong.
 EXIT_PARAM_ERROR = 2
@@ -374,9 +374,13 @@ def _parse_host_port(value: str, flag: str = "--tcp") -> tuple[str, int]:
     return host, port
 
 
-def serve_main(argv: list[str] | None = None) -> int:
-    from repro.service.serve import serve
+def _print_line(payload: dict) -> None:
+    """Write one wire line (a ready banner) to stdout's byte stream."""
+    sys.stdout.buffer.write(wire_line(payload))
+    sys.stdout.buffer.flush()
 
+
+def serve_main(argv: list[str] | None = None) -> int:
     from repro.server.lifecycle import ServerLifecycle
 
     args = build_serve_parser().parse_args(argv)
@@ -481,8 +485,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         )
 
         def _announce(server) -> None:
-            print(json.dumps(server.ready_banner(), sort_keys=True),
-                  flush=True)
+            _print_line(server.ready_banner())
 
         background = None
         try:
@@ -508,7 +511,12 @@ def serve_main(argv: list[str] | None = None) -> int:
                 if tcp is not None:
                     # HTTP is the foreground transport; TCP rides on a
                     # daemon thread.
-                    background = BackgroundServer(tcp_server).start()
+                    background = BackgroundServer(tcp_server)
+                    try:
+                        background.start()
+                    except RuntimeError as error:
+                        # The bind failure itself, as with --tcp alone.
+                        raise error.__cause__ from None
                     _announce(tcp_server)
                 web.serve(ready=_announce)
         except KeyboardInterrupt:
@@ -523,21 +531,18 @@ def serve_main(argv: list[str] | None = None) -> int:
             if background is not None:
                 background.stop()
         return 0
-    banner = {
+    _print_line({
         "schema_version": SCHEMA_VERSION,
         "kind": "ready",
         "datasets": engine.dataset_names(),
-    }
-    print(json.dumps(banner, sort_keys=True), flush=True)
-    from repro.service.serve import Dispatcher
-
+    })
     dispatcher = Dispatcher(
         engine, max_line_bytes=args.max_line_bytes, auth=auth, quota=quota,
         default_deadline_ms=deadline_ms, telemetry=telemetry,
         durability=durability, lifecycle=lifecycle,
     )
     try:
-        serve(sys.stdin, sys.stdout, dispatcher=dispatcher)
+        serve(sys.stdin.buffer, sys.stdout.buffer, dispatcher=dispatcher)
     finally:
         if durability is not None:
             lifecycle.to_draining()

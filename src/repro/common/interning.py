@@ -15,7 +15,8 @@ a whole code tuple into one int (:class:`repro.core.cluster.Packing`).
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.common.errors import SchemaError
 
@@ -59,6 +60,12 @@ class ValueInterner:
         Raises ``KeyError`` for unseen values; use :meth:`intern` to assign.
         """
         return self._code_of[value]
+
+    def truncate(self, size: int) -> None:
+        """Forget every code from *size* on (undo the latest interning)."""
+        for value in self._value_of[size:]:
+            del self._code_of[value]
+        del self._value_of[size:]
 
     def value(self, code: int) -> Hashable:
         """Return the raw value for *code* (``"*"`` for :data:`STAR`)."""
@@ -113,6 +120,20 @@ class AttributeCodec:
     def encode_many(self, rows: Iterable[Sequence[Any]]) -> list[tuple[int, ...]]:
         """Encode an iterable of rows (first-seen code assignment order)."""
         return [self.encode(row) for row in rows]
+
+    @contextmanager
+    def rollback_on_error(self) -> Iterator[None]:
+        """Undo the codes the block interned if it raises, so a refused
+        batch leaves the codec as a replay of the accepted ones builds it
+        (codes, and with them tie ranks, stay first-seen over accepted
+        rows only).  Existing codes are never touched."""
+        sizes = [len(interner) for interner in self._interners]
+        try:
+            yield
+        except BaseException:
+            for interner, size in zip(self._interners, sizes):
+                interner.truncate(size)
+            raise
 
     def decode(self, codes: Sequence[int]) -> tuple[Any, ...]:
         """Map a code tuple (possibly containing :data:`STAR`) back to values."""

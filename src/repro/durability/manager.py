@@ -71,16 +71,16 @@ class DurabilityManager:
         registered name maps to a safe path component.
     fsync:
         WAL fsync policy, one of :data:`~repro.durability.wal.FSYNC_POLICIES`.
-    compact_bytes / compact_records:
-        WAL thresholds beyond which :meth:`maybe_compact` folds the log
-        into a fresh snapshot.
+    compact_records:
+        WAL record count beyond which :meth:`maybe_compact` folds the
+        log into a fresh snapshot (as it does past
+        :data:`COMPACT_THRESHOLD_BYTES` bytes).
     """
 
     def __init__(
         self,
         data_dir: str,
         fsync: str = "always",
-        compact_bytes: int = COMPACT_THRESHOLD_BYTES,
         compact_records: int = COMPACT_THRESHOLD_RECORDS,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
@@ -94,7 +94,6 @@ class DurabilityManager:
             )
         self.data_dir = data_dir
         self.fsync = fsync
-        self.compact_bytes = int(compact_bytes)
         self.compact_records = int(compact_records)
         os.makedirs(data_dir, exist_ok=True)
         self._lock = threading.Lock()
@@ -189,7 +188,7 @@ class DurabilityManager:
             if wal is None:
                 return False
             if (
-                wal.bytes < self.compact_bytes
+                wal.bytes < COMPACT_THRESHOLD_BYTES
                 and wal.records < self.compact_records
             ):
                 return False

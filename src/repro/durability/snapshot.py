@@ -18,20 +18,20 @@ registered :class:`~repro.core.answers.AnswerSet` *bit-identically*:
   crash between the two steps leaves already-applied records in the WAL,
   and the seq guard keeps them from being applied twice.
 
-Writes follow the same atomic discipline as
-:class:`~repro.web.sessions.SessionStore`: ``tempfile.mkstemp`` in the
-target directory, write + fsync, ``os.replace``.  A reader (including a
-recovery racing a crash) sees either the old complete snapshot or the
-new complete snapshot, never a torn one.
+Writes go through :func:`repro.common.atomic.write_atomic`, as
+:class:`~repro.web.sessions.SessionStore` saves do: ``tempfile.mkstemp``
+in the target directory, write + fsync, ``os.replace``, fsync of the
+directory.  A reader (including a recovery racing a crash) sees either
+the old complete snapshot or the new complete snapshot, never a torn
+one.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Any
 
+from repro.common.atomic import write_atomic
 from repro.common.errors import SchemaError
 from repro.common.interning import AttributeCodec
 from repro.core.answers import AnswerSet
@@ -68,23 +68,7 @@ def write_snapshot(path: str, name: str, answers: AnswerSet, seq: int) -> int:
     """Atomically write the snapshot to *path*; returns bytes written."""
     document = snapshot_document(name, answers, seq)
     body = json.dumps(document, sort_keys=True).encode("utf-8")
-    directory = os.path.dirname(path) or "."
-    fd, temp_path = tempfile.mkstemp(
-        prefix=".snapshot-", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-    _fsync_directory(directory)
+    write_atomic(path, body, prefix=".snapshot-")
     return len(body)
 
 
@@ -129,17 +113,3 @@ def load_snapshot(path: str) -> tuple[str, AnswerSet, int]:
             for value in domain:
                 interner.intern(value)
     return name, AnswerSet(elements, values, codec), seq
-
-
-def _fsync_directory(directory: str) -> None:
-    """Best-effort fsync of the directory entry after an os.replace."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)

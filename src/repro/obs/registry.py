@@ -61,8 +61,6 @@ class Telemetry:
         every finished trace emits one ``request`` record and lifecycle
         hooks emit ``event`` records.  A logger implies nothing about
         tracing — ``repro-serve --log-json`` arms both.
-    id_seed:
-        Seed for the deterministic trace-id generator.
     """
 
     def __init__(
@@ -71,11 +69,10 @@ class Telemetry:
         tracing: bool = False,
         trace_buffer: int = DEFAULT_TRACE_BUFFER,
         logger: Optional[StructuredLogger] = None,
-        id_seed: int = 0,
     ) -> None:
         self.tracing = bool(tracing)
         self.logger = logger
-        self.ids = TraceIdGenerator(id_seed)
+        self.ids = TraceIdGenerator()
         self.buffer = TraceBuffer(trace_buffer)
 
     # -- request traces ------------------------------------------------------

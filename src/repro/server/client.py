@@ -24,6 +24,7 @@ import time
 from typing import Any
 
 from repro.common.errors import TransportError
+from repro.service.serve import wire_line
 
 #: Error types worth retrying on a fresh attempt: transient server-side
 #: pushback, not caller mistakes (a SchemaError retried is still a
@@ -69,9 +70,7 @@ class LineClient:
         )
 
     def send(self, payload: dict[str, Any]) -> None:
-        self.send_raw(
-            json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-        )
+        self.send_raw(wire_line(payload))
 
     def send_raw(self, data: bytes) -> None:
         """Write raw bytes (tests use this for hostile framing)."""

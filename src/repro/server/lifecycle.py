@@ -13,14 +13,18 @@ phases and enforces their order::
 ``ready`` — a load balancer keeps traffic away while recovery replays
 and stops sending new work the moment drain begins.  Transports flip
 ``draining`` before their scheduler drain + WAL seal, so the window
-between "stopped accepting" and "exited" is observable.
+between "stopped accepting" and "exited" is observable.  The move to
+``draining`` also runs every :meth:`ServerLifecycle.on_draining`
+callback: each network server registers its stop there, so transports
+that share one lifecycle (``repro-serve --tcp … --http …``) stop
+together whichever of them is shut down.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import ReproError
 
@@ -66,6 +70,7 @@ class ServerLifecycle:
         self._lock = threading.Lock()
         self._state = initial
         self._entered = time.monotonic()
+        self._on_draining: list[Callable[[], None]] = []
 
     @property
     def state(self) -> str:
@@ -80,10 +85,11 @@ class ServerLifecycle:
     def is_draining(self) -> bool:
         return self.state == DRAINING
 
-    def _transition(self, target: str) -> None:
+    def _transition(self, target: str) -> bool:
+        """Move to *target*; whether the state changed."""
         with self._lock:
             if self._state == target:
-                return
+                return False
             if target not in _ALLOWED[self._state]:
                 raise ReproError(
                     "illegal lifecycle transition %s -> %s"
@@ -91,6 +97,12 @@ class ServerLifecycle:
                 )
             self._state = target
             self._entered = time.monotonic()
+            return True
+
+    def on_draining(self, callback: Callable[[], None]) -> None:
+        """Run *callback* (outside the lock) when draining begins."""
+        with self._lock:
+            self._on_draining.append(callback)
 
     def to_recovering(self) -> None:
         self._transition(RECOVERING)
@@ -99,7 +111,9 @@ class ServerLifecycle:
         self._transition(READY)
 
     def to_draining(self) -> None:
-        self._transition(DRAINING)
+        if self._transition(DRAINING):
+            for callback in self._on_draining:
+                callback()
 
     def describe(self) -> dict[str, Any]:
         """The healthz/stats view: state + time spent in it."""

@@ -62,7 +62,8 @@ class NetworkServer:
         Bound, in seconds, on the scheduler drain at shutdown.
     lifecycle:
         The process's :class:`~repro.server.lifecycle.ServerLifecycle`;
-        a server built without one starts ready.
+        a server built without one starts ready.  Its move to draining
+        stops this server, so transports sharing it stop together.
 
     Subclasses implement :meth:`_serve` (bind, call :meth:`_bound`,
     serve until stopped) and :meth:`request_stop`.
@@ -105,6 +106,9 @@ class NetworkServer:
             lifecycle if lifecycle is not None
             else ServerLifecycle(initial=READY)
         )
+        # Whichever transport drains the shared lifecycle first, every
+        # transport on it stops: one process, one shutdown.
+        self.lifecycle.on_draining(self.request_stop)
         self.bound_port: int | None = None
         self.started_at: float | None = None
         self.metrics = ServerMetrics()

@@ -112,9 +112,6 @@ class ShardedScheduler:
     coalesce:
         Disable to measure the no-single-flight baseline (every request,
         duplicate or not, takes a queue slot and a computation).
-    quarantine_after:
-        Worker deaths the same request may cause before it is
-        quarantined and answered with ``PoisonedRequest``.
     telemetry:
         Optional :class:`repro.obs.Telemetry`; supervision events
         (worker restarts, quarantines) become structured lifecycle log
@@ -129,7 +126,6 @@ class ShardedScheduler:
         shards: int = DEFAULT_SHARDS,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         coalesce: bool = True,
-        quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
         telemetry=None,
     ) -> None:
         if shards < 1:
@@ -138,13 +134,8 @@ class ShardedScheduler:
             raise ValueError(
                 "queue_depth must be >= 1, got %d" % queue_depth
             )
-        if quarantine_after < 1:
-            raise ValueError(
-                "quarantine_after must be >= 1, got %d" % quarantine_after
-            )
         self._submit = submit
         self.coalesce = bool(coalesce)
-        self.quarantine_after = quarantine_after
         self.telemetry = telemetry
         self.flight = SingleFlight()
         #: flight key -> the leader's trace_id, for follower linkage.
@@ -420,7 +411,7 @@ class ShardedScheduler:
         with self._stats_lock:
             strikes = self._crash_counts.get(fingerprint, 0) + 1
             self._crash_counts[fingerprint] = strikes
-            poison = strikes >= self.quarantine_after
+            poison = strikes >= DEFAULT_QUARANTINE_AFTER
             if poison:
                 self._crash_counts.pop(fingerprint, None)
                 self._quarantine[fingerprint] = strikes

@@ -32,14 +32,13 @@ harness and the CI smoke step use that for deterministic teardown.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from concurrent.futures import Future
 from typing import Any, AsyncIterator, Callable
 
 from repro.common.faults import fault_point
 from repro.server.network import NetworkServer
-from repro.service.serve import DispatchOutcome, SERVER_SCOPE
+from repro.service.serve import DispatchOutcome, SERVER_SCOPE, wire_line
 
 _READ_CHUNK = 1 << 16
 
@@ -156,8 +155,8 @@ class TCPServer(NetworkServer):
             async for frame in _iter_wire_lines(reader, self.max_line_bytes):
                 started = time.perf_counter()
                 if frame is _OVERSIZED:
-                    outcome = DispatchOutcome(
-                        self.dispatcher.oversized_error(), kind="invalid"
+                    outcome = DispatchOutcome.refused(
+                        self.dispatcher.oversized_error()
                     )
                 else:
                     # Dispatch on the default executor, not the event
@@ -175,10 +174,7 @@ class TCPServer(NetworkServer):
                 # Chaos site: an injected disconnect/latency here models
                 # the response write failing, not the compute.
                 fault_point("tcp.write")
-                writer.write(
-                    json.dumps(response, sort_keys=True).encode("utf-8")
-                    + b"\n"
-                )
+                writer.write(wire_line(response))
                 await writer.drain()
                 self.metrics.observe(
                     outcome.kind or "invalid", time.perf_counter() - started

@@ -59,6 +59,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Hashable, Sequence, TypeVar
 
@@ -379,14 +380,20 @@ class Engine:
         """
         with self._append_lock:
             old_answers, old_version = self._dataset_state(name)
-            new_answers, delta = old_answers.extended(rows, values)
-            if self.durability is not None:
-                # WAL-before-publish: the batch has passed validation
-                # (extended() raised on anything malformed), so log it
-                # now.  If the log write fails, this raises and nothing
-                # below publishes — the client's error means "not
-                # appended", on disk and in memory alike.
-                self.durability.record_append(name, rows, values)
+            # extended() interns the batch's values into the codec the
+            # old answer set shares; a refused batch or a failed log
+            # write takes those codes back, so codes (and tie ranks)
+            # stay what a replay of the acked batches assigns.
+            codec = old_answers.codec
+            with nullcontext() if codec is None else codec.rollback_on_error():
+                new_answers, delta = old_answers.extended(rows, values)
+                if self.durability is not None:
+                    # WAL-before-publish: the batch has passed validation
+                    # (extended() raised on anything malformed), so log
+                    # it now.  If the log write fails, this raises and
+                    # nothing below publishes — the client's error means
+                    # "not appended", on disk and in memory alike.
+                    self.durability.record_append(name, rows, values)
             version = old_version + 1
             maintained = 0
             for key, pool in self._pools.snapshot_items():

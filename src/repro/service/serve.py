@@ -1,9 +1,10 @@
 """Transport-agnostic JSON-lines dispatch — the core behind ``repro-serve``.
 
 One request object per input line, one response object per output line,
-in order.  :class:`Dispatcher` turns a raw line (``str`` or ``bytes``)
-into a response payload plus control flow, and is shared by every
-transport: the stdio loop (:func:`serve`) and the network servers
+in order.  :class:`Dispatcher` is the one decoder every transport hands
+its request bytes to (:meth:`Dispatcher.decode`) and :func:`wire_line`
+the one encoder whose bytes every transport writes back: the stdio loop
+(:func:`serve`, over binary streams) and the network servers
 (:mod:`repro.server.network`, framed by TCP and HTTP).  Besides the
 three analytical kinds from :mod:`repro.service.api` it answers a few
 admin kinds so a client can drive a cold server end to end:
@@ -29,7 +30,7 @@ admin kinds so a client can drive a cold server end to end:
 Hostile input never kills the loop: malformed JSON, lines longer than
 ``max_line_bytes`` (``error_type="LineTooLong"``), and undecodable bytes
 all produce ``kind="error"`` responses so a misbehaving client sees its
-own mistakes inline.
+own mistakes inline, and the next line is served as usual.
 """
 
 from __future__ import annotations
@@ -67,10 +68,14 @@ DEFAULT_MAX_LINE_BYTES = 1 << 20
 SESSION_SCOPE = "session"
 SERVER_SCOPE = "server"
 
-#: Give up on a text stream after this many *consecutive* undecodable
-#: reads — a safety valve so a stream whose decoder cannot make progress
-#: does not spin the loop forever.
-_MAX_CONSECUTIVE_DECODE_ERRORS = 100
+
+def wire_line(payload: Any) -> bytes:
+    """The bytes of one response line: sorted-key JSON and a newline.
+
+    Every transport writes exactly these (an HTTP body is one line), so
+    response bytes agree across stdio, TCP and HTTP by construction.
+    """
+    return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
 
 
 def _status_of(response: Any) -> str:
@@ -108,6 +113,11 @@ class DispatchOutcome:
     response: Any = None
     shutdown: str | None = None
     kind: str | None = None
+
+    @classmethod
+    def refused(cls, error: ReproError) -> "DispatchOutcome":
+        """The answer to a request refused before it had a kind."""
+        return cls(error_payload(error), kind="invalid")
 
 
 class Dispatcher:
@@ -227,27 +237,51 @@ class Dispatcher:
         self.draining_rejected = 0
         self._draining = False
 
-    # -- hostile-input responses (shared with the TCP framing layer) --------
+    # -- decoding ------------------------------------------------------------
 
-    def oversized_error(self) -> dict[str, Any]:
+    def _count(self, counter: str) -> None:
+        """Count one rejection in the ``rejected`` map."""
         with self._counts_lock:
-            self.oversized += 1
-        return error_payload(LineTooLong(
+            setattr(self, counter, getattr(self, counter) + 1)
+
+    def _malformed(self, message: str) -> SchemaError:
+        self._count("malformed")
+        return SchemaError(message)
+
+    def oversized_error(self) -> LineTooLong:
+        """Count one request over ``max_line_bytes`` and return its error
+        (a transport calls this for a request it discarded unread)."""
+        self._count("oversized")
+        return LineTooLong(
             "request line exceeds max_line_bytes=%d; line discarded"
             % self.max_line_bytes
-        ))
+        )
 
-    def undecodable_error(self) -> dict[str, Any]:
-        with self._counts_lock:
-            self.undecodable += 1
-        return error_payload(SchemaError(
-            "request line is not valid UTF-8"
-        ))
+    def decode(self, raw: bytes) -> dict[str, Any] | None:
+        """One request's bytes -> its request object (None when blank).
 
-    def _malformed_error(self, error: Exception) -> dict[str, Any]:
-        with self._counts_lock:
-            self.malformed += 1
-        return error_payload(error)
+        The one decoder for every transport: the byte bound (a trailing
+        CR or LF is framing and does not count), UTF-8, JSON and the
+        object check.  A refusal is counted in ``rejected`` and raised as
+        :class:`~repro.common.errors.LineTooLong` or
+        :class:`~repro.common.errors.SchemaError`.
+        """
+        if len(raw.rstrip(b"\r\n")) > self.max_line_bytes:
+            raise self.oversized_error()
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            self._count("undecodable")
+            raise SchemaError("request line is not valid UTF-8") from None
+        if not text:
+            return None
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise self._malformed("invalid JSON: %s" % error) from None
+        if not isinstance(payload, dict):
+            raise self._malformed("each line must be a JSON object")
+        return payload
 
     def rejected(self) -> dict[str, int]:
         """The rejections served so far, by cause: the ``stats``
@@ -266,38 +300,14 @@ class Dispatcher:
 
     # -- dispatch ------------------------------------------------------------
 
-    def dispatch_line(self, line: str | bytes) -> DispatchOutcome:
-        """Serve one raw line: decode, bound, parse, route."""
-        if isinstance(line, bytes):
-            if len(line.rstrip(b"\r\n")) > self.max_line_bytes:
-                return DispatchOutcome(self.oversized_error(), kind="invalid")
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                return DispatchOutcome(
-                    self.undecodable_error(), kind="invalid"
-                )
-        stripped = line.strip()
-        if not stripped:
-            return DispatchOutcome()
-        if len(stripped.encode("utf-8")) > self.max_line_bytes:
-            return DispatchOutcome(self.oversized_error(), kind="invalid")
+    def dispatch_line(self, line: bytes) -> DispatchOutcome:
+        """Serve one request line: decode, then route."""
         try:
-            payload = json.loads(stripped)
-        except json.JSONDecodeError as error:
-            return DispatchOutcome(
-                self._malformed_error(SchemaError(
-                    "invalid JSON: %s" % error
-                )),
-                kind="invalid",
-            )
-        if not isinstance(payload, dict):
-            return DispatchOutcome(
-                self._malformed_error(SchemaError(
-                    "each line must be a JSON object"
-                )),
-                kind="invalid",
-            )
+            payload = self.decode(line)
+        except ReproError as error:
+            return DispatchOutcome.refused(error)
+        if payload is None:
+            return DispatchOutcome()
         return self.dispatch_payload(payload)
 
     def dispatch_payload(
@@ -322,12 +332,9 @@ class Dispatcher:
         token = payload.pop("auth", None)
         wants_trace = payload.pop("trace", None)
         if wants_trace is not None and not isinstance(wants_trace, bool):
-            return DispatchOutcome(
-                self._malformed_error(SchemaError(
-                    "trace must be a boolean, got %r" % (wants_trace,)
-                )),
-                kind=kind_label,
-            )
+            return DispatchOutcome(error_payload(self._malformed(
+                "trace must be a boolean, got %r" % (wants_trace,)
+            )), kind=kind_label)
         wants_trace = bool(wants_trace)
         deadline_ms = payload.pop("deadline_ms", None)
         if deadline_ms is not None and (
@@ -335,27 +342,22 @@ class Dispatcher:
             or not isinstance(deadline_ms, (int, float))
             or deadline_ms <= 0
         ):
-            return DispatchOutcome(
-                self._malformed_error(SchemaError(
-                    "deadline_ms must be a positive number of "
-                    "milliseconds, got %r" % (deadline_ms,)
-                )),
-                kind=kind_label,
-            )
+            return DispatchOutcome(error_payload(self._malformed(
+                "deadline_ms must be a positive number of "
+                "milliseconds, got %r" % (deadline_ms,)
+            )), kind=kind_label)
         user = "anonymous"
         if self.auth is not None and kind != "ping":
             try:
                 user = self.auth.authenticate(token)
             except AuthError as error:
-                with self._counts_lock:
-                    self.auth_rejected += 1
+                self._count("auth_rejected")
                 return DispatchOutcome(error_payload(error), kind=kind_label)
         if self.quota is not None and kind in ANALYTIC_KINDS:
             try:
                 self.quota.charge(user, kind)
             except QuotaExceeded as error:
-                with self._counts_lock:
-                    self.quota_rejected += 1
+                self._count("quota_rejected")
                 return DispatchOutcome(error_payload(error), kind=kind_label)
         try:
             admin = self._handle_admin(payload)
@@ -394,8 +396,7 @@ class Dispatcher:
         ):
             # Sync (stdio) path only; the TCP scheduler counts its own
             # deadline events in its stats.
-            with self._counts_lock:
-                self.deadline_exceeded += 1
+            self._count("deadline_exceeded")
         if trace is not None:
             tree = self.telemetry.finish_trace(trace, _status_of(response))
             if wants_trace and isinstance(response, dict):
@@ -496,8 +497,7 @@ class Dispatcher:
             if self._draining or (
                 self.lifecycle is not None and self.lifecycle.is_draining
             ):
-                with self._counts_lock:
-                    self.draining_rejected += 1
+                self._count("draining_rejected")
                 raise ShuttingDown(
                     "server is draining; append_rows rejected "
                     "(reconnect to the replacement server and retry)"
@@ -602,12 +602,18 @@ class Dispatcher:
 
 
 def serve(
-    input_stream: IO[str],
-    output_stream: IO[str],
+    input_stream: IO[bytes],
+    output_stream: IO[bytes],
     engine: Engine | None = None,
     dispatcher: Dispatcher | None = None,
 ) -> int:
     """Run the loop until EOF or ``shutdown``; returns responses written.
+
+    Both streams are binary (``repro-serve`` passes ``sys.stdin.buffer``
+    and ``sys.stdout.buffer``): each line's bytes go to
+    :meth:`Dispatcher.dispatch_line` on their own, as a TCP frame does,
+    so a line that is not UTF-8 is answered with its own error and the
+    next line is served.
 
     EOF is a clean termination: the loop simply returns (a well-behaved
     client closes its end when done).  A ``{"kind": "shutdown"}`` request
@@ -615,53 +621,35 @@ def serve(
     returns, so clients that cannot close the stream (or want a positive
     acknowledgement) can still terminate the session deterministically.
 
-    Reads are bounded: lines are pulled in chunks of at most the
-    dispatcher's ``max_line_bytes`` + 1 characters, so an oversized line
-    is answered with ``LineTooLong`` and *discarded as it streams* —
-    never buffered whole — matching the TCP transport's framing
-    guarantee.
+    Reads are bounded: a line is pulled in chunks of at most the
+    dispatcher's ``max_line_bytes`` plus a CRLF, so an oversized line is
+    answered with ``LineTooLong`` and *discarded as it streams* — never
+    buffered whole — matching the TCP transport's framing guarantee.
     """
     if dispatcher is None:
         dispatcher = Dispatcher(engine if engine is not None else Engine())
-    # Every character is at least one UTF-8 byte, so a full chunk of
-    # budget characters without a newline is already over the byte limit;
-    # dispatch_line re-checks exact bytes for shorter lines.
-    budget = dispatcher.max_line_bytes + 1
+    budget = dispatcher.max_line_bytes + 2
     written = 0
-    decode_failures = 0
     discarding = False
     while True:
-        try:
-            line = input_stream.readline(budget)
-        except UnicodeDecodeError:
-            decode_failures += 1
-            outcome = DispatchOutcome(
-                dispatcher.undecodable_error(), kind="invalid"
-            )
-            if decode_failures >= _MAX_CONSECUTIVE_DECODE_ERRORS:
-                outcome.shutdown = SESSION_SCOPE
+        line = input_stream.readline(budget)
+        if not line:
+            break  # clean EOF
+        if discarding:
+            # Tail chunks of a line already answered with LineTooLong.
+            discarding = not line.endswith(b"\n")
+            continue
+        if len(line) == budget and not line.endswith(b"\n"):
+            discarding = True
+            outcome = DispatchOutcome.refused(dispatcher.oversized_error())
         else:
-            decode_failures = 0
-            if not line:
-                break  # clean EOF
-            if discarding:
-                # Tail chunks of a line already answered with LineTooLong.
-                if line.endswith("\n"):
-                    discarding = False
-                continue
-            if len(line) >= budget and not line.endswith("\n"):
-                discarding = True
-                outcome = DispatchOutcome(
-                    dispatcher.oversized_error(), kind="invalid"
-                )
-            else:
-                outcome = dispatcher.dispatch_line(line)
+            outcome = dispatcher.dispatch_line(line)
         response = outcome.response
         if response is None:
             continue
         if isinstance(response, Future):
             response = response.result()
-        output_stream.write(json.dumps(response, sort_keys=True) + "\n")
+        output_stream.write(wire_line(response))
         output_stream.flush()
         written += 1
         if outcome.shutdown is not None:

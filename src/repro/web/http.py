@@ -28,11 +28,13 @@ analytics still run on the shared sharded worker pool):
 ``DELETE /v2/sessions/<name>``         delete a session
 =====================================  =======================================
 
-Status codes are derived from the response payload, so the error bytes
-stay transport-identical and only the HTTP envelope differs: 400 bad
-request (schema/parameter errors), 401 ``AuthError``, 404 unknown
-route/session, 413 body too large, 429 ``QuotaExceeded``, 503
-``Overloaded`` / ``ShuttingDown``.  Every 503 (and every 429 on a
+A POST body is decoded by the dispatcher like a TCP line (a blank body
+is the empty request object, whose ``kind`` the route fills), and the
+response body is the line TCP would write.  Status codes are derived
+from the response payload, so the error bytes stay transport-identical
+and only the HTTP envelope differs: 400 bad request (schema/parameter
+errors), 401 ``AuthError``, 404 unknown route/session, 413 body too
+large, 429 ``QuotaExceeded``, 503 ``Overloaded`` / ``ShuttingDown``.  Every 503 (and every 429 on a
 quota-enabled server) carries a ``Retry-After`` header so plain HTTP
 clients get the same machine-readable backoff hint
 :class:`~repro.server.client.RetryingClient` derives itself.
@@ -45,7 +47,6 @@ graceful drain.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -61,6 +62,7 @@ from repro.service.serve import (
     ANALYTIC_KINDS,
     DEFAULT_MAX_LINE_BYTES,
     SERVER_SCOPE,
+    wire_line,
 )
 from repro.web.auth import ANONYMOUS_USER, parse_bearer
 from repro.web.sessions import SessionService, SessionStore
@@ -211,7 +213,7 @@ class WebServer(NetworkServer):
             if method == "POST" and len(parts) == 2 and (
                 parts[1] in ANALYTIC_KINDS
             ):
-                return _Route(self._route_analytic, (parts[1],), parts[1])
+                return _Route(self._route_request, (parts[1],), parts[1])
             if method == "POST" and len(parts) == 3 and (
                 parts[1] == "admin"
             ):
@@ -247,7 +249,7 @@ class WebServer(NetworkServer):
     # -- route handlers ------------------------------------------------------
     # Each returns (status, payload, content_type); content_type None
     # means JSON.  ``token`` is the bearer token (or None), ``body`` the
-    # parsed JSON body (or None for GET/DELETE).
+    # decoded request object (None for GET/DELETE and a blank body).
 
     def _route_healthz(self, token, body):
         # Readiness, not just liveness: 200 only in the "ready" state.
@@ -280,8 +282,14 @@ class WebServer(NetworkServer):
             return ANONYMOUS_USER
         return self.auth.authenticate(token)
 
-    def _dispatch(self, payload: dict[str, Any], token):
-        """Route one wire payload through the shared dispatcher."""
+    def _route_request(self, token, body, kind, prefix="/v2/"):
+        """Serve *body* as one *kind* request through the dispatcher; the
+        route fills a missing ``kind`` and refuses another one."""
+        payload = {} if body is None else body
+        payload.setdefault("kind", kind)
+        if payload["kind"] != kind:
+            raise SchemaError("route %s%s cannot carry kind=%r"
+                              % (prefix, kind, payload["kind"]))
         if token is not None and "auth" not in payload:
             payload["auth"] = token
         outcome = self.dispatcher.dispatch_payload(
@@ -293,31 +301,13 @@ class WebServer(NetworkServer):
             response = response.result()
         return status_for(response), response, None
 
-    def _route_analytic(self, token, body, kind):
-        if body is None:
-            body = {}
-        body.setdefault("kind", kind)
-        if body["kind"] != kind:
-            raise SchemaError(
-                "route /v2/%s cannot carry kind=%r" % (kind, body["kind"])
-            )
-        return self._dispatch(body, token)
-
     def _route_admin(self, token, body, kind):
         if kind in _ADMIN_EXCLUDED:
             raise SchemaError(
                 "kind %r is served at /v2/%s, not under /v2/admin/"
                 % (kind, kind)
             )
-        if body is None:
-            body = {}
-        body.setdefault("kind", kind)
-        if body["kind"] != kind:
-            raise SchemaError(
-                "route /v2/admin/%s cannot carry kind=%r"
-                % (kind, body["kind"])
-            )
-        return self._dispatch(body, token)
+        return self._route_request(token, body, kind, "/v2/admin/")
 
     # -- session routes ------------------------------------------------------
 
@@ -381,11 +371,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------
 
     def _write_json(self, status: int, payload: Any) -> None:
-        # Exactly the bytes the TCP transport writes per line — the
-        # transport-parity contract.
-        body = (
-            json.dumps(payload, sort_keys=True) + "\n"
-        ).encode("utf-8")
+        body = wire_line(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -411,33 +397,25 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict[str, Any] | None:
+        """Frame the body by its Content-Length and hand it to the
+        dispatcher's decoder (None for no body or a blank one)."""
         length_text = self.headers.get("Content-Length")
         if length_text is None:
             return None
         try:
             length = int(length_text)
         except ValueError:
-            raise SchemaError("invalid Content-Length header")
+            length = -1
         if length < 0:
             raise SchemaError("invalid Content-Length header")
-        if length == 0:
-            return None
         if length > self.web.max_line_bytes:
-            # Counted like an oversized wire line; the connection closes
-            # (we never read the body) so framing cannot desync.
-            raise _BodyTooLarge()
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            raise self.web.dispatcher.oversized_error()
         raw = self.rfile.read(length)
         if len(raw) < length:
             raise SchemaError("request body was truncated")
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise SchemaError("request body is not valid UTF-8")
-        except json.JSONDecodeError as error:
-            raise SchemaError("invalid JSON: %s" % error)
-        if not isinstance(payload, dict):
-            raise SchemaError("request body must be a JSON object")
-        return payload
+        return self.web.dispatcher.decode(raw)
 
     # -- request entry points ------------------------------------------------
 
@@ -452,7 +430,6 @@ class _Handler(BaseHTTPRequestHandler):
         )
         route = web.resolve(method, self.path.split("?", 1)[0])
         kind_label = route.kind_label if route is not None else "invalid"
-        close_connection = False
         try:
             if route is None:
                 status, payload, content_type = 404, error_payload(
@@ -464,18 +441,9 @@ class _Handler(BaseHTTPRequestHandler):
                 status, payload, content_type = route.call(
                     token, body, *route.args
                 )
-        except _BodyTooLarge:
-            # Exactly the dispatcher's oversized payload — the error body
-            # must be byte-identical across stdio/TCP/HTTP (the dispatcher
-            # speaks in line terms; max_line_bytes IS max_body_bytes here).
-            status, payload, content_type = (
-                413, web.dispatcher.oversized_error(), None
-            )
-            close_connection = True  # unread body: cannot reuse the socket
         except ReproError as error:
-            status, payload, content_type = (
-                status_for(error_payload(error)), error_payload(error), None
-            )
+            payload, content_type = error_payload(error), None
+            status = status_for(payload)
         except Exception as error:  # belt and suspenders: never a traceback
             status, payload, content_type = 500, error_payload(error), None
         # Counted before the write: a client that holds its response and
@@ -485,8 +453,6 @@ class _Handler(BaseHTTPRequestHandler):
         web.metrics.incr("responses")
         web.metrics.incr("http_%d" % (status // 100 * 100))
         try:
-            if close_connection:
-                self.close_connection = True
             if content_type is None:
                 self._write_json(status, payload)
             else:
@@ -511,7 +477,3 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:
         self._serve("DELETE")
-
-
-class _BodyTooLarge(Exception):
-    """Internal: Content-Length exceeded max_body_bytes (HTTP 413)."""

@@ -17,9 +17,10 @@ Durability contract:
 * one JSON file per session, under ``root/<user>/<name>.json`` — user
   and session names are validated path components (see
   :func:`repro.web.auth.validate_name`);
-* every save is **atomic**: write to a temp file in the same directory,
-  then ``os.replace`` — a crash mid-save leaves the previous version,
-  never a torn file;
+* every save is **atomic** and durable
+  (:func:`repro.common.atomic.write_atomic`): write and fsync a temp
+  file in the same directory, ``os.replace``, fsync the directory — a
+  crash mid-save leaves the previous version, never a torn file;
 * a file that fails to load (corrupted JSON, wrong shape) is served as
   *not found* and counted in ``corrupted`` — a bad byte on disk must
   not take the server down;
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -40,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.common.atomic import write_atomic
 from repro.common.faults import fault_point
 from repro.common.errors import (
     InvalidParameterError,
@@ -130,21 +130,9 @@ class SessionStore:
         path = self._path(record.user, record.name)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = json.dumps(record.to_dict(), sort_keys=True, indent=1)
-        # Atomic replace: the temp file lives in the target directory so
-        # os.replace stays a same-filesystem rename.
-        descriptor, temp_name = tempfile.mkstemp(
-            prefix=".%s-" % record.name, suffix=".tmp", dir=path.parent
+        write_atomic(
+            str(path), data.encode("utf-8"), prefix=".%s-" % record.name
         )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(data)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
         with self._lock:
             self.saves += 1
             self._cache[(record.user, record.name)] = record

@@ -475,9 +475,9 @@ class TestMalformedRowsOnEveryTransport:
     def test_stdio(self, rows, tmp_path, monkeypatch, capsys):
         csv = tmp_path / "toy.csv"
         csv.write_text("a,b,v\na,x,9\na,y,7\nb,x,5\nb,y,3\nc,x,1\n")
-        monkeypatch.setattr("sys.stdin", io.StringIO("".join(
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("".join(
             json.dumps(payload) + "\n" for payload in _session(rows)
-        )))
+        ).encode())))
         assert serve_main([str(csv)]) == 0
         _banner, *responses = map(
             json.loads, capsys.readouterr().out.splitlines()

@@ -253,9 +253,9 @@ class TestServeCli:
             "schema_version": 2, "kind": "summary",
             "dataset": answers_csv.stem, "k": 3, "L": 4, "D": 1,
         }
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(json.dumps(request) + "\n")
-        )
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO((json.dumps(request) + "\n").encode())
+        ))
         code = serve_main([str(answers_csv)])
         captured = capsys.readouterr()
         assert code == 0

@@ -429,6 +429,80 @@ class TestRecovery:
         ) == expected_doc
 
 
+# -- a refused append leaves the codec as it was -------------------------------
+
+
+#: Two appended rows that tie on value, so their rank follows their codes.
+ACKED_TIE = ([("new", "x"), ("zzz", "y")], [1.5, 1.5])
+
+
+def tie_engine(tmp_path) -> tuple[Engine, DurabilityManager]:
+    manager = DurabilityManager(str(tmp_path / "data"))
+    engine = Engine(durability=manager)
+    engine.register_dataset(
+        "ab", AnswerSet.from_rows([("a", "x"), ("b", "y")], [2.0, 1.0])
+    )
+    return engine, manager
+
+
+def domain_sizes(engine: Engine) -> list[int]:
+    codec = engine.dataset("ab").codec
+    return [codec.domain_size(index) for index in range(codec.arity)]
+
+
+def assert_live_equals_recovered(tmp_path, engine, manager) -> None:
+    """Ack the tie batch, then recover: same codes, same summary."""
+    engine.append_rows("ab", *ACKED_TIE)
+    manager.seal()
+    fresh = DurabilityManager(str(tmp_path / "data"))
+    recovered = Engine(durability=fresh)
+    fresh.recover(recovered)
+    assert snapshot_document("ab", recovered.dataset("ab"), 0) == (
+        snapshot_document("ab", engine.dataset("ab"), 0)
+    )
+    request = {
+        "schema_version": 2, "kind": "summary", "dataset": "ab",
+        "k": 2, "L": 4, "D": 1, "include_elements": True,
+    }
+    live, replayed = (
+        zero_timings(Dispatcher(e).dispatch_payload(dict(request)).response)
+        for e in (engine, recovered)
+    )
+    assert live == replayed
+
+
+class TestRefusedAppendKeepsTheCodec:
+    def test_refused_batch_interns_nothing(self, tmp_path):
+        engine, manager = tie_engine(tmp_path)
+        before = domain_sizes(engine)
+        with pytest.raises(SchemaError):
+            engine.append_rows("ab", [("zzz", "www"), ("short",)], [1.0, 1.0])
+        assert domain_sizes(engine) == before
+        assert_live_equals_recovered(tmp_path, engine, manager)
+
+    @pytest.mark.parametrize("rows,values", [
+        ([("zzz", "www"), ("zzz", "www")], [1.0, 1.0]),  # duplicate
+        ([("zzz", "www"), ("a", "x")], [1.0, 1.0]),  # already present
+        ([("zzz", "www")], [float("nan")]),  # not finite
+    ], ids=["duplicate", "present", "non_finite"])
+    def test_every_refusal_leaves_domain_sizes(self, tmp_path, rows, values):
+        engine, _ = tie_engine(tmp_path)
+        before = domain_sizes(engine)
+        with pytest.raises(SchemaError):
+            engine.append_rows("ab", rows, values)
+        assert domain_sizes(engine) == before
+
+    @pytest.mark.chaos
+    def test_failed_wal_write_interns_nothing(self, tmp_path):
+        engine, manager = tie_engine(tmp_path)
+        before = domain_sizes(engine)
+        faults.arm("wal.write", "enospc", times=1)
+        with pytest.raises(OSError):
+            engine.append_rows("ab", [("zzz", "www")], [1.0])
+        assert domain_sizes(engine) == before
+        assert_live_equals_recovered(tmp_path, engine, manager)
+
+
 # -- the ack contract under injected write failures ---------------------------
 
 

@@ -6,9 +6,11 @@ ready banner, its shutdown sequence and its background runner.  These
 tests pin that sharing: the two transports' stats and banners carry the
 same keys, each shutdown emits exactly one ``drain`` event and seals the
 WAL, and ``repro-serve`` with both ``--tcp`` and ``--http`` serves on
-both, exits 0 after an HTTP server-scope shutdown, and recovers what TCP
-acknowledged.  A request that reaches a stopped stack is answered
-``ShuttingDown`` at once instead of waiting on a future nobody resolves.
+both, exits 0 after a server-scope shutdown on either transport, and
+recovers what the other transport acknowledged; a busy TCP port exits 3
+as it does with ``--tcp`` alone.  A request that reaches a stopped stack
+is answered ``ShuttingDown`` at once instead of waiting on a future
+nobody resolves.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import io
 import json
 import os
 import queue
+import socket
 import subprocess
 import sys
 import threading
@@ -331,3 +334,59 @@ def test_repro_serve_runs_both_transports_and_recovers(tmp_path):
         _shut_down(served, http_banner)
     finally:
         served.close()
+
+
+#: ``repro-serve``'s default ``--drain-timeout``, in seconds.
+DRAIN_TIMEOUT = 5.0
+
+
+def test_tcp_server_shutdown_stops_both_transports(tmp_path):
+    csv = tmp_path / "demo.csv"
+    csv.write_text(CSV)
+    served, tcp_banner, http_banner = _serve_both(tmp_path, csv)
+    try:
+        host = http_banner["host"]
+        status, _, appended = http_post(
+            host, http_banner["port"], "/v2/admin/append_rows", {
+                "dataset": "demo", "rows": [["2000s", "poet"]],
+                "values": [3.3],
+            },
+        )
+        assert (status, appended["n"]) == (200, 9)
+        with LineClient(host, tcp_banner["port"], timeout=30) as client:
+            ack = client.request({"kind": "shutdown", "scope": "server"})
+        assert (ack["kind"], ack["scope"]) == ("shutdown_ack", "server")
+        # The HTTP transport stops with TCP: the process exits.
+        assert served.process.wait(timeout=DRAIN_TIMEOUT + 10) == 0
+    finally:
+        served.close()
+    served, tcp_banner, http_banner = _serve_both(tmp_path, csv)
+    try:
+        with LineClient(
+            tcp_banner["host"], tcp_banner["port"], timeout=30
+        ) as client:
+            appended = _append(client, ["2010s", "poet"])
+        # The row HTTP acknowledged before the shutdown was recovered.
+        assert (appended["kind"], appended["n"]) == ("rows_appended", 10)
+        _shut_down(served, http_banner)
+    finally:
+        served.close()
+
+
+def test_busy_tcp_port_exits_3_beside_http(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        process = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.cli import serve_main; "
+             "raise SystemExit(serve_main())",
+             "--tcp", "127.0.0.1:%d" % busy.getsockname()[1],
+             "--http", "127.0.0.1:0"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    assert process.returncode == 3
+    assert process.stdout == ""
+    assert process.stderr.startswith("error: [Errno ")
+    assert "Traceback" not in process.stderr

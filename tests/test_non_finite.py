@@ -86,7 +86,9 @@ def test_load_csv_on_stdio_answers_and_goes_on(tmp_path, capsys,
                                                sql, message):
     path = write(tmp_path, stem, content)
     lines = [json.dumps(load_request(path, sql)), '{"kind": "ping"}']
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(("\n".join(lines) + "\n").encode())
+    ))
     assert serve_main([]) == 0
     banner, error, pong = [
         strict(json.loads(line))
@@ -124,7 +126,7 @@ def test_append_rows_refuses_a_non_finite_value(value):
         "kind": "append_rows", "dataset": "paper",
         "rows": [["2000s", "poet"], ["2000s", "critic"]],
         "values": [1.0, value],
-    })
+    }).encode()
     response = strict(dispatcher.dispatch_line(line).response)
     assert (response["kind"], response["error_type"]) == (
         "error", "SchemaError"

@@ -507,8 +507,8 @@ class TestTransportParity:
         lines = "".join(
             json.dumps(request, sort_keys=True) + "\n" for request in requests
         )
-        stdio_out = io.StringIO()
-        serve(io.StringIO(lines), stdio_out, engine=make_engine())
+        stdio_out = io.BytesIO()
+        serve(io.BytesIO(lines.encode()), stdio_out, engine=make_engine())
         stdio_responses = [
             json.dumps(zero_timings(json.loads(line)), sort_keys=True)
             for line in stdio_out.getvalue().splitlines()

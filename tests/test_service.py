@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -24,9 +27,11 @@ from repro.service import (
     parse_response,
     serve,
 )
+from repro.server import BackgroundServer, LineClient, TCPServer
 from tests.conftest import paper_like_answers, random_answer_set
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -400,10 +405,10 @@ class TestEngineValidation:
 
 class TestServeLoop:
     def run_lines(self, engine, *payloads: dict) -> list[dict]:
-        stdin = io.StringIO(
-            "\n".join(json.dumps(p) for p in payloads) + "\n"
+        stdin = io.BytesIO(
+            ("\n".join(json.dumps(p) for p in payloads) + "\n").encode()
         )
-        stdout = io.StringIO()
+        stdout = io.BytesIO()
         serve(stdin, stdout, engine=engine)
         return [json.loads(line) for line in stdout.getvalue().splitlines()]
 
@@ -428,9 +433,9 @@ class TestServeLoop:
         assert all("kwargs" in a for a in response["algorithms"])
 
     def test_malformed_line_yields_error_not_crash(self, engine):
-        stdin = io.StringIO("this is not json\n"
-                            '{"kind": "ping"}\n')
-        stdout = io.StringIO()
+        stdin = io.BytesIO(b"this is not json\n"
+                           b'{"kind": "ping"}\n')
+        stdout = io.BytesIO()
         serve(stdin, stdout, engine=engine)
         first, second = [
             json.loads(line) for line in stdout.getvalue().splitlines()
@@ -440,8 +445,8 @@ class TestServeLoop:
 
     def test_blank_lines_skipped(self, engine):
         responses = self.run_lines(engine, {"kind": "ping"})
-        stdin = io.StringIO("\n\n")
-        stdout = io.StringIO()
+        stdin = io.BytesIO(b"\n\n")
+        stdout = io.BytesIO()
         assert serve(stdin, stdout, engine=engine) == 0
         assert responses[0]["kind"] == "pong"
 
@@ -484,8 +489,8 @@ class TestServeLoopTermination:
     """The satellite contracts: shutdown kind, clean EOF, hostile input."""
 
     def run_stream(self, engine, text: str):
-        stdout = io.StringIO()
-        written = serve(io.StringIO(text), stdout, engine=engine)
+        stdout = io.BytesIO()
+        written = serve(io.BytesIO(text.encode()), stdout, engine=engine)
         return written, [
             json.loads(line) for line in stdout.getvalue().splitlines()
         ]
@@ -529,10 +534,10 @@ class TestServeLoopTermination:
         assert responses[0]["kind"] == "pong"
 
     def test_oversized_line_rejected_with_line_too_long(self, engine):
-        stdout = io.StringIO()
+        stdout = io.BytesIO()
         dispatcher = Dispatcher(engine, max_line_bytes=64)
         serve(
-            io.StringIO('{"pad": "%s"}\n{"kind": "ping"}\n' % ("x" * 200)),
+            io.BytesIO(b'{"pad": "%s"}\n{"kind": "ping"}\n' % (b"x" * 200)),
             stdout, dispatcher=dispatcher,
         )
         first, second = [
@@ -548,9 +553,9 @@ class TestServeLoopTermination:
         as chunks, yields exactly one LineTooLong, and the loop recovers
         at the next newline — stdio mirrors the TCP framing guarantee."""
         dispatcher = Dispatcher(engine, max_line_bytes=64)
-        stdout = io.StringIO()
+        stdout = io.BytesIO()
         serve(
-            io.StringIO("x" * 10_000 + '\n{"kind": "ping"}\n'),
+            io.BytesIO(b"x" * 10_000 + b'\n{"kind": "ping"}\n'),
             stdout, dispatcher=dispatcher,
         )
         responses = [
@@ -562,8 +567,8 @@ class TestServeLoopTermination:
 
     def test_oversized_final_line_at_eof(self, engine):
         dispatcher = Dispatcher(engine, max_line_bytes=64)
-        stdout = io.StringIO()
-        written = serve(io.StringIO("y" * 500), stdout,
+        stdout = io.BytesIO()
+        written = serve(io.BytesIO(b"y" * 500), stdout,
                         dispatcher=dispatcher)
         (response,) = [
             json.loads(line) for line in stdout.getvalue().splitlines()
@@ -572,13 +577,9 @@ class TestServeLoopTermination:
         assert response["error_type"] == "LineTooLong"
 
     def test_undecodable_bytes_rejected_with_error_response(self, engine):
-        """Bad bytes on a text stream produce an error line, never an
-        exception.  (The text decoder discards the rest of its chunk, so
-        per-line recovery is a TCP-framing feature — tested in
-        test_server.py; stdio just has to fail soft and terminate.)"""
-        raw = io.BytesIO(b'\xff\xfe\n{"kind": "ping"}\n')
-        stream = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
-        stdout = io.StringIO()
+        """Bad bytes produce an error line, never an exception."""
+        stream = io.BytesIO(b'\xff\xfe\n{"kind": "ping"}\n')
+        stdout = io.BytesIO()
         written = serve(stream, stdout, engine=engine)
         responses = [
             json.loads(line) for line in stdout.getvalue().splitlines()
@@ -600,14 +601,68 @@ class TestServeLoopTermination:
 
     def test_stats_reports_rejection_counters(self, engine):
         dispatcher = Dispatcher(engine, max_line_bytes=64)
-        dispatcher.dispatch_line("y" * 100)
-        dispatcher.dispatch_line("not json")
-        stats = dispatcher.dispatch_line('{"kind": "stats"}').response
+        dispatcher.dispatch_line(b"y" * 100)
+        dispatcher.dispatch_line(b"not json")
+        stats = dispatcher.dispatch_line(b'{"kind": "stats"}').response
         assert stats["rejected"] == {
             "oversized": 1, "undecodable": 0, "malformed": 1,
             "auth": 0, "quota": 0, "deadline": 0, "draining": 0,
         }
         assert "coalesced" in stats["pools"]
+
+
+def ping_of_length(size: int) -> bytes:
+    """A ping request line of exactly *size* bytes."""
+    head, tail = b'{"kind": "ping", "pad": "', b'"}'
+    return head + b"x" * (size - len(head) - len(tail)) + tail
+
+
+class TestStdioIsByteFramed:
+    """stdio hands each line's bytes to the dispatcher, as TCP does."""
+
+    def test_crlf_line_of_exactly_the_bound_is_served_as_on_tcp(
+        self, engine
+    ):
+        wire = (
+            ping_of_length(64) + b"\r\n" + ping_of_length(65) + b"\r\n"
+        )
+        dispatcher = Dispatcher(engine, max_line_bytes=64)
+        stdout = io.BytesIO()
+        serve(io.BytesIO(wire), stdout, dispatcher=dispatcher)
+        stdio = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        with BackgroundServer(
+            TCPServer(engine, max_line_bytes=64, shards=1)
+        ) as handle:
+            with LineClient(handle.host, handle.port, timeout=30) as client:
+                client.send_raw(wire)
+                tcp = [client.recv(), client.recv()]
+        assert [r["kind"] for r in stdio] == ["pong", "error"]
+        assert stdio[1]["error_type"] == "LineTooLong"
+        assert stdio == tcp
+
+    @pytest.mark.parametrize("encoding", [
+        {"LANG": "C.UTF-8"}, {"PYTHONIOENCODING": "utf-8:strict"},
+    ], ids=["lang", "strict"])
+    def test_repro_serve_answers_the_lines_after_a_bad_byte(self, encoding):
+        env = {
+            name: value for name, value in os.environ.items()
+            if name not in ("LANG", "LC_ALL", "PYTHONIOENCODING")
+        }
+        env.update(encoding, PYTHONPATH=str(REPO_ROOT / "src"))
+        process = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.cli import serve_main; "
+             "raise SystemExit(serve_main())"],
+            input=b'\xff\xfe\n{"kind": "ping"}\n{"kind": "ping"}\n',
+            env=env, capture_output=True, timeout=60,
+        )
+        assert process.returncode == 0, process.stderr
+        banner, error, *pongs = map(json.loads, process.stdout.splitlines())
+        assert banner["kind"] == "ready"
+        assert (error["kind"], error["error_type"]) == (
+            "error", "SchemaError"
+        )
+        assert [pong["kind"] for pong in pongs] == ["pong", "pong"]
 
 
 class TestSessionEngineSharing:

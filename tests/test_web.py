@@ -215,6 +215,19 @@ class TestRoutes:
             urllib.request.urlopen(request, timeout=30)
         assert info.value.code == 400
 
+    @pytest.mark.parametrize("body", [b"", b" \r\n"], ids=["empty", "blank"])
+    def test_blank_body_is_the_empty_request(self, web_server, body):
+        """A body that is empty or only whitespace is ``{}``: the route
+        fills its kind, and no refusal is counted."""
+        handle = web_server()
+        request = urllib.request.Request(
+            "http://%s:%d/v2/admin/ping" % (handle.host, handle.port),
+            data=body, method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            assert json.loads(response.read())["kind"] == "pong"
+        assert sum(handle.server.dispatcher.rejected().values()) == 0
+
     def test_oversized_body_is_413(self, web_server):
         handle = web_server(max_body_bytes=128)
         status, payload = http_call(
@@ -323,8 +336,8 @@ class TestTransportParity:
             json.dumps(request, sort_keys=True) + "\n"
             for request in PARITY_REQUESTS
         )
-        stdio_out = io.StringIO()
-        serve(io.StringIO(lines), stdio_out, engine=make_engine())
+        stdio_out = io.BytesIO()
+        serve(io.BytesIO(lines.encode()), stdio_out, engine=make_engine())
         stdio_responses = [
             json.dumps(zero_timings(json.loads(line)), sort_keys=True)
             for line in stdio_out.getvalue().splitlines()

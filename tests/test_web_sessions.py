@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import stat
 import threading
 
 import pytest
@@ -61,6 +63,45 @@ class TestSessionStore:
         # The on-disk bytes are always a complete, parseable record.
         payload = json.loads((directory / "expl.json").read_text())
         assert payload["name"] == "expl"
+
+    def test_save_fsyncs_file_then_replaces_then_fsyncs_directory(
+        self, tmp_path, monkeypatch
+    ):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append(("replace", os.path.basename(target)))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        SessionStore(tmp_path).save(make_record())
+        assert events == [
+            ("fsync", "file"), ("replace", "expl.json"), ("fsync", "dir"),
+        ]
+
+    def test_failed_write_keeps_previous_file_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        store = SessionStore(tmp_path)
+        store.save(make_record(k=2))
+        path = tmp_path / "alice" / "expl.json"
+        before = path.read_bytes()
+
+        def fsync(fd):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError):
+            store.save(make_record(k=3))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["expl.json"]
 
     def test_corrupted_file_served_as_not_found_and_counted(self, tmp_path):
         store = SessionStore(tmp_path)
